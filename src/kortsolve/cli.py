@@ -331,9 +331,6 @@ def build_parser():
         prog="kortsolve",
         description="Resolvent solvers for the linearized compressible Korteweg model "
                     "on the half-space.")
-    parser.add_argument("--threads", type=int, default=int(os.environ.get("KORTSOLVE_THREADS", "1")),
-                        help="worker cap for data-parallel scans (currently vectorized "
-                             "single-process; recorded in manifests)")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     s = subs.add_parser("classify", help="case I-V classification and the roots s1, s2")

@@ -13,6 +13,12 @@ reduced to the boundary-data-only problem in three steps:
    `modes.solve_mode` and add the exact profile correction to the restricted
    whole-space part.
 
+Steps 1 and 2 are `whole_space_reduction`, the one path shared by
+`reduce_boundary_data`, `solve_resolvent` and the full-data rbound family.
+Step 3 is `boundary_correction`, which solves each lattice mode exactly once
+and hands the per-mode solutions back, so boundary diagnostics read exact
+profile derivatives off them instead of solving again.
+
 Grid convention: vertical nodes sit at x_N = k*h, k = 0..n_z-1 with
 h = L/n_z, so the interface x_N = 0 is a grid row; the doubled grid has
 2*n_z nodes indexed over [0, 2L) ~ [-L, L).  Tangential axes are periodic
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GridError
-from .modes import BoundaryTrace, solve_mode
+from .modes import BoundaryTrace, pde_residual, solve_mode
 from .spectral import FluidParams, TangentialMode
 
 EDGE_DECAY_REQUIREMENT = 1e-12
@@ -90,7 +96,7 @@ class GridSpec:
     def doubled_vertical_wavenumbers(self):
         return 2.0 * math.pi * np.fft.fftfreq(2 * self.n_vertical, d=self.vertical_spacing)
 
-    def cell_volume(self, doubled=False):
+    def cell_volume(self):
         return self.tangential_spacing ** (self.dim - 1) * self.vertical_spacing
 
 
@@ -112,9 +118,6 @@ class GridField:
     def trace(self):
         """Boundary row x_N = 0."""
         return self.values[..., 0]
-
-    def norm_q(self, q: float = 2.0) -> float:
-        return grid_norm(self.values, self.spec, q)
 
 
 def grid_norm(values, spec: GridSpec, q: float = 2.0) -> float:
@@ -275,25 +278,32 @@ def vertical_spectral_derivative(values2, spec: GridSpec, order: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def _whole_space_part(params: FluidParams, d: GridField, f, lam):
+def whole_space_reduction(params: FluidParams, d: GridField, f, g_trace, lam):
+    """Whole-space solve of the extended data and the corrected boundary traces.
+
+    Extends d evenly and f with the mixed parity, solves on the doubled box
+    and takes the spectral d_N of the density.  Returns (rho2, u2, dn_rho2,
+    residuals, g_tilde, h_tilde) with g_tilde = g + d_N R|_{x_N=0} and
+    h_tilde_j = -U_j|_{x_N=0}, where (R, U) = (rho2, u2) live on the doubled
+    grid.
+    """
     spec = d.spec
     d2 = extend(d.values, "even")
     f2 = extend_vector([c.values for c in f], spec)
     rho2, u2, residuals = whole_space_solve(spec, params, d2, f2, lam)
     dn_rho2 = vertical_spectral_derivative(rho2, spec)
-    return rho2, u2, dn_rho2, residuals
+    g_tilde = np.asarray(g_trace, dtype=complex) + dn_rho2[..., 0]
+    h_tilde = [-u2[j][..., 0] for j in range(spec.dim - 1)]
+    return rho2, u2, dn_rho2, residuals, g_tilde, h_tilde
 
 
 def reduce_boundary_data(params: FluidParams, d: GridField, f, g_trace, lam):
     """Corrected boundary traces (g_tilde, h_tilde_1..h_tilde_{N-1}).
 
-    g_tilde = g + d_N R|_{x_N=0} and h_tilde_j = -U_j|_{x_N=0}, where (R, U)
-    is the whole-space solution of the extended data.  U_N|_{x_N=0} vanishes
-    by parity; its actual magnitude is returned as a diagnostic.
+    See `whole_space_reduction`.  U_N|_{x_N=0} vanishes by parity; its
+    actual magnitude is returned as a diagnostic.
     """
-    rho2, u2, dn_rho2, _ = _whole_space_part(params, d, f, lam)
-    g_tilde = np.asarray(g_trace, dtype=complex) + dn_rho2[..., 0]
-    h_tilde = [-u2[j][..., 0] for j in range(d.spec.dim - 1)]
+    _, u2, _, _, g_tilde, h_tilde = whole_space_reduction(params, d, f, g_trace, lam)
     un_trace = float(np.max(np.abs(u2[-1][..., 0])))
     return g_tilde, h_tilde, un_trace
 
@@ -308,15 +318,14 @@ class FieldSolveReport:
     norms: dict = field(default_factory=dict)
 
 
-def boundary_correction(params: FluidParams, spec: GridSpec, g_tilde, h_tilde, lam,
-                        collect=None):
+def boundary_correction(params: FluidParams, spec: GridSpec, g_tilde, h_tilde, lam):
     """Per-tangential-mode profile solve assembled onto the grid.
 
-    g_tilde, h_tilde are trace arrays over the tangential lattice.  Returns
-    (rho_corr, u_corr list) sampled on the half grid.  `collect`, if given,
-    is called as collect(mode_index_tuple, xi_vector, solution) for every
-    lattice mode, which the randomized-probe lifts use to apply exact
-    derivatives mode by mode.
+    g_tilde, h_tilde are trace arrays over the tangential lattice.  Each
+    lattice mode is solved once with `solve_mode`.  Returns (rho_corr,
+    u_corr list, solutions): the correction sampled on the half grid and the
+    ModeSolution of every lattice mode keyed by its index tuple, from which
+    callers take exact profile derivatives mode by mode.
     """
     N = spec.dim
     n_t = spec.tangential_shape
@@ -327,6 +336,7 @@ def boundary_correction(params: FluidParams, spec: GridSpec, g_tilde, h_tilde, l
 
     rho_modes = np.zeros(n_t + (spec.n_vertical,), dtype=complex)
     u_modes = [np.zeros_like(rho_modes) for _ in range(N)]
+    solutions = {}
     for index in np.ndindex(*n_t):
         xi = np.array([ks[i] for i in index])
         mode = TangentialMode(xi=xi, lam=lam, dim=N)
@@ -335,13 +345,12 @@ def boundary_correction(params: FluidParams, spec: GridSpec, g_tilde, h_tilde, l
         rho_modes[index] = sol.rho.evaluate(x)
         for J in range(N):
             u_modes[J][index] = sol.u[J].evaluate(x)
-        if collect is not None:
-            collect(index, xi, sol)
+        solutions[index] = sol
 
     t_axes = tuple(range(N - 1))
     rho_corr = np.fft.ifftn(rho_modes, axes=t_axes)
     u_corr = [np.fft.ifftn(um, axes=t_axes) for um in u_modes]
-    return rho_corr, u_corr
+    return rho_corr, u_corr, solutions
 
 
 def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
@@ -350,6 +359,9 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
 
     d is a GridField, f a list of N GridFields, g either a GridField (whose
     boundary row is used) or a trace array over the tangential lattice.
+    One pass: `whole_space_reduction`, then `boundary_correction`, whose
+    per-mode solutions also give the exact d_N rho_corr(0) trace and the
+    profile-identity spot-check of the report.
     Returns (rho GridField, u list of GridFields, FieldSolveReport).
     """
     spec = d.spec
@@ -363,25 +375,25 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     if g_trace.shape != spec.tangential_shape:
         raise GridError(f"g trace shape {g_trace.shape} != {spec.tangential_shape}")
 
-    rho2, u2, dn_rho2, ws_res = _whole_space_part(params, d, f, lam)
-    g_tilde = g_trace + dn_rho2[..., 0]
-    h_tilde = [-u2[j][..., 0] for j in range(spec.dim - 1)]
+    rho2, u2, dn_rho2, ws_res, g_tilde, h_tilde = whole_space_reduction(
+        params, d, f, g_trace, lam)
     un_trace = float(np.max(np.abs(u2[-1][..., 0])))
+    rho_corr, u_corr, solutions = boundary_correction(params, spec, g_tilde, h_tilde, lam)
 
-    corr_residual = [0.0]
+    # d_N rho_corr(0) per mode, and a spot-check of the profile identity
+    # lambda*rho + div u = 0 on a tiny ladder for every (n_tangential/4)-th
+    # index sum (cheap, catches assembly/transcription slips).
+    ks = spec.tangential_wavenumbers()
     ladder = np.concatenate([[0.0], 2.0 ** np.arange(-4, 4, dtype=float)])
-
-    def _collect(index, xi, sol):
-        # Spot-check the profile identity lambda*rho + div u = 0 per mode,
-        # on a tiny ladder (cheap, catches assembly/transcription slips).
-        if sum(index) % max(1, spec.n_tangential // 4) == 0:
-            from .modes import pde_residual
-            mode = TangentialMode(xi=xi, lam=lam, dim=spec.dim)
+    stride = max(1, spec.n_tangential // 4)
+    corr_residual = 0.0
+    dn_rho_corr_hat = np.zeros(spec.tangential_shape, dtype=complex)
+    for index, sol in solutions.items():
+        dn_rho_corr_hat[index] = sol.rho.derivative_at_zero()
+        if sum(index) % stride == 0:
+            mode = TangentialMode(xi=np.array([ks[i] for i in index]), lam=lam, dim=spec.dim)
             rep = pde_residual(params, mode, sol, sample_points=ladder)
-            corr_residual[0] = max(corr_residual[0], rep.pde_max)
-
-    rho_corr, u_corr = boundary_correction(params, spec, g_tilde, h_tilde, lam,
-                                           collect=_collect)
+            corr_residual = max(corr_residual, rep.pde_max)
 
     nz = spec.n_vertical
     rho_vals = rho2[..., :nz] + rho_corr
@@ -391,14 +403,14 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     u_scale = max(max(float(np.max(np.abs(v))) for v in u_vals), 1e-300)
     boundary_u = max(float(np.max(np.abs(v[..., 0]))) for v in u_vals) / u_scale
     # d_N rho(0) must equal -g: profile part satisfies d_N rho_corr(0) = -g_tilde.
-    dn_rho_corr0 = _mode_derivative_trace(params, spec, g_tilde, h_tilde, lam)
+    dn_rho_corr0 = np.fft.ifftn(dn_rho_corr_hat, axes=tuple(range(spec.dim - 1)))
     dn_rho0 = dn_rho2[..., 0] + dn_rho_corr0
     g_scale = max(float(np.max(np.abs(g_trace))), float(np.max(np.abs(dn_rho2[..., 0]))), 1e-300)
     boundary_g = float(np.max(np.abs(dn_rho0 + g_trace))) / g_scale
 
     report = FieldSolveReport(
         whole_space_residuals=ws_res,
-        correction_residual_max=corr_residual[0],
+        correction_residual_max=corr_residual,
         boundary_u_max=boundary_u,
         boundary_g_residual=boundary_g,
         un_trace_ratio=un_trace / max(float(np.max(np.abs(u2[0]))), 1e-300),
@@ -407,23 +419,6 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     rho_field = GridField(rho_vals, spec, role="density")
     u_fields = [GridField(v, spec, role="velocity_component") for v in u_vals]
     return rho_field, u_fields, report
-
-
-def _mode_derivative_trace(params, spec, g_tilde, h_tilde, lam):
-    """d_N of the boundary-correction density at x_N = 0 (exact per mode)."""
-    N = spec.dim
-    g_hat = np.fft.fftn(np.asarray(g_tilde, dtype=complex))
-    h_hat = [np.fft.fftn(np.asarray(h, dtype=complex)) for h in h_tilde]
-    ks = spec.tangential_wavenumbers()
-    out = np.zeros(spec.tangential_shape, dtype=complex)
-    for index in np.ndindex(*spec.tangential_shape):
-        xi = np.array([ks[i] for i in index])
-        mode = TangentialMode(xi=xi, lam=lam, dim=N)
-        trace = BoundaryTrace(g_hat[index], np.array([h[index] for h in h_hat]))
-        sol = solve_mode(params, mode, trace)
-        out[index] = sol.rho.derivative_at_zero()
-    t_axes = tuple(range(N - 1))
-    return np.fft.ifftn(out, axes=t_axes)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,9 @@ DET_M_DEGREE = 4
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
-    """The 2x2 boundary system: entries, right-hand-side template, case tag."""
+    """The 2x2 boundary system: entries and case tag."""
 
     entries: np.ndarray
-    rhs_template: str
     case: Case
 
     def det(self) -> complex:
@@ -48,17 +47,15 @@ def boundary_matrix(params: FluidParams, mode: TangentialMode) -> BoundaryMatrix
             [t1 * t1 - xi_sq, t2 * t2 - xi_sq],
             [-t2 * (t1 * om - xi_sq), -t1 * (t2 * om - xi_sq)],
         ])
-        rhs = "(lambda*g(0), t1*t2*i xi.h'(0))"
     elif params.case is Case.IV:
         mu, nu = params.mu, params.nu
         entries = np.array([
             [-2.0 * mu * (t2 - om) * (t2 + om), -2.0 * (nu - mu) * t2],
             [(t2 - om) * (2.0 * mu * om * (t2 + om) + (nu - mu) * xi_sq), (nu - mu) * xi_sq],
         ])
-        rhs = "((nu-mu)*lambda*g(0), (nu-mu)*t2^2*i xi.h'(0))"
     else:
         raise CaseMismatchError(f"no 2x2 boundary matrix in case {params.case}")
-    return BoundaryMatrix(entries=entries, rhs_template=rhs, case=params.case)
+    return BoundaryMatrix(entries=entries, case=params.case)
 
 
 def det_L(params: FluidParams, mode: TangentialMode) -> complex:

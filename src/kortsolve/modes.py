@@ -68,10 +68,6 @@ class ModeSolution:
     phi: VerticalProfile
     coeffs: ModeCoefficients
 
-    def component_scale(self, x):
-        vals = [np.max(np.abs(p.evaluate(x))) for p in (self.rho, *self.u, self.phi)]
-        return float(max(vals))
-
 
 def _stable_tw_minus_xisq(s_t, s_w, lam, t, w, xi_sq):
     """t*w - |xi|^2 for t = sqrt(|xi|^2+s_t lam), w = sqrt(|xi|^2+s_w lam).
@@ -112,7 +108,6 @@ def _solve_case_1_2(params, mode, trace):
     beta_n = -(t1 * w2 * lam * g + t1 * t2 * s2 * lam * ixh) / (dt * det_over_dt)
     gamma_n = (t2 * w1 * lam * g + t1 * t2 * s1 * lam * ixh) / (dt * det_over_dt)
 
-    n_t = mode.dim - 1
     alpha = np.concatenate([trace.h_hat, [0.0]])
     beta = np.concatenate([(-1j * xi / t1) * beta_n, [beta_n]])
     gamma = np.concatenate([(-1j * xi / t2) * gamma_n, [gamma_n]])
@@ -147,7 +142,6 @@ def _solve_case_3(params, mode, trace):
     denom = (inv_nu - im) * lam * (ts * om + inv_nu * lam) / (ts + om)
     gamma_n = ts * (lam * g + om * ixh) / denom
 
-    n_t = mode.dim - 1
     alpha = np.concatenate([trace.h_hat, [0.0]])
     gamma = np.concatenate([(-1j * xi / ts) * gamma_n, [gamma_n]])
     beta = np.zeros(mode.dim, dtype=complex)

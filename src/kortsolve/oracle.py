@@ -45,7 +45,6 @@ class BvpConfig:
     length: float
     n: int
     scheme: str = "second_order_fd"
-    far_bc: str = "dirichlet_zero"
 
     def __post_init__(self):
         if self.length <= 0:
@@ -57,8 +56,6 @@ class BvpConfig:
                           stacklevel=3)
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"scheme must be one of {SCHEMES}")
-        if self.far_bc != "dirichlet_zero":
-            raise ConfigurationError("only the dirichlet_zero far boundary is implemented")
 
     @classmethod
     def for_mode(cls, params: FluidParams, mode: TangentialMode, n: int = 4096,

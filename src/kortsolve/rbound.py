@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridError
-from .fields import GridSpec
+from .fields import (GridField, GridSpec, _full_wavenumber_mesh, boundary_correction,
+                     whole_space_reduction)
 from .modes import BoundaryTrace, solve_mode
 from .profiles import VerticalProfile
 from .spectral import FluidParams, TangentialMode
@@ -62,9 +63,6 @@ class ModeField:
 
     modes: dict  # index tuple -> VerticalProfile
     spec: GridSpec
-
-    def trace_coeff(self, index):
-        return self.modes[index].value_at_zero()
 
     def scale(self, c):
         return ModeField({k: p.scaled(c) for k, p in self.modes.items()}, self.spec)
@@ -122,6 +120,23 @@ class LiftedTuple:
         return np.fft.ifftn(hat, axes=axes)
 
 
+def _profile_derivative(profile, axes_tuple, xi, x):
+    """Exact d^axes_tuple of profile(x_N) e^{i xi.x'}, sampled at x_N = x.
+
+    Tangential axes (index < len(xi)) act as i*xi multipliers; the normal
+    axis differentiates the exponential profile.
+    """
+    factor = 1.0 + 0.0j
+    v_order = 0
+    for ax in axes_tuple:
+        if ax < len(xi):
+            factor *= 1j * xi[ax]
+        else:
+            v_order += 1
+    p = profile.differentiate(v_order) if v_order else profile
+    return factor * p.evaluate(x)
+
+
 def _lift_profiles(profile_sets, lam, spec: GridSpec, xi, kind: str):
     """Lifted component arrays for one mode.
 
@@ -133,33 +148,22 @@ def _lift_profiles(profile_sets, lam, spec: GridSpec, xi, kind: str):
     dim = spec.dim
     sqrt_lam = np.sqrt(lam)
 
-    def deriv(profile, axes_tuple):
-        factor = 1.0 + 0.0j
-        v_order = 0
-        for ax in axes_tuple:
-            if ax < dim - 1:
-                factor *= 1j * xi[ax]
-            else:
-                v_order += 1
-        p = profile.differentiate(v_order) if v_order else profile
-        return factor * p.evaluate(x)
-
     rows = []
     if kind == "S0":
         profile = profile_sets
         for t in derivative_tuples(3, dim):
-            rows.append(deriv(profile, t))
+            rows.append(_profile_derivative(profile, t, xi, x))
         for t in derivative_tuples(2, dim):
-            rows.append(sqrt_lam * deriv(profile, t))
+            rows.append(sqrt_lam * _profile_derivative(profile, t, xi, x))
         for t in derivative_tuples(1, dim):
-            rows.append(lam * deriv(profile, t))
+            rows.append(lam * _profile_derivative(profile, t, xi, x))
         rows.append(lam * sqrt_lam * profile.evaluate(x))
     elif kind == "T":
         for profile in profile_sets:
             for t in derivative_tuples(2, dim):
-                rows.append(deriv(profile, t))
+                rows.append(_profile_derivative(profile, t, xi, x))
             for t in derivative_tuples(1, dim):
-                rows.append(sqrt_lam * deriv(profile, t))
+                rows.append(sqrt_lam * _profile_derivative(profile, t, xi, x))
             rows.append(lam * profile.evaluate(x))
     else:
         raise DomainError(f"unknown lift kind {kind!r}")
@@ -281,28 +285,17 @@ def lift_full_data(data, lam) -> LiftedTuple:
     n_comp = dim + 1 + dim + dim * dim + dim + 1
     active = set(d.modes) | set(g.modes) | set().union(*(set(c.modes) for c in f))
 
-    def deriv(profile, axes_tuple, xi):
-        factor = 1.0 + 0.0j
-        v_order = 0
-        for ax in axes_tuple:
-            if ax < dim - 1:
-                factor *= 1j * xi[ax]
-            else:
-                v_order += 1
-        p = profile.differentiate(v_order) if v_order else profile
-        return factor * p.evaluate(x)
-
     out = {}
     zero = VerticalProfile.zero()
     for index in active:
         xi = np.array([ks[i] for i in index])
         pd = d.modes.get(index, zero)
         pg = g.modes.get(index, zero)
-        rows = [deriv(pd, t, xi) for t in derivative_tuples(1, dim)]
+        rows = [_profile_derivative(pd, t, xi, x) for t in derivative_tuples(1, dim)]
         rows.append(sqrt_lam * pd.evaluate(x))
         rows += [f[i].modes.get(index, zero).evaluate(x) for i in range(dim)]
-        rows += [deriv(pg, t, xi) for t in derivative_tuples(2, dim)]
-        rows += [sqrt_lam * deriv(pg, t, xi) for t in derivative_tuples(1, dim)]
+        rows += [_profile_derivative(pg, t, xi, x) for t in derivative_tuples(2, dim)]
+        rows += [sqrt_lam * _profile_derivative(pg, t, xi, x) for t in derivative_tuples(1, dim)]
         rows.append(lam * pg.evaluate(x))
         out[index] = np.array(rows)
     return LiftedTuple(out, spec, n_comp)
@@ -327,8 +320,6 @@ class FullSolveFamily:
         return lift_full_data(data, lam)
 
     def apply(self, lam, data):
-        from .fields import (boundary_correction, extend, extend_vector,
-                              vertical_spectral_derivative, whole_space_solve)
         d, f, g = data
         spec = d.spec
         lam = complex(lam)
@@ -342,23 +333,10 @@ class FullSolveFamily:
                 hat[(*k, slice(None))] = p.evaluate(x)
             return np.fft.ifftn(hat, axes=tuple(range(dim - 1)))
 
-        d_vals = synthesize(d)
-        f_vals = [synthesize(c) for c in f]
-        g_trace = synthesize(g)[..., 0]
-
-        d2 = extend(d_vals, "even")
-        f2 = extend_vector(f_vals, spec)
-        rho2, u2, _ = whole_space_solve(spec, self.params, d2, f2, lam)
-        dn_rho2 = vertical_spectral_derivative(rho2, spec)
-        g_tilde = g_trace + dn_rho2[..., 0]
-        h_tilde = [-u2[j][..., 0] for j in range(dim - 1)]
-
-        mode_solutions = {}
-
-        def collect(index, xi, sol):
-            mode_solutions[index] = sol
-
-        boundary_correction(self.params, spec, g_tilde, h_tilde, lam, collect=collect)
+        rho2, u2, _, _, g_tilde, h_tilde = whole_space_reduction(
+            self.params, GridField(synthesize(d), spec),
+            [GridField(synthesize(c), spec) for c in f], synthesize(g)[..., 0], lam)
+        _, _, mode_solutions = boundary_correction(self.params, spec, g_tilde, h_tilde, lam)
 
         ks = spec.tangential_wavenumbers()
         t_axes = tuple(range(dim - 1))
@@ -376,8 +354,7 @@ class FullSolveFamily:
         corr = np.fft.ifftn(corr_hat, axes=tuple(a + 1 for a in t_axes))
 
         # whole-space part lift via spectral derivatives on the doubled grid
-        mesh = np.meshgrid(*([ks] * (dim - 1) + [spec.doubled_vertical_wavenumbers()]),
-                           indexing="ij", sparse=True)
+        mesh = _full_wavenumber_mesh(spec)
 
         def spectral_deriv(hat, axes_tuple):
             out = hat

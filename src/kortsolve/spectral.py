@@ -78,11 +78,6 @@ class FluidParams:
     def inv_mu(self) -> float:
         return 1.0 / self.mu
 
-    def char_quadratic(self, s):
-        """The quadratic s^2 - ((mu+nu)/kappa) s + 1/kappa whose roots are s1, s2."""
-        s = complex(s)
-        return s * s - ((self.mu + self.nu) / self.kappa) * s + 1.0 / self.kappa
-
 
 def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)

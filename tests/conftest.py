@@ -19,6 +19,17 @@ def params_by_case():
 
 
 @pytest.fixture()
+def mode_solves(monkeypatch):
+    """List that grows by one per solve_mode call made through kortsolve.fields."""
+    import kortsolve.fields
+    calls = []
+    solve = kortsolve.fields.solve_mode
+    monkeypatch.setattr(kortsolve.fields, "solve_mode",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    return calls
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
 

@@ -5,7 +5,7 @@ from kortsolve import BoundaryTrace, ConfigurationError, TangentialMode, classif
 from kortsolve.fields import (GridField, GridSpec, extend, extend_vector, grid_norm,
                               load_field, manufactured_solution, reduce_boundary_data,
                               save_field, solve_resolvent, vertical_spectral_derivative,
-                              whole_space_solve)
+                              whole_space_reduction, whole_space_solve)
 
 
 @pytest.fixture(scope="module")
@@ -175,8 +175,7 @@ class TestBoundaryReduction:
         d = GridField(bump(), spec)
         f = [GridField(bump(), spec), GridField(bump(), spec)]
         g = np.zeros(spec.tangential_shape)
-        rho2, u2, dn, _ = __import__("kortsolve.fields", fromlist=["x"])._whole_space_part(
-            params, d, f, 1.0 + 0.5j)
+        _, u2, _, _, _, _ = whole_space_reduction(params, d, f, g, 1.0 + 0.5j)
         un = np.max(np.abs(u2[-1][..., 0]))
         scale = np.max(np.abs(u2[-1]))
         assert un <= 1e-10 * max(scale, 1e-300)
@@ -245,6 +244,18 @@ class TestSolveResolvent:
             assert rep.boundary_g_residual <= 1e-8
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 1e-6
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_mode_solve_per_lattice_mode(self, params, dim, mode_solves):
+        spec = GridSpec(dim=dim, box_half_length=3.0, n_tangential=8,
+                        vertical_cutoff=8.0, n_vertical=32)
+        x = spec.tangential_coords()
+        z = spec.vertical_coords()
+        bump = np.exp(-(np.add.outer(x**2, x**2) if dim == 3 else x**2) / 0.25)
+        d = GridField(np.multiply.outer(bump, np.exp(-((z - 3.0) / 0.5) ** 2)), spec)
+        zero = GridField(np.zeros(spec.shape), spec)
+        solve_resolvent(params, d, [zero] * dim, bump, 1.0 + 0.5j)
+        assert len(mode_solves) == spec.n_tangential ** (dim - 1)
 
     def test_undecayed_data_rejected(self, spec, params):
         wide = GridField(np.ones(spec.shape), spec)

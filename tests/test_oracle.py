@@ -68,8 +68,6 @@ class TestBvpSolve:
             BvpConfig(length=-1.0, n=256)
         with pytest.raises(ConfigurationError):
             BvpConfig(length=1.0, n=256, scheme="spectral")
-        with pytest.raises(ConfigurationError):
-            BvpConfig(length=1.0, n=256, far_bc="absorbing")
 
 
 class TestConvergence:

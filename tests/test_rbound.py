@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kortsolve.rbound import (FullSolveFamily, IdentityFamily, ProbeConfig,
+from kortsolve.rbound import (FullSolveFamily, IdentityFamily, ModeField, ProbeConfig,
                               ReducedSolveFamily, estimate_rbound, lambda_log_derivative,
                               lift_arity, lift_boundary_data, probe_grid,
                               sample_boundary_data, sample_full_data)
@@ -120,6 +120,20 @@ class TestFamilies:
             rep = estimate_rbound(fam, cfg, spec, sampler=sample_full_data)
             assert rep.global_max > 0
             assert math.isfinite(rep.decade_spread)
+
+    @pytest.mark.parametrize("kind", ["A", "B"])
+    def test_full_family_reduces_to_boundary_family(self, params, kind, mode_solves):
+        # with d = f = 0 the whole-space part vanishes and the full-data
+        # operator is the boundary-data operator, one mode solve per lattice mode
+        spec = probe_grid(n_tangential=16, n_vertical=64)
+        g = sample_boundary_data(np.random.default_rng(3), spec, modes_per_field=4)[0]
+        zero = ModeField({}, spec)
+        for lam in (1.0 + 0.5j, 0.3 * np.exp(1.2j), 20.0):
+            mode_solves.clear()
+            full = FullSolveFamily(params, kind).apply(lam, (zero, (zero, zero), g)).values
+            assert len(mode_solves) == spec.n_tangential
+            ref = ReducedSolveFamily(params, kind + "2").apply(lam, (g, (zero,))).synthesize()
+            assert np.max(np.abs(full - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestLogDerivative:
