@@ -1,11 +1,11 @@
-"""Full-data half-space solve: extension, whole-space FFT, boundary correction.
+"""Full-data half-space solve: reflection, whole-space solve, boundary correction.
 
 A manufactured solution with u = 0 on the interface is pushed through the
-complete pipeline: extend (d, f) across the boundary with the mixed parity,
-solve the whole-space problem in the full Fourier space, read corrected
-boundary traces off the restriction, and add the exact per-mode profile
-correction.  Tangential refinement shows the recovery error collapsing onto
-the vertical-discretization floor.
+complete pipeline: reflect (d, f) across the boundary with the mixed parity,
+solve the whole-space problem on the cosine/sine spectra in x_N and the FFT
+tangentially, read corrected boundary traces off the whole-space part, and
+add the exact per-mode profile correction.  Tangential refinement shows the
+recovery error collapsing onto the vertical-discretization floor.
 """
 
 import time

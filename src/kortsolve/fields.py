@@ -3,14 +3,15 @@
 The inhomogeneous problem (data d, f in the interior, g on the boundary) is
 reduced to the boundary-data-only problem in three steps:
 
-1. extend d evenly and f with the mixed parity (tangential components even,
-   normal component odd) to a doubled periodic box and solve the whole-space
-   problem mode-by-mode in the full N-dimensional Fourier space;
-2. read corrected boundary traces off the whole-space solution: by the parity
-   argument its normal velocity vanishes on the interface, so only the
-   tangential velocities and the normal density gradient need correcting;
+1. reflect d and the tangential components of f evenly about x_N = 0 and
+   the normal component oddly, and solve the whole-space problem for the
+   reflections mode-by-mode: in x_N on their cosine (DCT-I) and sine
+   (DST-I) spectra, tangentially on the FFT, all on the half grid;
+2. read corrected boundary traces off the whole-space solution: its normal
+   velocity and the normal density gradient are sine series and vanish on
+   the interface, so only the tangential velocities need correcting;
 3. solve the reduced boundary problem per tangential mode with
-   `modes.solve_mode` and add the exact profile correction to the restricted
+   `modes.solve_mode` and add the exact profile correction to the
    whole-space part.
 
 Steps 1 and 2 are `whole_space_reduction`, the one path shared by
@@ -20,9 +21,10 @@ and hands the per-mode solutions back, so boundary diagnostics read exact
 profile derivatives off them instead of solving again.
 
 Grid convention: vertical nodes sit at x_N = k*h, k = 0..n_z-1 with
-h = L/n_z, so the interface x_N = 0 is a grid row; the doubled grid has
-2*n_z nodes indexed over [0, 2L) ~ [-L, L).  Tangential axes are periodic
-boxes [-ell, ell) sampled at powers of two.
+h = L/n_z, so the interface x_N = 0 is a grid row; the reflections are
+2L-periodic with a zero node at x_N = +-L, and their spectra live on
+kz = pi k / L, k = 0..n_z.  Tangential axes are periodic boxes [-ell, ell)
+sampled at powers of two.
 """
 
 from __future__ import annotations
@@ -84,17 +86,12 @@ class GridSpec:
     def vertical_coords(self):
         return self.vertical_spacing * np.arange(self.n_vertical)
 
-    def doubled_vertical_coords(self):
-        """Signed coordinates of the doubled grid in fft index order."""
-        n2 = 2 * self.n_vertical
-        x = self.vertical_spacing * np.arange(n2)
-        return np.where(x < self.vertical_cutoff, x, x - 2.0 * self.vertical_cutoff)
-
     def tangential_wavenumbers(self):
         return 2.0 * math.pi * np.fft.fftfreq(self.n_tangential, d=self.tangential_spacing)
 
-    def doubled_vertical_wavenumbers(self):
-        return 2.0 * math.pi * np.fft.fftfreq(2 * self.n_vertical, d=self.vertical_spacing)
+    def vertical_wavenumbers(self):
+        """kz = pi k / L, k = 0..n_z: the cosine/sine spectrum of the reflected grid."""
+        return math.pi / self.vertical_cutoff * np.arange(self.n_vertical + 1)
 
     def cell_volume(self):
         return self.tangential_spacing ** (self.dim - 1) * self.vertical_spacing
@@ -146,131 +143,187 @@ def validate_edge_decay(values, spec: GridSpec, what: str = "data"):
 
 
 # ---------------------------------------------------------------------------
-# Even/odd extension and the whole-space solve
+# Cosine/sine transforms in x_N and the whole-space solve
 # ---------------------------------------------------------------------------
 
+# Reflecting a half-grid column about x_N = 0 gives a 2L-periodic column on
+# 2 n_z nodes whose node at x_N = +-L is zero: it has no half-grid preimage.
+# The FFT of that column at kz = pi k / L >= 0 is the DCT-I of the column
+# padded with the zero node when the reflection is even, and -i times the
+# DST-I of rows 1..n_z-1 when it is odd, which needs a zero boundary row.
+# The values at -kz follow by parity, so the n_z + 1 rows kz >= 0 carry the
+# whole solve.  Arrays below hold those doubled-grid FFT values, not the
+# DCT/DST coefficients, so the whole-space formulas apply unchanged.
+# scipy.fft is imported where the transforms run: with scipy.special it adds
+# about 0.15 s to the package import, which commands that never solve a field
+# should not pay.
 
-def extend(values, parity: str):
-    """Reflect a half-grid array onto the doubled vertical grid.
 
-    Even: G(-x) = F(x); odd: G(-x) = -F(x).  The node at x = -L (index n_z)
-    has no half-grid preimage and is set to zero, which is consistent for
-    data that has decayed by the cutoff.  The interface node keeps its value;
-    an odd extension of data with a nonzero trace is discontinuous there, as
-    in the continuum.
+def _vertical_forward(values, parity: str, tangential_axes=()):
+    """Spectrum at kz = pi k / L, k = 0..n_z, of a half-grid array's reflection.
+
+    With `tangential_axes` the spectrum is also FFT'd along those axes.
     """
-    if parity not in ("even", "odd"):
-        raise DomainError("parity must be 'even' or 'odd'")
+    from scipy import fft
+
     values = np.asarray(values, dtype=complex)
     n = values.shape[-1]
-    sign = 1.0 if parity == "even" else -1.0
-    doubled = np.zeros(values.shape[:-1] + (2 * n,), dtype=complex)
-    doubled[..., :n] = values
-    doubled[..., n + 1:] = sign * values[..., 1:][..., ::-1]
-    return doubled
+    hat = np.zeros(values.shape[:-1] + (n + 1,), dtype=complex)
+    if parity == "even":
+        hat[..., :n] = values
+        hat = fft.dct(hat, type=1, axis=-1, overwrite_x=True)
+    else:
+        hat[..., 1:n] = -1j * fft.dst(values[..., 1:], type=1, axis=-1)
+    return fft.fftn(hat, axes=tangential_axes, overwrite_x=True) if tangential_axes else hat
 
 
-def extend_vector(components, spec: GridSpec):
-    """The mixed extension: tangential components even, normal component odd."""
-    if len(components) != spec.dim:
-        raise DomainError(f"need {spec.dim} velocity components")
-    return [extend(c, "even") for c in components[:-1]] + [extend(components[-1], "odd")]
+def _vertical_inverse(hat, parity: str, tangential_axes=()):
+    """Inverse of `_vertical_forward`: half-grid samples x_N = 0..L - h."""
+    from scipy import fft
+
+    if tangential_axes:
+        hat = fft.ifftn(hat, axes=tangential_axes)
+    n = hat.shape[-1] - 1
+    if parity == "even":
+        return fft.idct(hat, type=1, axis=-1)[..., :n]
+    values = np.zeros(hat.shape[:-1] + (n,), dtype=complex)
+    values[..., 1:] = fft.idst(1j * hat[..., 1:n], type=1, axis=-1, overwrite_x=True)
+    return values
 
 
-def _full_wavenumber_mesh(spec: GridSpec):
-    axes = [spec.tangential_wavenumbers()] * (spec.dim - 1) + [spec.doubled_vertical_wavenumbers()]
+def _wavenumber_mesh(spec: GridSpec):
+    axes = [spec.tangential_wavenumbers()] * (spec.dim - 1) + [spec.vertical_wavenumbers()]
     return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
-def whole_space_solve(spec: GridSpec, params: FluidParams, d2, f2, lam,
+def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam,
                       check_residual: bool = True):
-    """Solve the whole-space resolvent problem on the doubled periodic box.
+    """Solve the whole-space resolvent problem for reflected half-grid data.
 
-    Inputs are doubled-grid arrays: d2 scalar, f2 a list of N components.
-    Per full frequency xi the solenoidal part of u is f_perp/(lam + mu|xi|^2)
-    while rho and the potential part solve the scalar system obtained by
-    eliminating i xi . u = d - lam rho:
+    d is a half-grid scalar, f a list of N half-grid components.  d and the
+    tangential components of f are reflected evenly about x_N = 0, f_N
+    oddly.  In x_N the solve runs on the cosine (DCT-I) and sine (DST-I)
+    spectra of those reflections, kz = pi k / L for k = 0..n_z, and
+    tangentially on the FFT.  Per full frequency xi the solenoidal part of u
+    is f_perp/(lam + mu|xi|^2) while rho and the potential part solve the
+    scalar system obtained by eliminating i xi . u = d - lam rho:
 
         rho = ((lam + (mu+nu)|xi|^2) d - i xi . f)
               / (lam^2 + lam (mu+nu)|xi|^2 + kappa |xi|^4),
 
     whose denominator is kappa (s1 lam + |xi|^2)(s2 lam + |xi|^2) != 0 for
-    Re lam > 0.  Returns (rho2, u2 list, residual dict); the discrete
-    residuals of both equations are checked to 1e-10 relative.
+    Re lam > 0.  The odd reflection of f_N is continuous only if f_N
+    vanishes at x_N = 0; a trace above EDGE_DECAY_REQUIREMENT times its peak
+    raises ConfigurationError.  Returns (rho, u list, residual dict) on the
+    half grid: rho and u_1..u_{N-1} are cosine series, u_N a sine series, so
+    d_N rho and u_N vanish at x_N = 0.  The discrete residuals of both
+    equations are checked to 1e-10 relative over kz >= 0, whose maximum is
+    the maximum over the full spectrum by symmetry.
     """
     lam = complex(lam)
     if lam.real <= 0.0:
         raise DomainError("whole-space solve requires Re lambda > 0")
     mu, nu, kappa = params.mu, params.nu, params.kappa
     N = spec.dim
-    if len(f2) != N:
+    if len(f) != N:
         raise DomainError(f"need {N} force components")
-    d2 = np.asarray(d2, dtype=complex)
+    f_normal = np.asarray(f[-1], dtype=complex)
+    peak = float(np.max(np.abs(f_normal)))
+    trace = float(np.max(np.abs(f_normal[..., 0])))
+    if trace > EDGE_DECAY_REQUIREMENT * peak:
+        raise ConfigurationError(
+            f"normal force does not vanish at x_N = 0: trace/peak = {trace / peak:.2e} "
+            f"(require <= {EDGE_DECAY_REQUIREMENT:.0e}); its odd reflection is discontinuous"
+        )
 
-    mesh = _full_wavenumber_mesh(spec)
+    t_axes = tuple(range(N - 1))
+    parities = ["even"] * (N - 1) + ["odd"]
+    d_hat = _vertical_forward(d, "even", t_axes)
+    f_hat = np.empty((N,) + d_hat.shape, dtype=complex)
+    for i, parity in enumerate(parities):
+        f_hat[i] = _vertical_forward(f[i], parity, t_axes)
+    # The kz = pi n_z / L row is its own mirror image, so reflection symmetry
+    # cannot cancel it; it is filtered, and for data resolved on the grid the
+    # removed coefficient is alias-level anyway.
+    d_hat[..., -1] = 0.0
+    f_hat[..., -1] = 0.0
+
+    # Every array below spans the whole spectrum; each temporary is deleted
+    # once spent, which bounds the peak memory of the solve.
+    mesh = _wavenumber_mesh(spec)
     K_sq = sum(k ** 2 for k in mesh)
-    K_sq = np.broadcast_to(K_sq, d2.shape)
-
-    d_hat = np.fft.fftn(d2)
-    f_hat = np.stack([np.fft.fftn(np.asarray(c, dtype=complex)) for c in f2])
-    # The vertical Nyquist mode has no parity partner (it is its own mirror
-    # image), so reflection symmetry cannot cancel it and it would leak into
-    # the normal-velocity trace.  Extended data is filtered there; for data
-    # resolved on the grid the removed coefficient is alias-level anyway.
-    nyq = spec.n_vertical
-    d_hat[..., nyq] = 0.0
-    f_hat[..., nyq] = 0.0
-    xi_dot_f = sum(np.broadcast_to(mesh[i], d2.shape) * f_hat[i] for i in range(N))
-
-    D = lam * lam + lam * (mu + nu) * K_sq + kappa * K_sq * K_sq
-    rho_hat = ((lam + (mu + nu) * K_sq) * d_hat - 1j * xi_dot_f) / D
-    p_hat = d_hat - lam * rho_hat  # i xi . u
+    xi_dot_f = sum(mesh[i] * f_hat[i] for i in range(N))
 
     visc = lam + mu * K_sq
-    with np.errstate(invalid="ignore", divide="ignore"):
-        inv_K_sq = np.where(K_sq > 0, 1.0 / np.where(K_sq > 0, K_sq, 1.0), 0.0)
+    pot = lam + (mu + nu) * K_sq
+    D = lam * pot + kappa * K_sq * K_sq
+    rho_hat = (pot * d_hat - 1j * xi_dot_f) / D
+    del pot, D
+    ip_hat = 1j * (d_hat - lam * rho_hat)  # i p with p = i xi . u
+
+    zero = (0,) * N
+    with np.errstate(divide="ignore"):
+        inv_K_sq = 1.0 / K_sq
+    inv_K_sq[zero] = 0.0
     u_hat = np.empty_like(f_hat)
     for i in range(N):
-        ki = np.broadcast_to(mesh[i], d2.shape)
-        perp = (f_hat[i] - ki * xi_dot_f * inv_K_sq) / visc
-        u_hat[i] = perp - 1j * ki * p_hat * inv_K_sq
+        k_inv = mesh[i] * inv_K_sq
+        u_hat[i] = (f_hat[i] - k_inv * xi_dot_f) / visc - k_inv * ip_hat
+    del ip_hat, inv_K_sq, k_inv, xi_dot_f
     # The zero mode decouples: u = f/lam, rho = d/lam.
-    zero = (0,) * (N - 1) + (0,)
-    for i in range(N):
-        u_hat[(i, *zero)] = f_hat[(i, *zero)] / lam
+    u_hat[(slice(None), *zero)] = f_hat[(slice(None), *zero)] / lam
     rho_hat[zero] = d_hat[zero] / lam
 
     residuals = {}
     if check_residual:
-        # Components that are identically zero only carry FFT rounding, so
-        # relative residuals are floored by the overall data magnitude.
+        # Components that are identically zero only carry transform rounding,
+        # so relative residuals are floored by the overall data magnitude.
         data_scale = max(np.max(np.abs(d_hat)), np.max(np.abs(f_hat)), 1e-300)
-        xi_dot_u = sum(np.broadcast_to(mesh[i], d2.shape) * u_hat[i] for i in range(N))
-        r_mass = lam * rho_hat + 1j * xi_dot_u - d_hat
-        scale_mass = max(np.max(np.abs(lam * rho_hat)), data_scale)
+        xi_dot_u = sum(mesh[i] * u_hat[i] for i in range(N))
+        lam_rho = lam * rho_hat
+        r_mass = lam_rho + 1j * xi_dot_u - d_hat
+        scale_mass = max(np.max(np.abs(lam_rho)), data_scale)
         residuals["mass"] = float(np.max(np.abs(r_mass)) / scale_mass)
+        # nu xi_i (xi . u) + i kappa |xi|^2 xi_i rho = xi_i q
+        q = nu * xi_dot_u + (1j * kappa * K_sq) * rho_hat
+        del lam_rho, r_mass, xi_dot_u
         worst = 0.0
         for i in range(N):
-            ki = np.broadcast_to(mesh[i], d2.shape)
-            r_mom = visc * u_hat[i] + nu * ki * xi_dot_u \
-                + 1j * kappa * K_sq * ki * rho_hat - f_hat[i]
-            scale = max(np.max(np.abs(visc * u_hat[i])), data_scale)
+            visc_u = visc * u_hat[i]
+            r_mom = visc_u + mesh[i] * q - f_hat[i]
+            scale = max(np.max(np.abs(visc_u)), data_scale)
             worst = max(worst, float(np.max(np.abs(r_mom)) / scale))
         residuals["momentum"] = worst
         if max(residuals.values()) > 1e-10:
             raise ConfigurationError(f"whole-space residuals too large: {residuals}")
 
-    rho2 = np.fft.ifftn(rho_hat)
-    u2 = [np.fft.ifftn(u_hat[i]) for i in range(N)]
-    return rho2, u2, residuals
+    rho = _vertical_inverse(rho_hat, "even", t_axes)
+    u = [_vertical_inverse(u_hat[i], parities[i], t_axes) for i in range(N)]
+    return rho, u, residuals
 
 
-def vertical_spectral_derivative(values2, spec: GridSpec, order: int = 1):
-    """d^order/dx_N^order of a doubled-grid array via the vertical FFT."""
-    kz = spec.doubled_vertical_wavenumbers()
-    hat = np.fft.fft(values2, axis=-1)
-    hat *= (1j * kz) ** order
-    return np.fft.ifft(hat, axis=-1)
+def vertical_spectral_derivative(values, spec: GridSpec, order: int = 1, parity: str = "even"):
+    """d^order/dx_N^order of a half-grid array through its reflection about x_N = 0.
+
+    `parity` is that of the reflection ('even' for the density and the
+    tangential velocities, 'odd' for the normal one).  Each derivative flips
+    the parity, so an odd-order derivative of an even array vanishes at
+    x_N = 0 and vice versa.  The half grid stores no x_N = L node; an odd
+    reflection is zero there, and an even one gets the value that cancels
+    its top cosine row kz = pi n_z / L, the row `whole_space_solve` filters.
+    For a whole-space solution that recovers its value at L exactly.
+    Returns the derivative on the half grid.
+    """
+    if parity not in ("even", "odd"):
+        raise DomainError("parity must be 'even' or 'odd'")
+    hat = _vertical_forward(values, parity)
+    if parity == "even":
+        # a value c at the x_N = L node adds c (-1)^k to every cosine row k
+        sign = (-1.0) ** np.arange(spec.n_vertical + 1)
+        hat -= sign * (sign[-1] * hat[..., -1:])
+    out_parity = {"even": "odd", "odd": "even"}[parity] if order % 2 else parity
+    kz = spec.vertical_wavenumbers()
+    return _vertical_inverse(hat * (1j * kz) ** order, out_parity)
 
 
 # ---------------------------------------------------------------------------
@@ -279,37 +332,42 @@ def vertical_spectral_derivative(values2, spec: GridSpec, order: int = 1):
 
 
 def whole_space_reduction(params: FluidParams, d: GridField, f, g_trace, lam):
-    """Whole-space solve of the extended data and the corrected boundary traces.
+    """Whole-space solve of the reflected data and the corrected boundary traces.
 
-    Extends d evenly and f with the mixed parity, solves on the doubled box
-    and takes the spectral d_N of the density.  Returns (rho2, u2, dn_rho2,
-    residuals, g_tilde, h_tilde) with g_tilde = g + d_N R|_{x_N=0} and
-    h_tilde_j = -U_j|_{x_N=0}, where (R, U) = (rho2, u2) live on the doubled
-    grid.
+    Returns (rho_ws, u_ws, residuals, g_tilde, h_tilde), the whole-space
+    part on the half grid with g_tilde = g and h_tilde_j = -U_j|_{x_N=0}.
+    The density is a cosine series in x_N, so d_N R vanishes at x_N = 0 and
+    g needs no correction.
     """
     spec = d.spec
-    d2 = extend(d.values, "even")
-    f2 = extend_vector([c.values for c in f], spec)
-    rho2, u2, residuals = whole_space_solve(spec, params, d2, f2, lam)
-    dn_rho2 = vertical_spectral_derivative(rho2, spec)
-    g_tilde = np.asarray(g_trace, dtype=complex) + dn_rho2[..., 0]
-    h_tilde = [-u2[j][..., 0] for j in range(spec.dim - 1)]
-    return rho2, u2, dn_rho2, residuals, g_tilde, h_tilde
+    rho_ws, u_ws, residuals = whole_space_solve(spec, params, d.values,
+                                                [c.values for c in f], lam)
+    h_tilde = [-u_ws[j][..., 0] for j in range(spec.dim - 1)]
+    return rho_ws, u_ws, residuals, np.asarray(g_trace, dtype=complex), h_tilde
 
 
 def reduce_boundary_data(params: FluidParams, d: GridField, f, g_trace, lam):
-    """Corrected boundary traces (g_tilde, h_tilde_1..h_tilde_{N-1}).
+    """Corrected boundary traces (g_tilde, h_tilde_1..h_tilde_{N-1}) and max|U_N(0)|.
 
-    See `whole_space_reduction`.  U_N|_{x_N=0} vanishes by parity; its
-    actual magnitude is returned as a diagnostic.
+    See `whole_space_reduction`.  U_N is a sine series in x_N, so the
+    returned U_N trace is zero by construction; data that would break this
+    (a normal force with a nonzero boundary trace) is rejected by
+    `whole_space_solve` instead.
     """
-    _, u2, _, _, g_tilde, h_tilde = whole_space_reduction(params, d, f, g_trace, lam)
-    un_trace = float(np.max(np.abs(u2[-1][..., 0])))
+    _, u_ws, _, g_tilde, h_tilde = whole_space_reduction(params, d, f, g_trace, lam)
+    un_trace = float(np.max(np.abs(u_ws[-1][..., 0])))
     return g_tilde, h_tilde, un_trace
 
 
 @dataclass
 class FieldSolveReport:
+    """Diagnostics of `solve_resolvent`.
+
+    `un_trace_ratio` is max|U_N(0)| of the whole-space part over max|U_1|.
+    It is zero by construction, because U_N is a sine series in x_N; the
+    input guard of `whole_space_solve` is what catches incompatible data.
+    """
+
     whole_space_residuals: dict
     correction_residual_max: float
     boundary_u_max: float
@@ -375,9 +433,8 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     if g_trace.shape != spec.tangential_shape:
         raise GridError(f"g trace shape {g_trace.shape} != {spec.tangential_shape}")
 
-    rho2, u2, dn_rho2, ws_res, g_tilde, h_tilde = whole_space_reduction(
-        params, d, f, g_trace, lam)
-    un_trace = float(np.max(np.abs(u2[-1][..., 0])))
+    rho_ws, u_ws, ws_res, g_tilde, h_tilde = whole_space_reduction(params, d, f, g_trace, lam)
+    un_trace = float(np.max(np.abs(u_ws[-1][..., 0])))
     rho_corr, u_corr, solutions = boundary_correction(params, spec, g_tilde, h_tilde, lam)
 
     # d_N rho_corr(0) per mode, and a spot-check of the profile identity
@@ -388,24 +445,29 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     stride = max(1, spec.n_tangential // 4)
     corr_residual = 0.0
     dn_rho_corr_hat = np.zeros(spec.tangential_shape, dtype=complex)
+    dn_term_sum = 0.0
     for index, sol in solutions.items():
-        dn_rho_corr_hat[index] = sol.rho.derivative_at_zero()
+        dn_rho = sol.rho.differentiate(1)
+        dn_rho_corr_hat[index] = dn_rho.value_at_zero()
+        dn_term_sum += float(np.sum(np.abs(dn_rho.coeffs[dn_rho.powers == 0])))
         if sum(index) % stride == 0:
             mode = TangentialMode(xi=np.array([ks[i] for i in index]), lam=lam, dim=spec.dim)
             rep = pde_residual(params, mode, sol, sample_points=ladder)
             corr_residual = max(corr_residual, rep.pde_max)
 
-    nz = spec.n_vertical
-    rho_vals = rho2[..., :nz] + rho_corr
-    u_vals = [u2[J][..., :nz] + u_corr[J] for J in range(spec.dim)]
+    rho_vals = rho_ws + rho_corr
+    u_vals = [u_ws[J] + u_corr[J] for J in range(spec.dim)]
 
     # Boundary defects of the assembled field.
     u_scale = max(max(float(np.max(np.abs(v))) for v in u_vals), 1e-300)
     boundary_u = max(float(np.max(np.abs(v[..., 0]))) for v in u_vals) / u_scale
-    # d_N rho(0) must equal -g: profile part satisfies d_N rho_corr(0) = -g_tilde.
-    dn_rho_corr0 = np.fft.ifftn(dn_rho_corr_hat, axes=tuple(range(spec.dim - 1)))
-    dn_rho0 = dn_rho2[..., 0] + dn_rho_corr0
-    g_scale = max(float(np.max(np.abs(g_trace))), float(np.max(np.abs(dn_rho2[..., 0]))), 1e-300)
+    # d_N rho(0) must equal -g.  The whole-space part has d_N R(0) = 0, so
+    # the profile part carries it all: d_N rho_corr(0) = -g_tilde = -g.  The
+    # defect is relative to g; for g = 0 it is relative to the profile terms
+    # whose sum d_N rho_corr(0) is, which bound its rounding.
+    dn_rho0 = np.fft.ifftn(dn_rho_corr_hat, axes=tuple(range(spec.dim - 1)))
+    g_scale = float(np.max(np.abs(g_trace))) \
+        or max(dn_term_sum / len(solutions), 1e-300)
     boundary_g = float(np.max(np.abs(dn_rho0 + g_trace))) / g_scale
 
     report = FieldSolveReport(
@@ -413,7 +475,7 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
         correction_residual_max=corr_residual,
         boundary_u_max=boundary_u,
         boundary_g_residual=boundary_g,
-        un_trace_ratio=un_trace / max(float(np.max(np.abs(u2[0]))), 1e-300),
+        un_trace_ratio=un_trace / max(float(np.max(np.abs(u_ws[0]))), 1e-300),
         norms={f"l{q:g}": grid_norm(rho_vals, spec, q) for q in (1.5, 2.0, 4.0)},
     )
     rho_field = GridField(rho_vals, spec, role="density")

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridError
-from .fields import (GridField, GridSpec, _full_wavenumber_mesh, boundary_correction,
-                     whole_space_reduction)
+from .fields import (GridField, GridSpec, _wavenumber_mesh, boundary_correction,
+                     vertical_spectral_derivative, whole_space_reduction)
 from .modes import BoundaryTrace, solve_mode
 from .profiles import VerticalProfile
 from .spectral import FluidParams, TangentialMode
@@ -137,6 +137,22 @@ def _profile_derivative(profile, axes_tuple, xi, x):
     return factor * p.evaluate(x)
 
 
+def _lift_rows(derivative, lam, dim: int, kind: str):
+    """Rows of one field's lift, given `derivative(axes_tuple)` of that field.
+
+    Kind 'S0' is the third-order lift (grad^3, lam^(1/2) grad^2, lam grad,
+    lam^(3/2)), kind 'T' the second-order lift (grad^2, lam^(1/2) grad, lam).
+    """
+    sqrt_lam = np.sqrt(lam)
+    if kind == "S0":
+        weights = ((3, 1.0), (2, sqrt_lam), (1, lam), (0, lam * sqrt_lam))
+    elif kind == "T":
+        weights = ((2, 1.0), (1, sqrt_lam), (0, lam))
+    else:
+        raise DomainError(f"unknown lift kind {kind!r}")
+    return [w * derivative(t) for order, w in weights for t in derivative_tuples(order, dim)]
+
+
 def _lift_profiles(profile_sets, lam, spec: GridSpec, xi, kind: str):
     """Lifted component arrays for one mode.
 
@@ -145,28 +161,10 @@ def _lift_profiles(profile_sets, lam, spec: GridSpec, xi, kind: str):
     """
     lam = complex(lam)
     x = spec.vertical_coords()
-    dim = spec.dim
-    sqrt_lam = np.sqrt(lam)
-
+    profiles = [profile_sets] if kind == "S0" else profile_sets
     rows = []
-    if kind == "S0":
-        profile = profile_sets
-        for t in derivative_tuples(3, dim):
-            rows.append(_profile_derivative(profile, t, xi, x))
-        for t in derivative_tuples(2, dim):
-            rows.append(sqrt_lam * _profile_derivative(profile, t, xi, x))
-        for t in derivative_tuples(1, dim):
-            rows.append(lam * _profile_derivative(profile, t, xi, x))
-        rows.append(lam * sqrt_lam * profile.evaluate(x))
-    elif kind == "T":
-        for profile in profile_sets:
-            for t in derivative_tuples(2, dim):
-                rows.append(_profile_derivative(profile, t, xi, x))
-            for t in derivative_tuples(1, dim):
-                rows.append(sqrt_lam * _profile_derivative(profile, t, xi, x))
-            rows.append(lam * profile.evaluate(x))
-    else:
-        raise DomainError(f"unknown lift kind {kind!r}")
+    for profile in profiles:
+        rows += _lift_rows(lambda t: _profile_derivative(profile, t, xi, x), lam, spec.dim, kind)
     return np.array(rows)
 
 
@@ -266,10 +264,15 @@ class LiftedDense:
 
 
 def sample_full_data(rng, spec: GridSpec, modes_per_field: int = 4, rate_scale: float = 1.0):
-    """Random band-limited (d, f, g) interior/boundary data for the full solve."""
+    """Random band-limited (d, f, g) interior/boundary data for the full solve.
+
+    The normal force is drawn from x_N e^{-r x_N} terms, so it vanishes on
+    the boundary as `fields.whole_space_solve` requires.
+    """
     g, hs = sample_boundary_data(rng, spec, modes_per_field, rate_scale)
     d = sample_boundary_data(rng, spec, modes_per_field, rate_scale)[0]
-    f = tuple(sample_boundary_data(rng, spec, 1, rate_scale)[0] for _ in range(spec.dim))
+    f = tuple(_draw_mode_field(rng, spec, 1, rate_scale, power=int(i == spec.dim - 1))
+              for i in range(spec.dim))
     return (d, f, g)
 
 
@@ -305,7 +308,7 @@ class FullSolveFamily:
     """Solution operators of the full inhomogeneous problem (kinds 'A', 'B').
 
     The output lift mixes the two parts of the solution: spectral derivatives
-    of the restricted whole-space part (computed on the doubled grid) and
+    of the whole-space part (cosine/sine series in x_N, FFT tangentially) and
     exact profile derivatives of the boundary correction.
     """
 
@@ -324,7 +327,6 @@ class FullSolveFamily:
         spec = d.spec
         lam = complex(lam)
         dim = spec.dim
-        sqrt_lam = np.sqrt(lam)
 
         def synthesize(mode_field):
             hat = np.zeros(spec.tangential_shape + (spec.n_vertical,), dtype=complex)
@@ -333,7 +335,7 @@ class FullSolveFamily:
                 hat[(*k, slice(None))] = p.evaluate(x)
             return np.fft.ifftn(hat, axes=tuple(range(dim - 1)))
 
-        rho2, u2, _, _, g_tilde, h_tilde = whole_space_reduction(
+        rho_ws, u_ws, _, g_tilde, h_tilde = whole_space_reduction(
             self.params, GridField(synthesize(d), spec),
             [GridField(synthesize(c), spec) for c in f], synthesize(g)[..., 0], lam)
         _, _, mode_solutions = boundary_correction(self.params, spec, g_tilde, h_tilde, lam)
@@ -353,42 +355,29 @@ class FullSolveFamily:
                 _lift_profiles(payload, lam, spec, xi, kind_lift)
         corr = np.fft.ifftn(corr_hat, axes=tuple(a + 1 for a in t_axes))
 
-        # whole-space part lift via spectral derivatives on the doubled grid
-        mesh = _full_wavenumber_mesh(spec)
+        # whole-space part lift: one parity derivative per vertical order,
+        # tangential derivatives as i*xi multipliers on the tangential FFT
+        k_t = _wavenumber_mesh(spec)[:dim - 1]
 
-        def spectral_deriv(hat, axes_tuple):
-            out = hat
-            for ax in axes_tuple:
-                out = out * (1j * mesh[ax])
-            return out
+        def lift(values, parity):
+            v_hat = [np.fft.fftn(vertical_spectral_derivative(values, spec, v, parity)
+                                 if v else values, axes=t_axes)
+                     for v in range(4 if kind_lift == "S0" else 3)]
 
-        nz = spec.n_vertical
-        rows = np.zeros(shape, dtype=complex)
+            def derivative(axes_tuple):
+                factor = 1.0
+                for ax in axes_tuple:
+                    if ax < dim - 1:
+                        factor = factor * (1j * k_t[ax])
+                return np.fft.ifftn(factor * v_hat[axes_tuple.count(dim - 1)], axes=t_axes)
+
+            return _lift_rows(derivative, lam, dim, kind_lift)
+
         if self.kind == "A":
-            hat = np.fft.fftn(rho2)
-            comps = []
-            for t in derivative_tuples(3, dim):
-                comps.append(spectral_deriv(hat, t))
-            for t in derivative_tuples(2, dim):
-                comps.append(sqrt_lam * spectral_deriv(hat, t))
-            for t in derivative_tuples(1, dim):
-                comps.append(lam * spectral_deriv(hat, t))
-            comps.append(lam * sqrt_lam * hat)
-            for i, c in enumerate(comps):
-                rows[i] = np.fft.ifftn(c)[..., :nz]
+            rows = lift(rho_ws, "even")
         else:
-            row = 0
-            for J in range(dim):
-                hat = np.fft.fftn(u2[J])
-                for t in derivative_tuples(2, dim):
-                    rows[row] = np.fft.ifftn(spectral_deriv(hat, t))[..., :nz]
-                    row += 1
-                for t in derivative_tuples(1, dim):
-                    rows[row] = np.fft.ifftn(sqrt_lam * spectral_deriv(hat, t))[..., :nz]
-                    row += 1
-                rows[row] = np.fft.ifftn(lam * hat)[..., :nz]
-                row += 1
-        return LiftedDense(rows + corr, spec)
+            rows = [r for J in range(dim) for r in lift(u_ws[J], "even" if J < dim - 1 else "odd")]
+        return LiftedDense(np.array(rows) + corr, spec)
 
 
 class LogDerivativeFamily:
@@ -463,25 +452,28 @@ def sample_boundary_data(rng, spec: GridSpec, modes_per_field: int = 4,
     couples it to |lambda|^(1/2) so every decade is exercised in the
     anisotropic scaling regime the operator family lives in.
     """
+    g = _draw_mode_field(rng, spec, modes_per_field, rate_scale)
+    hs = tuple(_draw_mode_field(rng, spec, modes_per_field, rate_scale)
+               for _ in range(spec.dim - 1))
+    return (g, hs)
+
+
+def _draw_mode_field(rng, spec: GridSpec, modes_per_field: int, rate_scale: float,
+                     power: int = 0) -> ModeField:
+    """Low lattice modes, each with two terms c x_N^power e^{-rate x_N}."""
     n = spec.n_tangential
     band = max(2, n // 4)
-
-    def draw_field():
-        modes = {}
-        for _ in range(modes_per_field):
-            index = tuple(int(rng.integers(-band, band + 1)) % n for _ in range(spec.dim - 1))
-            terms = []
-            for _ in range(2):
-                c = complex(rng.normal(), rng.normal())
-                rate = rate_scale * complex(rng.uniform(0.5, 2.5), rng.uniform(-0.5, 0.5))
-                terms.append((c, 0, rate))
-            prof = VerticalProfile(terms)
-            modes[index] = modes[index] + prof if index in modes else prof
-        return ModeField(modes, spec)
-
-    g = draw_field()
-    hs = tuple(draw_field() for _ in range(spec.dim - 1))
-    return (g, hs)
+    modes = {}
+    for _ in range(modes_per_field):
+        index = tuple(int(rng.integers(-band, band + 1)) % n for _ in range(spec.dim - 1))
+        terms = []
+        for _ in range(2):
+            c = complex(rng.normal(), rng.normal())
+            rate = rate_scale * complex(rng.uniform(0.5, 2.5), rng.uniform(-0.5, 0.5))
+            terms.append((c, power, rate))
+        prof = VerticalProfile(terms)
+        modes[index] = modes[index] + prof if index in modes else prof
+    return ModeField(modes, spec)
 
 
 @dataclass

@@ -142,3 +142,20 @@ class TestSolveField:
         assert os.path.exists(out_prefix + ".rho.bin")
         manifest = json.loads((tmp_path / "sol.rho.bin.manifest.json").read_text())
         assert manifest["input_hashes"]
+
+    def test_normal_force_with_boundary_trace_fails(self, tmp_path, capsys):
+        from kortsolve.fields import GridField, GridSpec, save_field
+        spec = GridSpec(dim=2, box_half_length=3.0, n_tangential=16,
+                        vertical_cutoff=8.0, n_vertical=128)
+        X, Z = np.meshgrid(spec.tangential_coords(), spec.vertical_coords(), indexing="ij")
+        bump = np.exp(-(X**2 + (Z - 0.5) ** 2) / 0.25)
+        prefix = str(tmp_path / "data")
+        save_field(prefix + ".d", GridField(bump, spec))
+        save_field(prefix + ".f0", GridField(np.zeros(spec.shape), spec))
+        save_field(prefix + ".f1", GridField(bump, spec))
+        save_field(prefix + ".g", GridField(np.zeros(spec.shape), spec))
+        code, _, err = run(["solve-field", "--mu", "1", "--nu", "1", "--kappa", "2",
+                            "--lam", "1+0.5j", "--data", prefix,
+                            "-o", str(tmp_path / "sol")], capsys)
+        assert code == 1
+        assert "trace/peak = 3.68e-01" in err

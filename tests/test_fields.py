@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from kortsolve import BoundaryTrace, ConfigurationError, TangentialMode, classify, solve_mode
-from kortsolve.fields import (GridField, GridSpec, extend, extend_vector, grid_norm,
-                              load_field, manufactured_solution, reduce_boundary_data,
-                              save_field, solve_resolvent, vertical_spectral_derivative,
+from kortsolve.fields import (GridField, GridSpec, _vertical_forward, grid_norm, load_field,
+                              manufactured_solution, reduce_boundary_data, save_field,
+                              solve_resolvent, vertical_spectral_derivative,
                               whole_space_reduction, whole_space_solve)
 
 
@@ -20,11 +20,67 @@ def params():
 
 
 def _gaussian_data(spec, width=0.5):
-    # centered away from both x_N = 0 and x_N = L so every extension is smooth
+    # centered away from both x_N = 0 and x_N = L so every reflection is smooth
     x = spec.tangential_coords()
     z = spec.vertical_coords()
     X, Z = np.meshgrid(x, z, indexing="ij")
     return np.exp(-((X / width) ** 2) - ((Z - 3.0) / width) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# Test-only reference: the doubled-grid whole-space solve the half-grid
+# cosine/sine solve replaced.  Data is reflected onto 2 n_z rows (the x = -L
+# node zeroed) and solved with complex FFTs; callers restrict to the half grid.
+# ---------------------------------------------------------------------------
+
+
+def _extend(values, parity):
+    values = np.asarray(values, dtype=complex)
+    n = values.shape[-1]
+    sign = 1.0 if parity == "even" else -1.0
+    doubled = np.zeros(values.shape[:-1] + (2 * n,), dtype=complex)
+    doubled[..., :n] = values
+    doubled[..., n + 1:] = sign * values[..., 1:][..., ::-1]
+    return doubled
+
+
+def _doubled_mesh(spec):
+    kz = 2.0 * np.pi * np.fft.fftfreq(2 * spec.n_vertical, d=spec.vertical_spacing)
+    axes = [spec.tangential_wavenumbers()] * (spec.dim - 1) + [kz]
+    return np.meshgrid(*axes, indexing="ij", sparse=True)
+
+
+def _reference_whole_space_solve(spec, params, d, f, lam):
+    mu, nu, kappa = params.mu, params.nu, params.kappa
+    N = spec.dim
+    mesh = _doubled_mesh(spec)
+    K_sq = sum(k ** 2 for k in mesh)
+    d_hat = np.fft.fftn(_extend(d, "even"))
+    f_hat = np.stack([np.fft.fftn(_extend(c, "even" if i < N - 1 else "odd"))
+                      for i, c in enumerate(f)])
+    d_hat[..., spec.n_vertical] = 0.0
+    f_hat[..., spec.n_vertical] = 0.0
+    xi_dot_f = sum(mesh[i] * f_hat[i] for i in range(N))
+    D = lam * lam + lam * (mu + nu) * K_sq + kappa * K_sq * K_sq
+    rho_hat = ((lam + (mu + nu) * K_sq) * d_hat - 1j * xi_dot_f) / D
+    p_hat = d_hat - lam * rho_hat
+    inv_K_sq = np.where(K_sq > 0, 1.0 / np.where(K_sq > 0, K_sq, 1.0), 0.0)
+    u_hat = np.stack([(f_hat[i] - mesh[i] * xi_dot_f * inv_K_sq) / (lam + mu * K_sq)
+                      - 1j * mesh[i] * p_hat * inv_K_sq for i in range(N)])
+    zero = (0,) * N
+    u_hat[(slice(None), *zero)] = f_hat[(slice(None), *zero)] / lam
+    rho_hat[zero] = d_hat[zero] / lam
+    return np.fft.ifftn(rho_hat), [np.fft.ifftn(c) for c in u_hat]
+
+
+def _compatible_random_data(spec, rng):
+    """Random complex d and f on the half grid, with f_N zero at x_N = 0."""
+    def draw():
+        return rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
+
+    f = [draw() for _ in range(spec.dim)]
+    f[-1][..., 0] = 0.0
+    return draw(), f
 
 
 class TestGridSpec:
@@ -38,105 +94,144 @@ class TestGridSpec:
         with pytest.raises(GridError):
             GridSpec(n_tangential=48)
 
-    def test_doubled_grid_signed_coords(self, spec):
-        z2 = spec.doubled_vertical_coords()
-        assert z2[0] == 0.0
-        assert z2[spec.n_vertical] == pytest.approx(-spec.vertical_cutoff)
+    def test_vertical_wavenumbers(self, spec):
+        kz = spec.vertical_wavenumbers()
+        assert len(kz) == spec.n_vertical + 1
+        assert kz[0] == 0.0
+        assert kz[-1] == pytest.approx(np.pi / spec.vertical_spacing)
 
 
 class TestExtensions:
-    def test_even_extension_of_constant(self, spec):
-        field = np.ones(spec.shape)
-        ext = extend(field, "even")
-        # constant everywhere except the unpaired far node, which is zeroed
-        assert np.all(ext[..., : spec.n_vertical] == 1.0)
-        assert np.all(ext[..., spec.n_vertical + 1:] == 1.0)
-        assert np.all(ext[..., spec.n_vertical] == 0.0)
-
-    def test_odd_extension_sign_flip(self, spec):
-        field = np.ones(spec.shape)
-        ext = extend(field, "odd")
-        assert np.all(ext[..., 1: spec.n_vertical] == 1.0)
-        assert np.all(ext[..., spec.n_vertical + 1:] == -1.0)
-
-    def test_vector_extension_parities(self, spec):
-        comps = [np.random.default_rng(0).normal(size=spec.shape) for _ in range(2)]
-        ext = extend_vector(comps, spec)
+    def test_even_reflection_is_dct1(self, spec):
+        # the doubled-grid FFT of the even reflection (x = -L node zeroed)
+        # is even in kz, and its kz >= 0 half is the DCT-I of the padded column
+        v = np.random.default_rng(0).normal(size=spec.shape) + 0.5j
+        full = np.fft.fft(_extend(v, "even"), axis=-1)
         n = spec.n_vertical
-        np.testing.assert_array_equal(ext[0][..., n + 1:], comps[0][..., 1:][..., ::-1])
-        np.testing.assert_array_equal(ext[1][..., n + 1:], -comps[1][..., 1:][..., ::-1])
+        np.testing.assert_allclose(full[..., n + 1:], full[..., 1:n][..., ::-1], atol=1e-11)
+        np.testing.assert_allclose(_vertical_forward(v, "even"), full[..., :n + 1], atol=1e-11)
+
+    def test_odd_reflection_is_dst1(self, spec):
+        v = np.random.default_rng(1).normal(size=spec.shape) + 0.5j
+        v[..., 0] = 0.0
+        full = np.fft.fft(_extend(v, "odd"), axis=-1)
+        n = spec.n_vertical
+        np.testing.assert_allclose(full[..., n + 1:], -full[..., 1:n][..., ::-1], atol=1e-11)
+        np.testing.assert_allclose(_vertical_forward(v, "odd"), full[..., :n + 1], atol=1e-11)
 
     def test_gradient_commutation(self, spec):
-        # tangential spectral derivative of E^e d == E^e of the derivative;
-        # the normal derivative of E^e d is odd
+        # tangential and vertical spectral derivatives commute; the normal
+        # derivative of an even array is odd, so it vanishes at x_N = 0, and
+        # it matches the analytic derivative of the smooth datum
         d = _gaussian_data(spec)
-        ext = extend(d, "even")
         k = spec.tangential_wavenumbers()
         d_tan = np.fft.ifft(1j * k[:, None] * np.fft.fft(d, axis=0), axis=0)
-        lhs = np.fft.ifft(1j * k[:, None] * np.fft.fft(ext, axis=0), axis=0)
-        np.testing.assert_allclose(lhs, extend(d_tan, "even"), atol=1e-12)
-        dn = vertical_spectral_derivative(ext, spec)
-        n = spec.n_vertical
-        np.testing.assert_allclose(dn[..., 1:n], -dn[..., n + 1:][..., ::-1], atol=1e-10)
+        dn = vertical_spectral_derivative(d, spec, 1, "even")
+        lhs = np.fft.ifft(1j * k[:, None] * np.fft.fft(dn, axis=0), axis=0)
+        np.testing.assert_allclose(lhs, vertical_spectral_derivative(d_tan, spec, 1, "even"),
+                                   atol=1e-10)
+        assert np.max(np.abs(dn[..., 0])) == 0.0
+        z = spec.vertical_coords()
+        exact = -2.0 * (z - 3.0) / 0.25 * d
+        np.testing.assert_allclose(dn, exact, atol=1e-9)
+        # and back: the derivative of the odd result is even again
+        d2n = vertical_spectral_derivative(dn, spec, 1, "odd")
+        np.testing.assert_allclose(d2n, vertical_spectral_derivative(d, spec, 2, "even"),
+                                   atol=1e-9)
 
 
 class TestWholeSpace:
     def test_zero_data(self, spec, params):
-        z = np.zeros(spec.tangential_shape + (2 * spec.n_vertical,), dtype=complex)
+        z = np.zeros(spec.shape, dtype=complex)
         rho, u, res = whole_space_solve(spec, params, z, [z, z], 1.0 + 0.5j)
         assert np.max(np.abs(rho)) == 0.0
         assert all(np.max(np.abs(c)) == 0.0 for c in u)
 
     def test_solenoidal_single_mode(self, spec, params):
-        # f perpendicular to xi on one full-frequency mode: u = f/(lam + mu|xi|^2)
+        # f = (kz e^{ikx} cos kz z, -i k e^{ikx} sin kz z) is divergence free,
+        # so u = f/(lam + mu|xi|^2) and rho = 0.  A cosine does not vanish at
+        # x_N = L, where the reflection holds a zero node, so two vertical
+        # modes are paired with cosine parts that cancel there.
         lam = 2.0 + 1.0j
-        k = spec.tangential_wavenumbers()
-        kz = spec.doubled_vertical_wavenumbers()
-        i_t, i_z = 3, 5
-        xi = np.array([k[i_t], kz[i_z]])
-        f_vec = np.array([-xi[1], xi[0]])  # orthogonal to xi
-        shape = spec.tangential_shape + (2 * spec.n_vertical,)
-        fhat = np.zeros(shape, dtype=complex)
-        fhat[3, 5] = 1.0
-        f_phys = np.fft.ifftn(fhat)
-        f2 = [f_vec[0] * f_phys, f_vec[1] * f_phys]
-        d2 = np.zeros(shape, dtype=complex)
-        rho, u, _ = whole_space_solve(spec, params, d2, f2, lam)
-        gain = 1.0 / (lam + params.mu * (xi @ xi))
-        np.testing.assert_allclose(u[0], gain * f2[0], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(u[1], gain * f2[1], rtol=1e-12, atol=1e-15)
+        k = spec.tangential_wavenumbers()[3]
+        kz5, kz7 = spec.vertical_wavenumbers()[[5, 7]]
+        X, Z = np.meshgrid(spec.tangential_coords(), spec.vertical_coords(), indexing="ij")
+        wave = np.exp(1j * k * X)
+        f = [np.zeros(spec.shape, dtype=complex) for _ in range(2)]
+        u_exact = [np.zeros(spec.shape, dtype=complex) for _ in range(2)]
+        for kz, amp in ((kz5, 1.0), (kz7, -kz5 / kz7)):
+            mode = [amp * kz * wave * np.cos(kz * Z), -1j * amp * k * wave * np.sin(kz * Z)]
+            gain = 1.0 / (lam + params.mu * (k * k + kz * kz))
+            for i in range(2):
+                f[i] += mode[i]
+                u_exact[i] += gain * mode[i]
+        d = np.zeros(spec.shape, dtype=complex)
+        rho, u, _ = whole_space_solve(spec, params, d, f, lam)
+        for i in range(2):
+            np.testing.assert_allclose(u[i], u_exact[i], rtol=1e-12, atol=1e-14)
         assert np.max(np.abs(rho)) <= 1e-14
 
     def test_manufactured_round_trip(self, spec, params):
-        # apply the forward operator spectrally, solve, recover the fields
+        # apply the forward operator spectrally to reflected smooth fields,
+        # solve the half-grid data, recover the fields
         lam = 1.0 + 0.5j
-        xt = spec.tangential_coords()
-        zd = spec.doubled_vertical_coords()
-        X, Z = np.meshgrid(xt, zd, indexing="ij")
+        X, Z = np.meshgrid(spec.tangential_coords(), spec.vertical_coords(), indexing="ij")
         rho_true = np.exp(-X**2 - Z**2)
         u_true = [np.exp(-((X - 0.5) ** 2) - Z**2), Z * np.exp(-(X**2) - Z**2)]
-        mesh = np.meshgrid(spec.tangential_wavenumbers(),
-                           spec.doubled_vertical_wavenumbers(), indexing="ij", sparse=True)
+        mesh = _doubled_mesh(spec)
         K2 = sum(m**2 for m in mesh)
-        rho_h = np.fft.fftn(rho_true)
-        u_h = [np.fft.fftn(c) for c in u_true]
+        rho_h = np.fft.fftn(_extend(rho_true, "even"))
+        u_h = [np.fft.fftn(_extend(u_true[0], "even")), np.fft.fftn(_extend(u_true[1], "odd"))]
         xi_dot_u = mesh[0] * u_h[0] + mesh[1] * u_h[1]
-        d_h = lam * rho_h + 1j * xi_dot_u
-        f2 = []
+        nz = spec.n_vertical
+        d = np.fft.ifftn(lam * rho_h + 1j * xi_dot_u)[..., :nz]
+        f = []
         for i in range(2):
             ki = mesh[i]
             f_h = (lam + params.mu * K2) * u_h[i] + params.nu * ki * xi_dot_u \
                 + 1j * params.kappa * K2 * ki * rho_h
-            f2.append(np.fft.ifftn(f_h))
-        d2 = np.fft.ifftn(d_h)
-        rho, u, res = whole_space_solve(spec, params, d2, f2, lam)
+            f.append(np.fft.ifftn(f_h)[..., :nz])
+        f[1][..., 0] = 0.0  # zero in exact arithmetic; the FFTs leave rounding there
+        rho, u, res = whole_space_solve(spec, params, d, f, lam)
         assert np.max(np.abs(rho - rho_true)) <= 1e-8
         assert max(np.max(np.abs(u[i] - u_true[i])) for i in range(2)) <= 1e-8
         assert max(res.values()) <= 1e-10
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_doubled_grid_reference(self, params, dim):
+        spec = GridSpec(dim=dim, box_half_length=3.0, n_tangential=16 if dim == 2 else 8,
+                        vertical_cutoff=4.0, n_vertical=32 if dim == 2 else 16)
+        lam = 0.7 + 1.3j
+        d, f = _compatible_random_data(spec, np.random.default_rng(dim))
+        rho, u, res = whole_space_solve(spec, params, d, f, lam)
+        rho2, u2 = _reference_whole_space_solve(spec, params, d, f, lam)
+        nz = spec.n_vertical
+        peak = max(np.max(np.abs(rho2)), max(np.max(np.abs(c)) for c in u2))
+        assert np.max(np.abs(rho - rho2[..., :nz])) <= 1e-13 * peak
+        for i in range(dim):
+            assert np.max(np.abs(u[i] - u2[i][..., :nz])) <= 1e-13 * peak
+        assert np.max(np.abs(u[-1][..., 0])) == 0.0
+        assert max(res.values()) <= 1e-10
+        # the parity derivatives of the half-grid solution equal the doubled
+        # grid's FFT derivatives, which see the solution's x = L node too
+        kz = _doubled_mesh(spec)[-1]
+        for values, doubled, parity in ((rho, rho2, "even"), (u[0], u2[0], "even"),
+                                        (u[-1], u2[-1], "odd")):
+            for order in (1, 2, 3):
+                ref = np.fft.ifft((1j * kz) ** order * np.fft.fft(doubled, axis=-1), axis=-1)
+                new = vertical_spectral_derivative(values, spec, order, parity)
+                assert np.max(np.abs(new - ref[..., :nz])) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_normal_force_trace_rejected(self, spec, params):
+        z = np.zeros(spec.shape, dtype=complex)
+        f_normal = _gaussian_data(spec).astype(complex)
+        f_normal[..., 0] = 1e-6
+        with pytest.raises(ConfigurationError, match=r"trace/peak = 1\.00e-06"):
+            whole_space_solve(spec, params, z, [z, f_normal], 1.0 + 0.5j)
+
     def test_requires_right_half_plane(self, spec, params):
         from kortsolve import DomainError
-        z = np.zeros(spec.tangential_shape + (2 * spec.n_vertical,), dtype=complex)
+        z = np.zeros(spec.shape, dtype=complex)
         with pytest.raises(DomainError):
             whole_space_solve(spec, params, z, [z, z], -1.0)
 
@@ -173,11 +268,12 @@ class TestBoundaryReduction:
             return np.exp(-((X - cx) ** 2) / 0.25 - ((Z - cz) ** 2) / 0.25)
 
         d = GridField(bump(), spec)
-        f = [GridField(bump(), spec), GridField(bump(), spec)]
+        # the normal force must vanish at x_N = 0 for its odd reflection
+        f = [GridField(bump(), spec), GridField(Z * bump(), spec)]
         g = np.zeros(spec.tangential_shape)
-        _, u2, _, _, _, _ = whole_space_reduction(params, d, f, g, 1.0 + 0.5j)
-        un = np.max(np.abs(u2[-1][..., 0]))
-        scale = np.max(np.abs(u2[-1]))
+        _, u_ws, _, _, _ = whole_space_reduction(params, d, f, g, 1.0 + 0.5j)
+        un = np.max(np.abs(u_ws[-1][..., 0]))
+        scale = np.max(np.abs(u_ws[-1]))
         assert un <= 1e-10 * max(scale, 1e-300)
 
 
@@ -256,6 +352,32 @@ class TestSolveResolvent:
         zero = GridField(np.zeros(spec.shape), spec)
         solve_resolvent(params, d, [zero] * dim, bump, 1.0 + 0.5j)
         assert len(mode_solves) == spec.n_tangential ** (dim - 1)
+
+    def test_normal_force_with_boundary_trace_rejected(self, spec, params):
+        # its odd reflection would jump at x_N = 0 and the solve would return
+        # a field that misses u = 0 on the boundary
+        zero = GridField(np.zeros(spec.shape), spec)
+        X, Z = np.meshgrid(spec.tangential_coords(), spec.vertical_coords(), indexing="ij")
+        fN = GridField(np.exp(-(X**2 + (Z - 0.5) ** 2) / 0.25), spec)
+        g = np.zeros(spec.tangential_shape)
+        with pytest.raises(ConfigurationError, match=r"trace/peak = 3\.68e-01"):
+            solve_resolvent(params, zero, [zero, fN], g, 1.0 + 0.5j)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_boundary_g_residual_for_zero_g(self, params, dim):
+        # with g = 0 the defect of d_N rho(0) = -g is measured against the
+        # profile terms it sums, so an exact solve reports rounding
+        spec = GridSpec(dim=dim, box_half_length=3.0, n_tangential=16,
+                        vertical_cutoff=8.0, n_vertical=64)
+        x = spec.tangential_coords()
+        z = spec.vertical_coords()
+        bump = np.exp(-(np.add.outer(x**2, x**2) if dim == 3 else x**2) / 0.25)
+        d = GridField(np.multiply.outer(bump, np.exp(-((z - 3.0) / 0.5) ** 2)), spec)
+        f = [GridField(np.multiply.outer(bump, np.exp(-((z - 2.0) / 0.5) ** 2)), spec)
+             for _ in range(dim - 1)] + [GridField(np.zeros(spec.shape), spec)]
+        _, _, rep = solve_resolvent(params, d, f, np.zeros(spec.tangential_shape), 1.0 + 0.5j)
+        assert rep.boundary_g_residual <= 1e-12
+        assert rep.boundary_u_max <= 1e-12
 
     def test_undecayed_data_rejected(self, spec, params):
         wide = GridField(np.ones(spec.shape), spec)
