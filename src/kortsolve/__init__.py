@@ -17,9 +17,9 @@ from .errors import (BranchCutError, CaseMismatchError, ConfigurationError,
                      ConsistencyError, DomainError, GridError)
 from .lopatinski import (BoundaryMatrix, LowerBoundReport, boundary_matrix, det_L,
                          det_M, lower_bound_scan, scan_stability)
-from .modes import (BoundaryTrace, ModeCoefficients, ModeSolution, ResidualReport,
+from .modes import (BoundaryTrace, ModeBatch, ModeCoefficients, ModeSolution, ResidualReport,
                     assembled_formula_check, boundary_residuals, pde_residual,
-                    solve_mode)
+                    solve_mode, solve_modes)
 from .oracle import (BvpConfig, BvpSolution, compare_with_closed_form,
                      convergence_study, solve_mode_bvp)
 from .profiles import VerticalProfile, confluent_m, confluent_m0, confluent_mj
@@ -35,12 +35,12 @@ __all__ = [
     "BoundaryMatrix", "BoundaryTrace", "BranchCutError", "BvpConfig", "BvpSolution",
     "Case", "CaseMismatchError", "ConfigurationError", "ConsistencyError",
     "Degeneracy", "DomainError", "FluidParams", "GridError", "LowerBoundReport",
-    "ModeCoefficients", "ModeSolution", "ResidualReport", "RootData", "ScanGrid",
+    "ModeBatch", "ModeCoefficients", "ModeSolution", "ResidualReport", "RootData", "ScanGrid",
     "SymbolSpec", "TangentialMode", "VerticalProfile", "assembled_formula_check",
     "asymptotic_check", "boundary_matrix", "boundary_residuals",
     "case1_product_constant", "char_poly", "classify", "compare_with_closed_form",
     "compute_roots", "confluent_m", "confluent_m0", "confluent_mj",
     "convergence_study", "det_L", "det_M", "lower_bound_scan", "make_named_symbol",
     "pde_residual", "principal_sqrt", "root_lower_bound_scan", "scan_stability",
-    "solve_mode", "solve_mode_bvp", "verify_symbol_class",
+    "solve_mode", "solve_mode_bvp", "solve_modes", "verify_symbol_class",
 ]

@@ -241,6 +241,7 @@ def cmd_solve_field(args):
     summary = {
         "whole_space_residuals": report.whole_space_residuals,
         "correction_residual_max": report.correction_residual_max,
+        "correction_residual_index": list(report.correction_residual_index),
         "boundary_u_max": report.boundary_u_max,
         "boundary_g_residual": report.boundary_g_residual,
         "un_trace_ratio": report.un_trace_ratio,

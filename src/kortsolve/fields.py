@@ -10,15 +10,16 @@ reduced to the boundary-data-only problem in three steps:
 2. read corrected boundary traces off the whole-space solution: its normal
    velocity and the normal density gradient are sine series and vanish on
    the interface, so only the tangential velocities need correcting;
-3. solve the reduced boundary problem per tangential mode with
-   `modes.solve_mode` and add the exact profile correction to the
-   whole-space part.
+3. solve the reduced boundary problem of every tangential lattice mode in
+   one `modes.solve_modes` batch and add the exact profile correction to
+   the whole-space part.
 
 Steps 1 and 2 are `whole_space_reduction`, the one path shared by
 `reduce_boundary_data`, `solve_resolvent` and the full-data rbound family.
-Step 3 is `boundary_correction`, which solves each lattice mode exactly once
-and hands the per-mode solutions back, so boundary diagnostics read exact
-profile derivatives off them instead of solving again.
+Step 3 is `lattice_modes`, which solves each lattice mode exactly once, and
+`boundary_correction`, which samples the batch's profiles on the grid and
+hands the batch back, so boundary diagnostics read exact profile
+derivatives off its coefficients instead of solving again.
 
 Grid convention: vertical nodes sit at x_N = k*h, k = 0..n_z-1 with
 h = L/n_z, so the interface x_N = 0 is a grid row; the reflections are
@@ -36,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GridError
-from .modes import BoundaryTrace, pde_residual, solve_mode
+from .modes import ModeBatch, pde_residual, solve_modes
+from .modes import solve_mode  # noqa: F401  (perfbench/tests looks it up on this module)
 from .spectral import FluidParams, TangentialMode
 
 EDGE_DECAY_REQUIREMENT = 1e-12
@@ -363,52 +365,53 @@ def reduce_boundary_data(params: FluidParams, d: GridField, f, g_trace, lam):
 class FieldSolveReport:
     """Diagnostics of `solve_resolvent`.
 
-    `un_trace_ratio` is max|U_N(0)| of the whole-space part over max|U_1|.
-    It is zero by construction, because U_N is a sine series in x_N; the
-    input guard of `whole_space_solve` is what catches incompatible data.
+    `correction_residual_max` is the worst `pde_residual` of the spot-checked
+    lattice modes and `correction_residual_index` the lattice index of the
+    mode it was found at.  `un_trace_ratio` is max|U_N(0)| of the
+    whole-space part over max|U_1|.  It is zero by construction, because U_N
+    is a sine series in x_N; the input guard of `whole_space_solve` is what
+    catches incompatible data.
     """
 
     whole_space_residuals: dict
     correction_residual_max: float
+    correction_residual_index: tuple
     boundary_u_max: float
     boundary_g_residual: float
     un_trace_ratio: float
     norms: dict = field(default_factory=dict)
 
 
-def boundary_correction(params: FluidParams, spec: GridSpec, g_tilde, h_tilde, lam):
-    """Per-tangential-mode profile solve assembled onto the grid.
+def lattice_modes(params: FluidParams, spec: GridSpec, g_tilde, h_tilde, lam) -> ModeBatch:
+    """The reduced boundary problem of every tangential lattice mode, as one batch.
 
-    g_tilde, h_tilde are trace arrays over the tangential lattice.  Each
-    lattice mode is solved once with `solve_mode`.  Returns (rho_corr,
-    u_corr list, solutions): the correction sampled on the half grid and the
-    ModeSolution of every lattice mode keyed by its index tuple, from which
-    callers take exact profile derivatives mode by mode.
+    g_tilde, h_tilde are trace arrays over the tangential lattice; batch
+    mode k is the lattice index np.unravel_index(k, spec.tangential_shape).
+    """
+    ks = spec.tangential_wavenumbers()
+    xi = np.stack([k.ravel() for k in np.meshgrid(*[ks] * (spec.dim - 1), indexing="ij")],
+                  axis=-1)
+    g_hat = np.fft.fftn(np.asarray(g_tilde, dtype=complex)).ravel()
+    h_hat = np.stack([np.fft.fftn(np.asarray(h, dtype=complex)).ravel() for h in h_tilde],
+                     axis=-1)
+    return solve_modes(params, xi, lam, g_hat, h_hat)
+
+
+def boundary_correction(params: FluidParams, spec: GridSpec, g_tilde, h_tilde, lam):
+    """The profile correction of every tangential mode, assembled onto the grid.
+
+    g_tilde, h_tilde are trace arrays over the tangential lattice.  The
+    lattice modes are solved once, as the batch of `lattice_modes`, whose
+    rho and u profiles are sampled on the vertical grid in one pass and
+    synthesized by an inverse tangential FFT.  Returns (rho_corr, u_corr
+    list, batch): the correction on the half grid and the ModeBatch, from
+    whose coefficients callers take exact profile derivatives.
     """
     N = spec.dim
-    n_t = spec.tangential_shape
-    x = spec.vertical_coords()
-    g_hat = np.fft.fftn(np.asarray(g_tilde, dtype=complex))
-    h_hat = [np.fft.fftn(np.asarray(h, dtype=complex)) for h in h_tilde]
-    ks = spec.tangential_wavenumbers()
-
-    rho_modes = np.zeros(n_t + (spec.n_vertical,), dtype=complex)
-    u_modes = [np.zeros_like(rho_modes) for _ in range(N)]
-    solutions = {}
-    for index in np.ndindex(*n_t):
-        xi = np.array([ks[i] for i in index])
-        mode = TangentialMode(xi=xi, lam=lam, dim=N)
-        trace = BoundaryTrace(g_hat[index], np.array([h[index] for h in h_hat]))
-        sol = solve_mode(params, mode, trace)
-        rho_modes[index] = sol.rho.evaluate(x)
-        for J in range(N):
-            u_modes[J][index] = sol.u[J].evaluate(x)
-        solutions[index] = sol
-
-    t_axes = tuple(range(N - 1))
-    rho_corr = np.fft.ifftn(rho_modes, axes=t_axes)
-    u_corr = [np.fft.ifftn(um, axes=t_axes) for um in u_modes]
-    return rho_corr, u_corr, solutions
+    batch = lattice_modes(params, spec, g_tilde, h_tilde, lam)
+    values = batch.evaluate(spec.vertical_coords(), batch.coeffs[:N + 1])
+    corr = np.fft.ifftn(values.reshape((N + 1,) + spec.shape), axes=tuple(range(1, N)))
+    return corr[0], list(corr[1:]), batch
 
 
 def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
@@ -418,8 +421,8 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     d is a GridField, f a list of N GridFields, g either a GridField (whose
     boundary row is used) or a trace array over the tangential lattice.
     One pass: `whole_space_reduction`, then `boundary_correction`, whose
-    per-mode solutions also give the exact d_N rho_corr(0) trace and the
-    profile-identity spot-check of the report.
+    mode batch also gives the exact d_N rho_corr(0) trace and, through
+    ModeSolution views, the profile-identity spot-check of the report.
     Returns (rho GridField, u list of GridFields, FieldSolveReport).
     """
     spec = d.spec
@@ -435,25 +438,27 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
 
     rho_ws, u_ws, ws_res, g_tilde, h_tilde = whole_space_reduction(params, d, f, g_trace, lam)
     un_trace = float(np.max(np.abs(u_ws[-1][..., 0])))
-    rho_corr, u_corr, solutions = boundary_correction(params, spec, g_tilde, h_tilde, lam)
+    rho_corr, u_corr, batch = boundary_correction(params, spec, g_tilde, h_tilde, lam)
 
-    # d_N rho_corr(0) per mode, and a spot-check of the profile identity
-    # lambda*rho + div u = 0 on a tiny ladder for every (n_tangential/4)-th
-    # index sum (cheap, catches assembly/transcription slips).
-    ks = spec.tangential_wavenumbers()
+    # d_N rho_corr(0) per mode: the power-0 coefficients of the derivative.
+    dn_rho_corr_hat = batch.derivative(1)[0, :, :, 0].sum(axis=1).reshape(spec.tangential_shape)
+    # The terms that sum holds: -t c for each x^0 term, c for each x^1 term.
+    rho_c = batch.coeffs[0]
+    dn_term_sum = float(np.sum(np.abs(batch.rates * rho_c[..., 0]))
+                        + np.sum(np.abs(rho_c[..., 1:])))
+
+    # Spot-check of the profile identity lambda*rho + div u = 0 on a tiny
+    # ladder for every (n_tangential/4)-th index sum (cheap, catches
+    # assembly/transcription slips).
     ladder = np.concatenate([[0.0], 2.0 ** np.arange(-4, 4, dtype=float)])
     stride = max(1, spec.n_tangential // 4)
-    corr_residual = 0.0
-    dn_rho_corr_hat = np.zeros(spec.tangential_shape, dtype=complex)
-    dn_term_sum = 0.0
-    for index, sol in solutions.items():
-        dn_rho = sol.rho.differentiate(1)
-        dn_rho_corr_hat[index] = dn_rho.value_at_zero()
-        dn_term_sum += float(np.sum(np.abs(dn_rho.coeffs[dn_rho.powers == 0])))
+    corr_residual, corr_index = 0.0, None
+    for k, index in enumerate(np.ndindex(*spec.tangential_shape)):
         if sum(index) % stride == 0:
-            mode = TangentialMode(xi=np.array([ks[i] for i in index]), lam=lam, dim=spec.dim)
-            rep = pde_residual(params, mode, sol, sample_points=ladder)
-            corr_residual = max(corr_residual, rep.pde_max)
+            mode = TangentialMode(xi=batch.xi[k], lam=lam, dim=spec.dim)
+            rep = pde_residual(params, mode, batch.solution(k), sample_points=ladder)
+            if corr_index is None or rep.pde_max > corr_residual:
+                corr_residual, corr_index = rep.pde_max, index
 
     rho_vals = rho_ws + rho_corr
     u_vals = [u_ws[J] + u_corr[J] for J in range(spec.dim)]
@@ -467,12 +472,13 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     # whose sum d_N rho_corr(0) is, which bound its rounding.
     dn_rho0 = np.fft.ifftn(dn_rho_corr_hat, axes=tuple(range(spec.dim - 1)))
     g_scale = float(np.max(np.abs(g_trace))) \
-        or max(dn_term_sum / len(solutions), 1e-300)
+        or max(dn_term_sum / len(batch), 1e-300)
     boundary_g = float(np.max(np.abs(dn_rho0 + g_trace))) / g_scale
 
     report = FieldSolveReport(
         whole_space_residuals=ws_res,
         correction_residual_max=corr_residual,
+        correction_residual_index=corr_index,
         boundary_u_max=boundary_u,
         boundary_g_residual=boundary_g,
         un_trace_ratio=un_trace / max(float(np.max(np.abs(u_ws[0]))), 1e-300),

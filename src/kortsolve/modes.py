@@ -7,9 +7,13 @@ boundary conditions
 
 reduce, per mode (xi, lambda), to a small linear system for the coefficients
 of exponential profiles.  The shape of the ansatz depends on how the roots
-t1, t2, omega degenerate (cases I-V); `solve_mode` dispatches accordingly and
-returns exact VerticalProfile objects for rho, u_1..u_N and the divergence
-phi = i xi . u' + d_N u_N, which satisfies lambda rho + phi = 0.
+t1, t2, omega degenerate (cases I-V), and each case has a fixed term layout.
+`solve_modes` solves M modes at one lambda in one array pass and returns a
+ModeBatch: the rates and profile coefficients of rho, u_1..u_N and the
+divergence phi = i xi . u' + d_N u_N (which satisfies lambda rho + phi = 0),
+with exact vertical derivatives as coefficient transforms.  `solve_mode`
+runs the same case formulas for one mode and returns VerticalProfile
+objects.
 
 Two independent evaluation routes exist for every case: the coefficient path
 implemented here (numerically stabilized against the large-|xi| cancellations)
@@ -26,7 +30,8 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .profiles import VerticalProfile, confluent_m0, confluent_mj
-from .spectral import Case, FluidParams, TangentialMode, compute_roots
+from .spectral import (Case, FluidParams, TangentialMode, _detL_over_dt, _stable_tw_minus_xisq,
+                       compute_roots, root_arrays)
 
 
 @dataclass(frozen=True)
@@ -69,108 +74,60 @@ class ModeSolution:
     coeffs: ModeCoefficients
 
 
-def _stable_tw_minus_xisq(s_t, s_w, lam, t, w, xi_sq):
-    """t*w - |xi|^2 for t = sqrt(|xi|^2+s_t lam), w = sqrt(|xi|^2+s_w lam).
-
-    Written as (t^2 w^2 - |xi|^4) / (t w + |xi|^2) to avoid the cancellation
-    at |xi|^2 >> |lambda|.
-    """
-    num = lam * (s_t + s_w) * xi_sq + s_t * s_w * lam * lam
-    return num / (t * w + xi_sq)
+# Each case formula below is written once and runs on either scalars or
+# arrays: on one mode's Python scalars (`solve_mode`, with the roots of
+# `compute_roots`) or on (M,) arrays over a batch of modes (`solve_modes`).
 
 
-def _detL_over_dt(params, t1, t2, om, xi_sq, lam):
-    """det L / (t2 - t1) = lam * bracket, in the cancellation-free form."""
-    s1, im = params.s1, params.inv_mu
-    chain = t1 * t2 + t2 * t2 + s1 * lam
-    bracket = t2 * om * (t2 + t1) * (s1 - im) / (t1 + om) - om * om * s1 + im * chain
-    return lam * bracket
+def _tangential_part(xi, t, normal):
+    """(-i xi / t) * normal over the tangential slots and normal in the last, shape (..., N)."""
+    t, normal = np.asarray(t)[..., None], np.asarray(normal)[..., None]
+    return np.concatenate([(-1j * xi / t) * normal, normal], axis=-1)
 
 
-def _solve_case_1_2(params, mode, trace):
+def _solve_case_1_2(params, xi, xi_sq, lam, g, ixh, t1, t2, om):
     """Distinct roots: ansatz u_J = a e^{-om x} + b (e^{-t1 x}-e^{-om x}) + c (e^{-t2 x}-e^{-om x})."""
-    roots = compute_roots(params, mode)
-    t1, t2, om = roots.t1, roots.t2, roots.omega
-    xi = mode.xi
-    xi_sq = mode.xi_sq
-    lam = mode.lam
     s1, s2 = params.s1, params.s2
     im = params.inv_mu
-    g = trace.g_hat
-    ixh = 1j * complex(np.dot(xi, trace.h_hat))
 
     w1 = _stable_tw_minus_xisq(s1, im, lam, t1, om, xi_sq)  # t1*om - |xi|^2
     w2 = _stable_tw_minus_xisq(s2, im, lam, t2, om, xi_sq)  # t2*om - |xi|^2
-    det_over_dt = _detL_over_dt(params, t1, t2, om, xi_sq, lam)
+    det_over_dt = _detL_over_dt(params, t1, t2, om, lam)
     dt = (s2 - s1) * lam / (t2 + t1)  # t2 - t1
 
     # beta_N = (lam L11 g + t1 t2 L12 ixh) / det L, cofactors sign-folded.
     beta_n = -(t1 * w2 * lam * g + t1 * t2 * s2 * lam * ixh) / (dt * det_over_dt)
     gamma_n = (t2 * w1 * lam * g + t1 * t2 * s1 * lam * ixh) / (dt * det_over_dt)
 
-    alpha = np.concatenate([trace.h_hat, [0.0]])
-    beta = np.concatenate([(-1j * xi / t1) * beta_n, [beta_n]])
-    gamma = np.concatenate([(-1j * xi / t2) * gamma_n, [gamma_n]])
+    beta = _tangential_part(xi, t1, beta_n)
+    gamma = _tangential_part(xi, t2, gamma_n)
     sigma = -(s1 * lam / t1) * beta_n
     tau = -(s2 * lam / t2) * gamma_n
-
-    u = []
-    for J in range(mode.dim):
-        a, b, c = alpha[J], beta[J], gamma[J]
-        u.append(VerticalProfile([(a - b - c, 0, om), (b, 0, t1), (c, 0, t2)]))
-    phi = VerticalProfile([(sigma, 0, t1), (tau, 0, t2)])
-    rho = phi.scaled(-1.0 / lam)
-    coeffs = ModeCoefficients(alpha=alpha, beta=beta, gamma=gamma,
-                              sigma=complex(sigma), tau=complex(tau), case=params.case)
-    return ModeSolution(rho=rho, u=tuple(u), phi=phi, coeffs=coeffs), roots
+    return (om, t1, t2), beta, gamma, sigma, tau
 
 
-def _solve_case_3(params, mode, trace):
+def _solve_case_3(params, xi, xi_sq, lam, g, ixh, t1, t2, om):
     """One t coincides with omega; the other root t* = sqrt(|xi|^2 + lam/nu)."""
-    roots = compute_roots(params, mode)
-    om = roots.omega
-    lam = mode.lam
-    xi = mode.xi
-    xi_sq = mode.xi_sq
     inv_nu = 1.0 / params.nu
     im = params.inv_mu
-    ts = np.sqrt(complex(xi_sq + inv_nu * lam))
-    g = trace.g_hat
-    ixh = 1j * complex(np.dot(xi, trace.h_hat))
+    ts = np.sqrt(xi_sq + inv_nu * lam)
 
     # (t* - om)(t* om + lam/nu) with t* - om = (1/nu - 1/mu) lam / (t* + om).
     denom = (inv_nu - im) * lam * (ts * om + inv_nu * lam) / (ts + om)
     gamma_n = ts * (lam * g + om * ixh) / denom
 
-    alpha = np.concatenate([trace.h_hat, [0.0]])
-    gamma = np.concatenate([(-1j * xi / ts) * gamma_n, [gamma_n]])
-    beta = np.zeros(mode.dim, dtype=complex)
+    gamma = _tangential_part(xi, ts, gamma_n)
+    beta = np.zeros_like(gamma)
     # sigma = i xi.h + (om - |xi|^2/t*) gamma_N, with om t* - |xi|^2 stabilized.
     w = _stable_tw_minus_xisq(inv_nu, im, lam, ts, om, xi_sq)
     sigma = ixh + (w / ts) * gamma_n
     tau = -(inv_nu * lam / ts) * gamma_n
-
-    u = []
-    for J in range(mode.dim):
-        a, c = alpha[J], gamma[J]
-        u.append(VerticalProfile([(a - c, 0, om), (c, 0, ts)]))
-    phi = VerticalProfile([(sigma, 0, om), (tau, 0, ts)])
-    rho = phi.scaled(-1.0 / lam)
-    coeffs = ModeCoefficients(alpha=alpha, beta=beta, gamma=gamma,
-                              sigma=complex(sigma), tau=complex(tau), case=params.case)
-    return ModeSolution(rho=rho, u=tuple(u), phi=phi, coeffs=coeffs), roots
+    return (om, ts), beta, gamma, sigma, tau
 
 
-def _solve_case_4(params, mode, trace):
+def _solve_case_4(params, xi, xi_sq, lam, g, ixh, t1, t2, om):
     """Double root t1 == t2 != omega; ansatz carries x e^{-t2 x} terms."""
-    roots = compute_roots(params, mode)
-    t2, om = roots.t2, roots.omega
-    lam = mode.lam
-    xi = mode.xi
-    xi_sq = mode.xi_sq
     mu, nu, kappa = params.mu, params.nu, params.kappa
-    g = trace.g_hat
-    ixh = 1j * complex(np.dot(xi, trace.h_hat))
 
     q = 2.0 * ((2.0 * mu * (t2 + om) * om + (nu - mu) * xi_sq) * t2
                - mu * (t2 + om) * xi_sq)
@@ -178,11 +135,12 @@ def _solve_case_4(params, mode, trace):
     gamma_n = -((2.0 * mu * om * (t2 + om) + (nu - mu) * xi_sq) * lam * g
                 + 2.0 * mu * (t2 + om) * t2 * t2 * ixh) / q
     # beta_N: (nu-mu)/(t2-om) folded via t2-om = -(nu-mu) lam / (mu (mu+nu)(t2+om)).
-    beta_n = -mu * (mu + nu) * (t2 + om) * (xi_sq * lam * g + 2.0 * t2**3 * ixh) / (lam * q)
+    beta_n = -mu * (mu + nu) * (t2 + om) * (xi_sq * lam * g + 2.0 * (t2 * t2 * t2) * ixh) \
+        / (lam * q)
 
-    alpha = np.concatenate([trace.h_hat, [0.0]])
-    beta = np.concatenate([(-1j * xi / t2) * beta_n - (1j * xi / t2**2) * gamma_n, [beta_n]])
-    gamma = np.concatenate([(-1j * xi / t2) * gamma_n, [gamma_n]])
+    gamma = _tangential_part(xi, t2, gamma_n)
+    beta = _tangential_part(xi, t2, beta_n)
+    beta[..., :-1] += _tangential_part(xi, t2 * t2, gamma_n)[..., :-1]  # -(i xi/t2^2) gamma_N
     half_sum = (mu + nu) / (2.0 * kappa)  # equals (t2^2 - |xi|^2)/lam
     # sigma = -(half_sum lam/t2) beta_N + ((t2^2+|xi|^2)/t2^2) gamma_N hides a
     # structural cancellation at large |xi|; expanding with the case-IV
@@ -191,72 +149,186 @@ def _solve_case_4(params, mode, trace):
         - (t2 * t2 + xi_sq) * (2.0 * mu * om * (t2 + om) + (nu - mu) * xi_sq)
     sigma = lam * (g * bracket / (t2 * t2) + 2.0 * mu * (t2 + om) * half_sum * ixh) / q
     tau = -(half_sum * lam / t2) * gamma_n
-
-    u = []
-    for J in range(mode.dim):
-        a, b, c = alpha[J], beta[J], gamma[J]
-        u.append(VerticalProfile([(a - b, 0, om), (b, 0, t2), (c, 1, t2)]))
-    phi = VerticalProfile([(sigma, 0, t2), (tau, 1, t2)])
-    rho = phi.scaled(-1.0 / lam)
-    coeffs = ModeCoefficients(alpha=alpha, beta=beta, gamma=gamma,
-                              sigma=complex(sigma), tau=complex(tau), case=params.case)
-    return ModeSolution(rho=rho, u=tuple(u), phi=phi, coeffs=coeffs), roots
+    return (om, t2), beta, gamma, sigma, tau
 
 
-def _solve_case_5(params, mode, trace):
-    """Fully degenerate t1 == t2 == omega; ansatz carries x and x^2 terms."""
-    roots = compute_roots(params, mode)
-    om = roots.omega
-    lam = mode.lam
-    xi = mode.xi
-    xi_sq = mode.xi_sq
+def _solve_case_5(params, xi, xi_sq, lam, g, ixh, t1, t2, om):
+    """Fully degenerate t1 == t2 == omega; ansatz carries x e^{-om x} terms."""
     im = params.inv_mu
-    g = trace.g_hat
-    ixh = 1j * complex(np.dot(xi, trace.h_hat))
 
     denom = xi_sq + 2.0 * im * lam  # omega^2 + lam/mu without cancellation
     beta_n = -om * (lam * g + om * ixh) / denom
 
-    alpha = np.concatenate([trace.h_hat, [0.0]])
-    beta = np.concatenate([(-1j * xi / om) * beta_n, [beta_n]])
-    gamma = np.zeros(mode.dim, dtype=complex)
+    beta = _tangential_part(xi, om, beta_n)
+    gamma = np.zeros_like(beta)
     # sigma = i xi.h + beta_N collapses to an explicitly O(lambda) form;
     # the direct sum cancels at large |xi|.
     sigma = lam * (im * ixh - om * g) / denom
     tau = -(im * lam / om) * beta_n
-
-    u = []
-    for J in range(mode.dim):
-        a, b = alpha[J], beta[J]
-        u.append(VerticalProfile([(a, 0, om), (b, 1, om)]))
-    phi = VerticalProfile([(sigma, 0, om), (tau, 1, om)])
-    rho = phi.scaled(-1.0 / lam)
-    coeffs = ModeCoefficients(alpha=alpha, beta=beta, gamma=gamma,
-                              sigma=complex(sigma), tau=complex(tau), case=params.case)
-    return ModeSolution(rho=rho, u=tuple(u), phi=phi, coeffs=coeffs), roots
+    return (om,), beta, gamma, sigma, tau
 
 
-_DISPATCH = {
-    Case.I: _solve_case_1_2,
-    Case.II: _solve_case_1_2,
-    Case.III: _solve_case_3,
-    Case.IV: _solve_case_4,
-    Case.V: _solve_case_5,
+# Per case: the solver, and the (rate, power) slot of beta, gamma, sigma and
+# tau in the profile layout.  Rate 0 is always omega; u_J carries
+# alpha_J - (its other power-0 coefficients) there, so u_J(0) = alpha_J.
+_CASES = {
+    Case.I: (_solve_case_1_2, (1, 0), (2, 0), (1, 0), (2, 0)),
+    Case.II: (_solve_case_1_2, (1, 0), (2, 0), (1, 0), (2, 0)),
+    Case.III: (_solve_case_3, None, (1, 0), (0, 0), (1, 0)),
+    Case.IV: (_solve_case_4, (1, 0), (1, 1), (1, 0), (1, 1)),
+    Case.V: (_solve_case_5, (0, 1), None, (0, 0), (0, 1)),
 }
+
+
+@dataclass(frozen=True, eq=False)
+class ModeBatch:
+    """Solutions of M tangential modes at one lambda, in the case's term layout.
+
+    `rates` (M, R) holds the decay rates: (omega, t1, t2) in cases I/II,
+    (omega, t*) in case III, (omega, t2) in case IV and (omega,) in case V.
+    `coeffs` (N + 2, M, R, P) holds the profile coefficients of rho,
+    u_1..u_N and phi on x^p e^{-rate x}, p < P (P = 2 in cases IV and V,
+    which carry x e^{-t x} terms, else 1).  alpha, beta, gamma (M, N) and
+    sigma, tau (M,) are the raw ansatz coefficients.
+    """
+
+    params: FluidParams
+    lam: complex
+    xi: np.ndarray
+    rates: np.ndarray
+    coeffs: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    sigma: np.ndarray
+    tau: np.ndarray
+
+    def __len__(self):
+        return self.rates.shape[0]
+
+    def derivative(self, order: int) -> np.ndarray:
+        """Coefficients of d^order/dx^order: C'_p = -t C_p + (p + 1) C_{p+1}."""
+        coeffs = self.coeffs
+        for _ in range(order):
+            out = -self.rates[:, :, None] * coeffs
+            for p in range(1, coeffs.shape[-1]):
+                out[..., p - 1] += p * coeffs[..., p]
+            coeffs = out
+        return coeffs
+
+    def evaluate(self, x, coeffs=None) -> np.ndarray:
+        """Profiles on x >= 0 for every leading index of `coeffs` and every mode.
+
+        `coeffs` (..., M, R, P) defaults to `self.coeffs`; the result has
+        shape coeffs.shape[:-2] + (len(x),).  One e^{-rate x} per rate is
+        shared by every component and accumulated before the next rate.
+        """
+        coeffs = self.coeffs if coeffs is None else coeffs
+        x = np.asarray(x, dtype=float)
+        if np.any(x < 0):
+            raise DomainError("profiles are defined for x >= 0 only")
+        n_modes, n_rates, n_powers = coeffs.shape[-3:]
+        out = np.zeros(coeffs.shape[:-2] + x.shape, dtype=complex)
+        flat_out = out.reshape(-1, n_modes, x.size)
+        flat_coeffs = coeffs.reshape(-1, n_modes, n_rates, n_powers)
+        for r in range(n_rates):
+            basis = np.exp(-np.multiply.outer(self.rates[:, r], x))
+            for p in range(n_powers):
+                if p:
+                    basis = basis * x
+                for c, o in zip(flat_coeffs, flat_out):
+                    o += c[:, r, p, None] * basis
+        return out
+
+    def solution(self, k: int) -> ModeSolution:
+        """Mode k as a ModeSolution of VerticalProfiles, with the terms of its case."""
+        _, b_slot, c_slot, s_slot, t_slot = _CASES[self.params.case]
+        u_terms = [(0, 0)] + [s for s in (b_slot, c_slot) if s is not None]
+        n = self.xi.shape[1] + 1
+
+        def profile(component, terms):
+            r, p = (np.array(a) for a in zip(*terms))
+            return VerticalProfile(_raw=(self.coeffs[component, k, r, p], p, self.rates[k, r]))
+
+        coeffs = ModeCoefficients(alpha=self.alpha[k], beta=self.beta[k], gamma=self.gamma[k],
+                                  sigma=complex(self.sigma[k]), tau=complex(self.tau[k]),
+                                  case=self.params.case)
+        return ModeSolution(rho=profile(0, [s_slot, t_slot]),
+                            u=tuple(profile(J, u_terms) for J in range(1, n + 1)),
+                            phi=profile(n + 1, [s_slot, t_slot]), coeffs=coeffs)
+
+
+def _batch(params, lam, xi, h, rates, beta, gamma, sigma, tau) -> ModeBatch:
+    """Lay the solved ansatz coefficients of M modes out as a ModeBatch."""
+    _, b_slot, c_slot, s_slot, t_slot = _CASES[params.case]
+    n_modes, dim = xi.shape[0], xi.shape[1] + 1
+    alpha = np.concatenate([h, np.zeros((n_modes, 1))], axis=1)
+    coeffs = np.zeros((dim + 2, n_modes, rates.shape[1], 2 if t_slot[1] else 1), dtype=complex)
+    u = coeffs[1:dim + 1]
+    u[:, :, 0, 0] = alpha.T
+    for slot, c in ((b_slot, beta), (c_slot, gamma)):
+        if slot is not None:
+            u[:, :, slot[0], slot[1]] = c.T
+            if slot[1] == 0:
+                u[:, :, 0, 0] -= c.T
+    phi = coeffs[dim + 1]
+    phi[:, s_slot[0], s_slot[1]] = sigma
+    phi[:, t_slot[0], t_slot[1]] = tau
+    coeffs[0] = phi * complex(-1.0 / lam)
+    return ModeBatch(params=params, lam=lam, xi=xi, rates=rates, coeffs=coeffs,
+                     alpha=alpha, beta=beta, gamma=gamma, sigma=sigma, tau=tau)
+
+
+def _require_half_plane(lam):
+    if lam.real <= 0.0:
+        raise DomainError(f"the mode solve requires Re lambda > 0, got {lam}")
+
+
+def solve_modes(params: FluidParams, xi, lam, g_hat, h_hat) -> ModeBatch:
+    """Solve the reduced boundary value problem for M tangential modes at once.
+
+    xi (M, N-1) are the tangential frequencies, g_hat (M,) and h_hat
+    (M, N-1) the boundary traces.  Requires Re lambda > 0, the half-plane on
+    which the boundary systems are certified nonvanishing; other lambda raise
+    DomainError.  The profiles satisfy the interior equations and the
+    boundary conditions exactly in the profile algebra.
+    """
+    lam = complex(lam)
+    _require_half_plane(lam)
+    xi = np.asarray(xi, dtype=float)
+    g = np.asarray(g_hat, dtype=complex)
+    h = np.asarray(h_hat, dtype=complex)
+    if xi.ndim != 2 or g.shape != xi.shape[:1] or h.shape != xi.shape:
+        raise DomainError("need xi (M, N-1), g_hat (M,) and h_hat (M, N-1)")
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+        raise DomainError("boundary trace entries must be finite")
+    xi_sq = np.sum(xi * xi, axis=1)
+    ixh = 1j * np.sum(xi * h, axis=1)
+    rates, *solved = _CASES[params.case][0](params, xi, xi_sq, lam, g, ixh,
+                                            *root_arrays(params, xi_sq, lam))
+    return _batch(params, lam, xi, h, np.stack(rates, axis=1), *solved)
 
 
 def solve_mode(params: FluidParams, mode: TangentialMode, trace: BoundaryTrace) -> ModeSolution:
     """Solve the reduced boundary value problem for one tangential mode.
 
-    Requires Re lambda > 0 (sector modes are accepted for root evaluation but
-    the boundary systems are only certified nonvanishing on the half-plane).
-    The returned profiles satisfy the interior equations and the boundary
-    conditions exactly in the profile algebra.
+    Requires Re lambda > 0, so sector modes raise DomainError.  The case
+    formulas of `solve_modes` run on this mode's scalars, in Python complex
+    arithmetic, and the result is the view of a batch of one.  numpy's array
+    kernels round complex products differently, so `solve_modes` matches
+    this to rounding, not bit for bit.
     """
+    _require_half_plane(mode.lam)
     if trace.h_hat.shape != (mode.dim - 1,):
         raise DomainError(f"h_hat must have length {mode.dim - 1}")
-    solution, _ = _DISPATCH[params.case](params, mode, trace)
-    return solution
+    roots = compute_roots(params, mode)
+    ixh = 1j * complex(np.dot(mode.xi, trace.h_hat))
+    rates, beta, gamma, sigma, tau = _CASES[params.case][0](
+        params, mode.xi, mode.xi_sq, mode.lam, trace.g_hat, ixh,
+        roots.t1, roots.t2, roots.omega)
+    batch = _batch(params, mode.lam, mode.xi[None], trace.h_hat[None], np.array([rates]),
+                   beta[None], gamma[None], np.array([sigma]), np.array([tau]))
+    return batch.solution(0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridError
-from .fields import (GridField, GridSpec, _wavenumber_mesh, boundary_correction,
+from .fields import (GridField, GridSpec, _wavenumber_mesh, lattice_modes,
                      vertical_spectral_derivative, whole_space_reduction)
 from .modes import BoundaryTrace, solve_mode
 from .profiles import VerticalProfile
@@ -120,21 +120,27 @@ class LiftedTuple:
         return np.fft.ifftn(hat, axes=axes)
 
 
-def _profile_derivative(profile, axes_tuple, xi, x):
-    """Exact d^axes_tuple of profile(x_N) e^{i xi.x'}, sampled at x_N = x.
+def _vertical_derivatives(profile, n_orders, x):
+    """[d^v profile / dx^v sampled at x for v < n_orders]."""
+    return [profile.differentiate(v).evaluate(x) if v else profile.evaluate(x)
+            for v in range(n_orders)]
 
-    Tangential axes (index < len(xi)) act as i*xi multipliers; the normal
-    axis differentiates the exponential profile.
+
+def _tangential_derivative(vertical, axes_tuple, xi):
+    """Exact d^axes_tuple of v(x_N) e^{i xi.x'}, given vertical[k] = d^k v / dx_N^k.
+
+    Tangential axes (index < N - 1) act as i*xi multipliers and the normal
+    axis picks the vertical derivative.  xi is (N-1,) for one mode, with
+    vertical arrays (n_z,), or (M, N-1) for M modes, with arrays (M, n_z).
     """
     factor = 1.0 + 0.0j
     v_order = 0
     for ax in axes_tuple:
-        if ax < len(xi):
-            factor *= 1j * xi[ax]
+        if ax < xi.shape[-1]:
+            factor = factor * (1j * xi[..., ax])
         else:
             v_order += 1
-    p = profile.differentiate(v_order) if v_order else profile
-    return factor * p.evaluate(x)
+    return np.expand_dims(factor, -1) * vertical[v_order]
 
 
 def _lift_rows(derivative, lam, dim: int, kind: str):
@@ -153,19 +159,51 @@ def _lift_rows(derivative, lam, dim: int, kind: str):
     return [w * derivative(t) for order, w in weights for t in derivative_tuples(order, dim)]
 
 
+def _lift_vertical(verticals, lam, xi, dim: int, kind: str):
+    """Lift rows of fields given by their vertical derivatives, concatenated.
+
+    verticals[i][k] is d^k/dx_N^k of field i for k up to the lift's order
+    (3 for kind 'S0', 2 for kind 'T'); `_tangential_derivative` gives the
+    shapes for one mode and for many.
+    """
+    rows = []
+    for vertical in verticals:
+        rows += _lift_rows(lambda t: _tangential_derivative(vertical, t, xi), lam, dim, kind)
+    return rows
+
+
+def _lift_orders(kind: str) -> int:
+    """Number of vertical derivative orders a lift reads: 0..3 or 0..2."""
+    return 4 if kind == "S0" else 3
+
+
 def _lift_profiles(profile_sets, lam, spec: GridSpec, xi, kind: str):
     """Lifted component arrays for one mode.
 
     profile_sets: for kind 'S0' a single density profile; for kind 'T' a list
-    of profiles (the lift concatenates the second-order lift of each).
+    of profiles (the lift concatenates the second-order lift of each).  Each
+    vertical derivative order is evaluated once per profile.
     """
     lam = complex(lam)
     x = spec.vertical_coords()
     profiles = [profile_sets] if kind == "S0" else profile_sets
-    rows = []
-    for profile in profiles:
-        rows += _lift_rows(lambda t: _profile_derivative(profile, t, xi, x), lam, spec.dim, kind)
-    return np.array(rows)
+    verticals = [_vertical_derivatives(p, _lift_orders(kind), x) for p in profiles]
+    return np.array(_lift_vertical(verticals, lam, xi, spec.dim, kind))
+
+
+def _lift_batch(batch, lam, spec: GridSpec, kind: str):
+    """Lift rows (n_comp, M, n_z) of every mode of a ModeBatch.
+
+    Kind 'S0' lifts the density, kind 'T' the velocity components.  Each
+    vertical derivative is a coefficient transform, and all of them are
+    evaluated on one shared exponential basis.
+    """
+    n_orders = _lift_orders(kind)
+    components = [0] if kind == "S0" else range(1, spec.dim + 1)
+    coeffs = np.stack([batch.derivative(v)[c] for c in components for v in range(n_orders)])
+    values = batch.evaluate(spec.vertical_coords(), coeffs)
+    verticals = [values[i:i + n_orders] for i in range(0, len(values), n_orders)]
+    return np.array(_lift_vertical(verticals, complex(lam), batch.xi, spec.dim, kind))
 
 
 def lift_boundary_data(data, lam) -> LiftedTuple:
@@ -292,14 +330,12 @@ def lift_full_data(data, lam) -> LiftedTuple:
     zero = VerticalProfile.zero()
     for index in active:
         xi = np.array([ks[i] for i in index])
-        pd = d.modes.get(index, zero)
-        pg = g.modes.get(index, zero)
-        rows = [_profile_derivative(pd, t, xi, x) for t in derivative_tuples(1, dim)]
-        rows.append(sqrt_lam * pd.evaluate(x))
+        vd = _vertical_derivatives(d.modes.get(index, zero), 2, x)
+        vg = _vertical_derivatives(g.modes.get(index, zero), 3, x)
+        rows = [_tangential_derivative(vd, t, xi) for t in derivative_tuples(1, dim)]
+        rows.append(sqrt_lam * vd[0])
         rows += [f[i].modes.get(index, zero).evaluate(x) for i in range(dim)]
-        rows += [_profile_derivative(pg, t, xi, x) for t in derivative_tuples(2, dim)]
-        rows += [sqrt_lam * _profile_derivative(pg, t, xi, x) for t in derivative_tuples(1, dim)]
-        rows.append(lam * pg.evaluate(x))
+        rows += _lift_vertical([vg], lam, xi, dim, "T")
         out[index] = np.array(rows)
     return LiftedTuple(out, spec, n_comp)
 
@@ -338,22 +374,15 @@ class FullSolveFamily:
         rho_ws, u_ws, _, g_tilde, h_tilde = whole_space_reduction(
             self.params, GridField(synthesize(d), spec),
             [GridField(synthesize(c), spec) for c in f], synthesize(g)[..., 0], lam)
-        _, _, mode_solutions = boundary_correction(self.params, spec, g_tilde, h_tilde, lam)
+        batch = lattice_modes(self.params, spec, g_tilde, h_tilde, lam)
 
-        ks = spec.tangential_wavenumbers()
         t_axes = tuple(range(dim - 1))
         kind_lift = "S0" if self.kind == "A" else "T"
-        n_comp = lift_arity("S0", dim) if self.kind == "A" else dim * lift_arity("T", dim)
 
-        # correction lift assembled from exact per-mode profile derivatives
-        shape = (n_comp,) + spec.tangential_shape + (spec.n_vertical,)
-        corr_hat = np.zeros(shape, dtype=complex)
-        for index, sol in mode_solutions.items():
-            xi = np.array([ks[i] for i in index])
-            payload = sol.rho if self.kind == "A" else list(sol.u)
-            corr_hat[(slice(None), *index, slice(None))] = \
-                _lift_profiles(payload, lam, spec, xi, kind_lift)
-        corr = np.fft.ifftn(corr_hat, axes=tuple(a + 1 for a in t_axes))
+        # correction lift from exact profile derivatives, all modes in one pass
+        corr_hat = _lift_batch(batch, lam, spec, kind_lift)
+        corr = np.fft.ifftn(corr_hat.reshape((len(corr_hat),) + spec.shape),
+                            axes=tuple(a + 1 for a in t_axes))
 
         # whole-space part lift: one parity derivative per vertical order,
         # tangential derivatives as i*xi multipliers on the tangential FFT
@@ -362,7 +391,7 @@ class FullSolveFamily:
         def lift(values, parity):
             v_hat = [np.fft.fftn(vertical_spectral_derivative(values, spec, v, parity)
                                  if v else values, axes=t_axes)
-                     for v in range(4 if kind_lift == "S0" else 3)]
+                     for v in range(_lift_orders(kind_lift))]
 
             def derivative(axes_tuple):
                 factor = 1.0

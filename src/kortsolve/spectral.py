@@ -241,6 +241,37 @@ def compute_roots(params: FluidParams, mode: TangentialMode) -> RootData:
     return RootData(t1=t1, t2=t2, omega=omega, degeneracy=degeneracy)
 
 
+def root_arrays(params: FluidParams, xi_sq, lam):
+    """t1, t2, omega with the principal branch, elementwise over |xi|^2 and lambda arrays."""
+    t1 = np.sqrt(xi_sq + params.s1 * lam)
+    t2 = np.sqrt(xi_sq + params.s2 * lam)
+    om = np.sqrt(xi_sq + params.inv_mu * lam)
+    return t1, t2, om
+
+
+def _stable_tw_minus_xisq(s_t, s_w, lam, t, w, xi_sq):
+    """t*w - |xi|^2 for t = sqrt(|xi|^2+s_t lam), w = sqrt(|xi|^2+s_w lam), elementwise.
+
+    Written as (t^2 w^2 - |xi|^4) / (t w + |xi|^2) to avoid the cancellation
+    at |xi|^2 >> |lambda|.
+    """
+    num = lam * (s_t + s_w) * xi_sq + s_t * s_w * lam * lam
+    return num / (t * w + xi_sq)
+
+
+def _detL_over_dt(params: FluidParams, t1, t2, om, lam):
+    """det L / (t2 - t1) = lam * bracket in the cancellation-free form, elementwise.
+
+    Uses the root identities t_k^2 - |xi|^2 = s_k lam and
+    omega^2 - |xi|^2 = lam/mu to trade the difference of quartics for a sum
+    whose terms share the magnitude of the result.
+    """
+    s1, im = params.s1, params.inv_mu
+    chain = t1 * t2 + t2 * t2 + s1 * lam  # t2^2 + t1 t2 + t1^2 - |xi|^2
+    bracket = t2 * om * (t2 + t1) * (s1 - im) / (t1 + om) - om * om * s1 + im * chain
+    return lam * bracket
+
+
 def char_poly(params: FluidParams, mode: TangentialMode, t) -> complex:
     """The quartic P_lambda(t) = lam^2 - lam (mu+nu)(t^2-|xi|^2) + kappa (t^2-|xi|^2)^2.
 

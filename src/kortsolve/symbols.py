@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CaseMismatchError, DomainError, GridError
-from .spectral import Case, FluidParams, ScanGrid
+from .spectral import Case, FluidParams, ScanGrid, _detL_over_dt, root_arrays
 
 __all__ = [
     "SymbolSpec", "ScanGrid", "make_named_symbol", "verify_symbol_class",
@@ -33,43 +33,26 @@ __all__ = [
 ]
 
 
-def _roots(params: FluidParams, xi_sq, lam):
-    """Vectorized t1, t2, omega from |xi|^2 and lambda arrays."""
-    t1 = np.sqrt(xi_sq + params.s1 * lam)
-    t2 = np.sqrt(xi_sq + params.s2 * lam)
-    om = np.sqrt(xi_sq + params.inv_mu * lam)
-    return t1, t2, om
-
-
 # -- raw and rewritten forms of the named symbols ---------------------------
 
 
 def _detL_raw(params, xi_sq, lam):
-    t1, t2, om = _roots(params, xi_sq, lam)
+    t1, t2, om = root_arrays(params, xi_sq, lam)
     return t2 * (t2 * t2 - xi_sq) * (t1 * om - xi_sq) - t1 * (t1 * t1 - xi_sq) * (t2 * om - xi_sq)
 
 
 def _detL_factored(params, xi_sq, lam):
-    t1, t2, om = _roots(params, xi_sq, lam)
+    t1, t2, om = root_arrays(params, xi_sq, lam)
     return (t2 - t1) * (t1 * t2 * om * (t2 + t1) - xi_sq * (t2 * t2 + t1 * t2 + t1 * t1 - xi_sq))
 
 
 def _detL_over_dt_stable(params, xi_sq, lam):
-    """det L / (t2 - t1) without the large-|xi| cancellation.
-
-    Uses the root identities t_k^2 - |xi|^2 = s_k lam and
-    omega^2 - |xi|^2 = lam/mu to trade the difference of quartics for a sum
-    whose terms share the magnitude of the result.
-    """
-    t1, t2, om = _roots(params, xi_sq, lam)
-    s1, im = params.s1, params.inv_mu
-    chain = t1 * t2 + t2 * t2 + s1 * lam  # t2^2 + t1 t2 + t1^2 - |xi|^2
-    bracket = t2 * om * (t2 + t1) * (s1 - im) / (t1 + om) - om * om * s1 + im * chain
-    return lam * bracket
+    """det L / (t2 - t1) without the large-|xi| cancellation."""
+    return _detL_over_dt(params, *root_arrays(params, xi_sq, lam), lam)
 
 
 def _cofactor_L(params, xi_sq, lam, which):
-    t1, t2, om = _roots(params, xi_sq, lam)
+    t1, t2, om = root_arrays(params, xi_sq, lam)
     if which == "L11":
         return -t1 * (t2 * om - xi_sq)
     if which == "L12":
@@ -82,7 +65,7 @@ def _cofactor_L(params, xi_sq, lam, which):
 
 
 def _m_raw(params, xi_sq, lam, k):
-    t1, t2, om = _roots(params, xi_sq, lam)
+    t1, t2, om = root_arrays(params, xi_sq, lam)
     tk = t1 if k == 1 else t2
     return tk * (tk + om) * _detL_raw(params, xi_sq, lam) / (lam * (t2 - t1))
 
@@ -90,7 +73,7 @@ def _m_raw(params, xi_sq, lam, k):
 def _m_stable(params, xi_sq, lam, k):
     """Rewritten m_k: (s_k - 1/mu) t1 t2 om (t2+t1) - s_k t_k om^2 (t_k+om)
     + (1/mu) t_k (t_k+om) (t2^2 + t1 t2 + t1^2 - |xi|^2)."""
-    t1, t2, om = _roots(params, xi_sq, lam)
+    t1, t2, om = root_arrays(params, xi_sq, lam)
     sk = params.s1 if k == 1 else params.s2
     tk = t1 if k == 1 else t2
     im = params.inv_mu
@@ -100,14 +83,14 @@ def _m_stable(params, xi_sq, lam, k):
 
 
 def _n_raw(params, xi_sq, lam, k):
-    t1, t2, om = _roots(params, xi_sq, lam)
+    t1, t2, om = root_arrays(params, xi_sq, lam)
     if k == 1:
         return (t2 + om) * _cofactor_L(params, xi_sq, lam, "L11") / lam
     return (t1 + om) * _cofactor_L(params, xi_sq, lam, "L21") / lam
 
 
 def _n_stable(params, xi_sq, lam, k):
-    t1, t2, om = _roots(params, xi_sq, lam)
+    t1, t2, om = root_arrays(params, xi_sq, lam)
     im = params.inv_mu
     if k == 1:
         return -t1 * ((params.s2 - im) * om + im * (t2 + om))
@@ -115,7 +98,7 @@ def _n_stable(params, xi_sq, lam, k):
 
 
 def _p(params, xi_sq, lam, k):
-    t1, t2, om = _roots(params, xi_sq, lam)
+    t1, t2, om = root_arrays(params, xi_sq, lam)
     if k == 1:
         return (t1 + om) / (t2 + om)
     return (t2 + om) / (t1 + om)
@@ -144,14 +127,14 @@ def _d5_stable(params, xi_sq, lam):
 
 def _q(params, xi_sq, lam):
     """Case IV determinant core 2{(2 mu (t2+om) om + (nu-mu)|xi|^2) t2 - mu (t2+om)|xi|^2}."""
-    t1, t2, om = _roots(params, xi_sq, lam)
+    t1, t2, om = root_arrays(params, xi_sq, lam)
     mu, nu = params.mu, params.nu
     return 2.0 * ((2.0 * mu * (t2 + om) * om + (nu - mu) * xi_sq) * t2
                   - mu * (t2 + om) * xi_sq)
 
 
 def _M_entry(params, xi_sq, lam, which):
-    t1, t2, om = _roots(params, xi_sq, lam)
+    t1, t2, om = root_arrays(params, xi_sq, lam)
     mu, nu = params.mu, params.nu
     if which == "M11":
         return (nu - mu) * xi_sq + 0.0 * t2
@@ -165,7 +148,7 @@ def _M_entry(params, xi_sq, lam, which):
 
 
 def _detM_raw(params, xi_sq, lam):
-    t1, t2, om = _roots(params, xi_sq, lam)
+    t1, t2, om = root_arrays(params, xi_sq, lam)
     mu, nu = params.mu, params.nu
     a11 = -2.0 * mu * (t2 - om) * (t2 + om)
     a12 = -2.0 * (nu - mu) * t2
@@ -175,7 +158,7 @@ def _detM_raw(params, xi_sq, lam):
 
 
 def _detM_factored(params, xi_sq, lam):
-    t1, t2, om = _roots(params, xi_sq, lam)
+    t1, t2, om = root_arrays(params, xi_sq, lam)
     return (params.nu - params.mu) * (t2 - om) * _q(params, xi_sq, lam)
 
 

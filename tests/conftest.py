@@ -20,12 +20,16 @@ def params_by_case():
 
 @pytest.fixture()
 def mode_solves(monkeypatch):
-    """List that grows by one per solve_mode call made through kortsolve.fields."""
+    """List that grows by one per lattice mode solved through kortsolve.fields.solve_modes."""
     import kortsolve.fields
     calls = []
-    solve = kortsolve.fields.solve_mode
-    monkeypatch.setattr(kortsolve.fields, "solve_mode",
-                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    solve = kortsolve.fields.solve_modes
+
+    def counted(params, xi, *args, **kwargs):
+        calls.extend([1] * len(xi))
+        return solve(params, xi, *args, **kwargs)
+
+    monkeypatch.setattr(kortsolve.fields, "solve_modes", counted)
     return calls
 
 

@@ -139,6 +139,8 @@ class TestSolveField:
         assert code == 0
         summary = json.loads((tmp_path / "sol.residuals.json").read_text())
         assert summary["boundary_u_max"] <= 1e-8
+        index = summary["correction_residual_index"]
+        assert len(index) == spec.dim - 1 and sum(index) % (spec.n_tangential // 4) == 0
         assert os.path.exists(out_prefix + ".rho.bin")
         manifest = json.loads((tmp_path / "sol.rho.bin.manifest.json").read_text())
         assert manifest["input_hashes"]

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from kortsolve import BoundaryTrace, ConfigurationError, TangentialMode, classify, solve_mode
-from kortsolve.fields import (GridField, GridSpec, _vertical_forward, grid_norm, load_field,
-                              manufactured_solution, reduce_boundary_data, save_field,
-                              solve_resolvent, vertical_spectral_derivative,
+from kortsolve import (BoundaryTrace, ConfigurationError, TangentialMode, classify,
+                       pde_residual, solve_mode)
+from kortsolve.fields import (GridField, GridSpec, _vertical_forward, grid_norm, lattice_modes,
+                              load_field, manufactured_solution, reduce_boundary_data,
+                              save_field, solve_resolvent, vertical_spectral_derivative,
                               whole_space_reduction, whole_space_solve)
 
 
@@ -352,6 +353,31 @@ class TestSolveResolvent:
         zero = GridField(np.zeros(spec.shape), spec)
         solve_resolvent(params, d, [zero] * dim, bump, 1.0 + 0.5j)
         assert len(mode_solves) == spec.n_tangential ** (dim - 1)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_correction_residual_index_locates_worst_spot_check(self, params, dim):
+        spec = GridSpec(dim=dim, box_half_length=3.0, n_tangential=8,
+                        vertical_cutoff=8.0, n_vertical=32)
+        lam = 1.0 + 0.5j
+        x = spec.tangential_coords()
+        z = spec.vertical_coords()
+        bump = np.exp(-(np.add.outer(x**2, x**2) if dim == 3 else x**2) / 0.25)
+        d = GridField(np.multiply.outer(bump, np.exp(-((z - 3.0) / 0.5) ** 2)), spec)
+        f = [GridField(np.zeros(spec.shape), spec)] * dim
+        _, _, rep = solve_resolvent(params, d, f, bump, lam)
+        # the spot-check: every (n_tangential/4)-th index sum, on its ladder
+        stride = spec.n_tangential // 4
+        ladder = np.concatenate([[0.0], 2.0 ** np.arange(-4, 4, dtype=float)])
+        _, _, _, g_tilde, h_tilde = whole_space_reduction(params, d, f, bump, lam)
+        batch = lattice_modes(params, spec, g_tilde, h_tilde, lam)
+        residuals = {}
+        for k, index in enumerate(np.ndindex(*spec.tangential_shape)):
+            if sum(index) % stride == 0:
+                mode = TangentialMode(xi=batch.xi[k], lam=lam, dim=dim)
+                residuals[index] = pde_residual(params, mode, batch.solution(k),
+                                                sample_points=ladder).pde_max
+        assert rep.correction_residual_index == max(residuals, key=residuals.get)
+        assert rep.correction_residual_max == max(residuals.values())
 
     def test_normal_force_with_boundary_trace_rejected(self, spec, params):
         # its odd reflection would jump at x_N = 0 and the solve would return

@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kortsolve import (BoundaryTrace, Case, ConsistencyError, TangentialMode,
+from kortsolve import (BoundaryTrace, Case, ConsistencyError, DomainError, TangentialMode,
                        VerticalProfile, assembled_formula_check, boundary_residuals,
                        classify, compute_roots, pde_residual, solve_mode)
-from kortsolve.modes import default_sample_points
+from kortsolve.modes import default_sample_points, solve_modes
 
 from tests.conftest import CASE_PARAMS, random_mode_values, random_trace
 
@@ -245,3 +247,81 @@ class TestResiduals:
         pts = default_sample_points(p, mode)
         assert pts[0] == 0.0
         assert len(pts) == 13
+
+
+# Parameter triples of every case, and triples at 1e-9..1e-13 relative
+# distance from the eta = 0 (case IV) and kappa = mu nu (case III) manifolds
+# and from their intersection (case V).
+BATCH_TRIPLES = list(CASE_PARAMS.values()) + [
+    triple for d in (1e-9, 1e-11, 1e-13)
+    for triple in ((3, 1, 4 * (1 + d)), (2, 1, 2 * (1 + d)), (1, 1, 1 + d))
+]
+
+
+def _batch_inputs(seed, dim, n_modes=16):
+    """Modes at one lambda with |xi|^2/|lambda| log-uniform over 1e-4..1e8."""
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** rng.uniform(-1, 1) * np.exp(1j * rng.uniform(-1.5, 1.5))
+    ratio = 10.0 ** rng.uniform(-4, 8, n_modes)
+    dirs = rng.normal(size=(n_modes, dim - 1))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    xi = dirs * np.sqrt(ratio * abs(lam))[:, None]
+    g = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+    h = rng.normal(size=(n_modes, dim - 1)) + 1j * rng.normal(size=(n_modes, dim - 1))
+    return xi, lam, g, h
+
+
+class TestModeBatch:
+    @pytest.mark.parametrize("triple", BATCH_TRIPLES)
+    @pytest.mark.parametrize("dim", [2, 3])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_batch_matches_batches_of_one(self, triple, dim, seed):
+        p = classify(*triple)
+        xi, lam, g, h = _batch_inputs(seed, dim)
+        batch = solve_modes(p, xi, lam, g, h)
+        for k in range(len(xi)):
+            one = solve_modes(p, xi[k:k + 1], lam, g[k:k + 1], h[k:k + 1])
+            np.testing.assert_array_equal(one.rates[0], batch.rates[k])
+            got, want = batch.coeffs[:, k], one.coeffs[:, 0]
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+            # solve_mode runs the same formulas in Python complex arithmetic,
+            # which rounds products differently from numpy's array kernels
+            sol = solve_mode(p, TangentialMode(xi=xi[k], lam=lam, dim=dim),
+                             BoundaryTrace(g[k], h[k]))
+            view = batch.solution(k)
+            for a, b in [(view.rho, sol.rho), (view.phi, sol.phi), *zip(view.u, sol.u)]:
+                np.testing.assert_array_equal(a.powers, b.powers)
+                np.testing.assert_allclose(a.rates, b.rates, rtol=1e-15)
+                assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-14 * np.max(np.abs(b.coeffs))
+
+    @pytest.mark.parametrize("name", list(CASE_PARAMS))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_derivatives_match_profile_differentiation(self, name, dim):
+        p = classify(*CASE_PARAMS[name])
+        xi, lam, g, h = _batch_inputs(7, dim, n_modes=6)
+        batch = solve_modes(p, xi, lam, g, h)
+        x = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 30)])
+        for order in (0, 1, 2, 3):
+            values = batch.evaluate(x, batch.derivative(order))
+            for k in range(len(xi)):
+                view = batch.solution(k)
+                for c, prof in enumerate([view.rho, *view.u, view.phi]):
+                    ref = prof.differentiate(order) if order else prof
+                    scale = max(ref.magnitude_scale(), 1e-300)
+                    assert np.max(np.abs(values[c, k] - ref.evaluate(x))) <= 1e-14 * scale
+
+    def test_sector_lambda_rejected(self):
+        # the boundary systems are certified on Re lambda > 0 only
+        p = classify(3, 1, 1)
+        mode = TangentialMode(xi=[1.0], lam=-0.5 + 1.0j, sector_epsilon=0.3)
+        with pytest.raises(DomainError, match="Re lambda > 0"):
+            solve_mode(p, mode, BoundaryTrace(1.0, [0.5]))
+        for lam in (-0.5 + 1.0j, 2.0j):
+            with pytest.raises(DomainError, match="Re lambda > 0"):
+                solve_modes(p, [[1.0]], lam, [1.0], [[0.5]])
+
+    def test_shape_mismatch_rejected(self):
+        p = classify(1, 1, 2)
+        with pytest.raises(DomainError):
+            solve_modes(p, [[1.0], [2.0]], 1.0, [1.0], [[0.5], [0.5]])

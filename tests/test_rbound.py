@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from kortsolve.profiles import VerticalProfile
 from kortsolve.rbound import (FullSolveFamily, IdentityFamily, ModeField, ProbeConfig,
-                              ReducedSolveFamily, estimate_rbound, lambda_log_derivative,
-                              lift_arity, lift_boundary_data, probe_grid,
+                              ReducedSolveFamily, _lift_profiles, _lift_rows, estimate_rbound,
+                              lambda_log_derivative, lift_arity, lift_boundary_data, probe_grid,
                               sample_boundary_data, sample_full_data)
 
 
@@ -18,7 +19,47 @@ def params():
 SMALL = ProbeConfig(m=4, trials=60, rng_seed=11, draws_per_decade=1, modes_per_field=2)
 
 
+def _reference_profile_derivative(profile, axes_tuple, xi, x):
+    """Per-tuple reference: differentiate and evaluate the profile for every tuple."""
+    factor = 1.0 + 0.0j
+    v_order = 0
+    for ax in axes_tuple:
+        if ax < len(xi):
+            factor *= 1j * xi[ax]
+        else:
+            v_order += 1
+    p = profile.differentiate(v_order) if v_order else profile
+    return factor * p.evaluate(x)
+
+
+def _reference_lift_profiles(profile_sets, lam, spec, xi, kind):
+    lam = complex(lam)
+    x = spec.vertical_coords()
+    profiles = [profile_sets] if kind == "S0" else profile_sets
+    rows = []
+    for profile in profiles:
+        rows += _lift_rows(lambda t: _reference_profile_derivative(profile, t, xi, x),
+                           lam, spec.dim, kind)
+    return np.array(rows)
+
+
 class TestLifts:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["S0", "T"])
+    def test_lift_profiles_bit_identical_to_per_tuple_reference(self, rng, dim, kind):
+        spec = probe_grid(dim=dim, n_tangential=8, n_vertical=48)
+        for lam in (1.0 + 0.5j, 0.02 * np.exp(-1.2j), 70.0):
+            xi = rng.normal(size=dim - 1) * 3.0
+            profiles = [VerticalProfile([(complex(*rng.normal(size=2)), m,
+                                          complex(rng.uniform(0.2, 3.0), rng.normal()))
+                                         for m in (0, 1, 2, 0)])
+                        for _ in range(dim)]
+            payload = profiles[0] if kind == "S0" else profiles
+            got = _lift_profiles(payload, lam, spec, xi, kind)
+            want = _reference_lift_profiles(payload, lam, spec, xi, kind)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_arities(self):
         assert lift_arity("S0", 2) == 8 + 4 + 2 + 1
         assert lift_arity("T", 2) == 4 + 2 + 1
