@@ -262,18 +262,17 @@ def cmd_oracle_compare(args):
     trace = BoundaryTrace(_parse_complex(args.g), h)
     length = args.length if args.length else BvpConfig.for_mode(p, mode, n=args.n).length
     config = BvpConfig(length=length, n=args.n, scheme=args.scheme)
-    err, numeric = compare_with_closed_form(p, mode, trace, config)
-
     sol = solve_mode(p, mode, trace)
+    err, numeric = compare_with_closed_form(p, mode, trace, config, closed=sol)
+
     rows = [("x", "component", "closed_re", "closed_im", "oracle_re", "oracle_im",
              "abs_err", "rel_err")]
-    closed = [sol.rho, *sol.u]
+    closed = [prof.evaluate(numeric.x) for prof in (sol.rho, *sol.u)]
     labels = ["rho"] + [f"u_{J + 1}" for J in range(mode.dim)]
     numeric_stack = [numeric.rho, *numeric.u]
-    scale = max(float(np.max(np.abs(prof.evaluate(numeric.x)))) for prof in closed)
+    scale = max(float(np.max(np.abs(vals))) for vals in closed)
     stride = max(1, args.n // args.rows)
-    for label, prof, num in zip(labels, closed, numeric_stack):
-        vals = prof.evaluate(numeric.x)
+    for label, vals, num in zip(labels, closed, numeric_stack):
         for i in range(0, args.n, stride):
             abs_err = abs(vals[i] - num[i])
             rows.append((f"{numeric.x[i]:.6e}", label,

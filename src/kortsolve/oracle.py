@@ -115,26 +115,20 @@ def companion_matrix(params: FluidParams, mode: TangentialMode) -> np.ndarray:
     return A
 
 
-def solve_mode_bvp(params: FluidParams, mode: TangentialMode, trace: BoundaryTrace,
-                   config: BvpConfig) -> BvpSolution:
-    """Banded finite-difference solve of the per-mode BVP on [0, L].
+def _u_columns(N: int) -> list:
+    """Positions of u_1..u_N in the companion vector y."""
+    return [*range(0, 2 * N - 2, 2), 2 * N - 2]
 
-    Boundary rows: u_j(0) = h_j, u_N(0) = 0, phi'(0) = lambda*g (which encodes
-    d_N rho(0) = -g through rho = -phi/lambda), and u_J(L) = phi(L) = 0.
+
+def _discrete_system(A: np.ndarray, lam: complex, trace: BoundaryTrace, config: BvpConfig):
+    """The box-scheme matrix (CSC) and right-hand side of the per-mode BVP.
+
+    Row block i < n-1 is `left` on node i and `right` on node i+1; the last
+    block holds the boundary rows u_j(0) = h_j, u_N(0) = 0, phi'(0) = lam*g,
+    u_j(L) = u_N(L) = phi(L) = 0.  Only nonzero block entries are stored.
     """
-    N = mode.dim
-    if trace.h_hat.shape != (N - 1,):
-        raise DomainError(f"h_hat must have length {N - 1}")
-    roots = compute_roots(params, mode)
-    tmin = min(roots.t1.real, roots.t2.real, roots.omega.real)
-    if config.length < 10.0 / tmin:
-        warnings.warn(
-            f"interval length {config.length:.3g} is shorter than 10 decay lengths "
-            f"({10.0 / tmin:.3g}); truncation error may dominate", stacklevel=2)
-
-    A = companion_matrix(params, mode)
-    dim = A.shape[0]
-    n = config.n
+    dim, n = A.shape[0], config.n
+    N = dim // 2 - 1
     h = config.length / (n - 1)
     eye = np.eye(dim, dtype=complex)
     if config.scheme == "second_order_fd":
@@ -147,69 +141,54 @@ def solve_mode_bvp(params: FluidParams, mode: TangentialMode, trace: BoundaryTra
         right = eye / h - A / 2.0 + (h / 12.0) * A2
         left = -(eye / h + A / 2.0 + (h / 12.0) * A2)
 
+    off = np.arange(n - 1)[:, None] * dim
     rows, cols, vals = [], [], []
-    rhs = np.zeros(dim * n, dtype=complex)
-
-    def put_block(r0, c0, block):
-        idx = np.nonzero(block)
-        rows.extend((r0 + idx[0]).tolist())
-        cols.extend((c0 + idx[1]).tolist())
-        vals.extend(block[idx].tolist())
-
-    for i in range(n - 1):
-        put_block(i * dim, i * dim, left)
-        put_block(i * dim, (i + 1) * dim, right)
-
-    # Boundary rows occupy the last block of equations.
-    r = (n - 1) * dim
-    iu = lambda j: 2 * j
-    iun = 2 * N - 2
-    idphi = 2 * N
-    iphi = 2 * N - 1
-    for j in range(N - 1):  # u_j(0) = h_j
-        rows.append(r)
-        cols.append(iu(j))
-        vals.append(1.0)
-        rhs[r] = trace.h_hat[j]
-        r += 1
-    rows.append(r)  # u_N(0) = 0
-    cols.append(iun)
-    vals.append(1.0)
-    r += 1
-    rows.append(r)  # phi'(0) = lam * g
-    cols.append(idphi)
-    vals.append(1.0)
-    rhs[r] = mode.lam * trace.g_hat
-    r += 1
+    for block, shift in ((left, 0), (right, dim)):
+        br, bc = np.nonzero(block)
+        rows.append((off + br).ravel())
+        cols.append((off + shift + bc).ravel())
+        vals.append(np.broadcast_to(block[br, bc], (n - 1, br.size)).ravel())
+    # boundary rows: u_1..u_N, then phi' (2N) at x = 0 or phi (2N-1) at x = L
     far = (n - 1) * dim
-    for j in range(N - 1):  # u_j(L) = 0
-        rows.append(r)
-        cols.append(far + iu(j))
-        vals.append(1.0)
-        r += 1
-    rows.append(r)  # u_N(L) = 0
-    cols.append(far + iun)
-    vals.append(1.0)
-    r += 1
-    rows.append(r)  # phi(L) = 0
-    cols.append(far + iphi)
-    vals.append(1.0)
-    r += 1
-    assert r == dim * n
+    u_cols = _u_columns(N)
+    rows.append(far + np.arange(dim))
+    cols.append(np.array([*u_cols, 2 * N, *(far + c for c in u_cols), far + 2 * N - 1]))
+    vals.append(np.ones(dim))
+    rhs = np.zeros(dim * n, dtype=complex)
+    rhs[far:far + N - 1] = trace.h_hat
+    rhs[far + N] = lam * trace.g_hat
+    matrix = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                           shape=(dim * n, dim * n))
+    return matrix, rhs
 
-    matrix = sp.csc_matrix((vals, (rows, cols)), shape=(dim * n, dim * n))
+
+def solve_mode_bvp(params: FluidParams, mode: TangentialMode, trace: BoundaryTrace,
+                   config: BvpConfig) -> BvpSolution:
+    """Banded finite-difference solve of the per-mode BVP on [0, L].
+
+    Boundary rows: u_j(0) = h_j, u_N(0) = 0, phi'(0) = lambda*g (which encodes
+    d_N rho(0) = -g through rho = -phi/lambda), and u_J(L) = phi(L) = 0.
+    """
+    N, n = mode.dim, config.n
+    if trace.h_hat.shape != (N - 1,):
+        raise DomainError(f"h_hat must have length {N - 1}")
+    roots = compute_roots(params, mode)
+    tmin = min(roots.t1.real, roots.t2.real, roots.omega.real)
+    if config.length < 10.0 / tmin:
+        warnings.warn(
+            f"interval length {config.length:.3g} is shorter than 10 decay lengths "
+            f"({10.0 / tmin:.3g}); truncation error may dominate", stacklevel=2)
+
+    matrix, rhs = _discrete_system(companion_matrix(params, mode), mode.lam, trace, config)
     try:
         y = spla.spsolve(matrix, rhs)
     except RuntimeError as exc:  # pragma: no cover - singular factorization
         raise ConfigurationError(f"singular discrete system (n={n}, L={config.length}): {exc}")
-    y = y.reshape(n, dim)
+    y = y.reshape(n, 2 * N + 2)
 
     x = np.linspace(0.0, config.length, n)
-    u = np.empty((N, n), dtype=complex)
-    for j in range(N - 1):
-        u[j] = y[:, iu(j)]
-    u[N - 1] = y[:, iun]
-    phi = y[:, iphi]
+    u = np.ascontiguousarray(y[:, _u_columns(N)].T)
+    phi = y[:, 2 * N - 1]
     rho = -phi / mode.lam
 
     near = max(np.max(np.abs(u[:, : n // 8])), np.max(np.abs(phi[: n // 8])), 1e-300)

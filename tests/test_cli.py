@@ -75,6 +75,15 @@ class TestOracleCompare:
         rows = (tmp_path / "cmp.csv").read_text().splitlines()
         assert rows[0].startswith("x,component,closed_re")
 
+    def test_three_dimensional_mode_passes(self, tmp_path, capsys):
+        code, _, err = run(["oracle-compare", "--mu", "2", "--nu", "1", "--kappa", "2",
+                            "--xi", "0.6,-0.4", "--lam", "1.1+0.3j", "--g", "1-0.5j",
+                            "--h", "0.5,-0.25", "--scheme", "fourth_order_fd", "--n", "4096",
+                            "-o", str(tmp_path / "cmp.csv")], capsys)
+        assert code == 0, err
+        rows = (tmp_path / "cmp.csv").read_text().splitlines()
+        assert {row.split(",")[1] for row in rows[1:]} == {"rho", "u_1", "u_2", "u_3"}
+
 
 class TestScans:
     def test_lopatinski_scan_csv(self, tmp_path, capsys):

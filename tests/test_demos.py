@@ -1,0 +1,24 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_demo(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_oracle_crosscheck_demo():
+    proc = run_demo("05_oracle_crosscheck.py")
+    assert proc.returncode == 0, proc.stderr
+    cases = [line for line in proc.stdout.splitlines() if line.strip().startswith("case ")]
+    assert len(cases) == 5, proc.stdout
+    errors = [float(e) for e in re.findall(r"rel sup error ([0-9.eE+-]+)", proc.stdout)]
+    assert len(errors) == 5
+    # criterion 3's bound at the same n = 4096, 40-decay-length configuration
+    assert max(errors) <= 1e-4, errors

@@ -325,3 +325,21 @@ class TestModeBatch:
         p = classify(1, 1, 2)
         with pytest.raises(DomainError):
             solve_modes(p, [[1.0], [2.0]], 1.0, [1.0], [[0.5], [0.5]])
+
+
+class TestHomogeneity:
+    @pytest.mark.parametrize("name", list(CASE_PARAMS))
+    @pytest.mark.parametrize("dim", [2, 3])
+    @given(seed=st.integers(0, 2**32 - 1), log_r=st.floats(-3.0, 3.0))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_rates_scale_under_parabolic_dilation(self, name, dim, seed, log_r):
+        # (xi, lambda) -> (r xi, r^2 lambda) scales every root by r and keeps
+        # the case's term layout
+        p = classify(*CASE_PARAMS[name])
+        xi, lam, g, h = _batch_inputs(seed, dim)
+        r = 10.0 ** log_r
+        base = solve_modes(p, xi, lam, g, h)
+        scaled = solve_modes(p, r * xi, r * r * lam, g, h)
+        assert scaled.rates.shape == base.rates.shape
+        assert scaled.coeffs.shape == base.coeffs.shape
+        np.testing.assert_allclose(scaled.rates, r * base.rates, rtol=1e-13, atol=0)

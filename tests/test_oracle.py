@@ -1,13 +1,94 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kortsolve import (BoundaryTrace, BvpConfig, ConfigurationError, TangentialMode,
                        compare_with_closed_form, convergence_study, solve_mode_bvp)
+from kortsolve.oracle import _discrete_system, companion_matrix
 
 
 
 def _mode_and_trace():
     return TangentialMode(xi=[1.0], lam=1.0), BoundaryTrace(1.0, [0.0])
+
+
+def _reference_discrete_system(A, lam, trace, config):
+    """Test-only reference: the system assembled block by block, one COO copy per block.
+
+    `_discrete_system` must reproduce this matrix (CSC arrays) and right-hand
+    side exactly, so SuperLU sees the same system and the oracle's output is
+    unchanged.
+    """
+    dim, n = A.shape[0], config.n
+    N = dim // 2 - 1
+    h = config.length / (n - 1)
+    eye = np.eye(dim, dtype=complex)
+    if config.scheme == "second_order_fd":
+        right = eye / h - A / 2.0
+        left = -(eye / h + A / 2.0)
+    else:
+        A2 = A @ A
+        right = eye / h - A / 2.0 + (h / 12.0) * A2
+        left = -(eye / h + A / 2.0 + (h / 12.0) * A2)
+
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(dim * n, dtype=complex)
+
+    def put_block(r0, c0, block):
+        idx = np.nonzero(block)
+        rows.extend((r0 + idx[0]).tolist())
+        cols.extend((c0 + idx[1]).tolist())
+        vals.extend(block[idx].tolist())
+
+    for i in range(n - 1):
+        put_block(i * dim, i * dim, left)
+        put_block(i * dim, (i + 1) * dim, right)
+
+    r = (n - 1) * dim
+    iun, iphi, idphi = 2 * N - 2, 2 * N - 1, 2 * N
+    for j in range(N - 1):  # u_j(0) = h_j
+        rows.append(r)
+        cols.append(2 * j)
+        vals.append(1.0)
+        rhs[r] = trace.h_hat[j]
+        r += 1
+    rows.append(r)  # u_N(0) = 0
+    cols.append(iun)
+    vals.append(1.0)
+    r += 1
+    rows.append(r)  # phi'(0) = lam * g
+    cols.append(idphi)
+    vals.append(1.0)
+    rhs[r] = lam * trace.g_hat
+    r += 1
+    far = (n - 1) * dim
+    for c in [*range(0, 2 * N - 2, 2), iun, iphi]:  # u_j(L) = u_N(L) = phi(L) = 0
+        rows.append(r)
+        cols.append(far + c)
+        vals.append(1.0)
+        r += 1
+    assert r == dim * n
+    return sp.csc_matrix((vals, (rows, cols)), shape=(dim * n, dim * n)), rhs
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("scheme", ["second_order_fd", "fourth_order_fd"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
+    def test_matches_block_loop_reference(self, params_by_case, name, dim, scheme):
+        p = params_by_case[name]
+        mode = TangentialMode(xi=[0.7, -0.3][:dim - 1], lam=1.2 + 0.4j, dim=dim)
+        trace = BoundaryTrace(0.8 - 0.6j, [0.5 + 0.25j, -0.3 + 1.1j][:dim - 1])
+        config = BvpConfig.for_mode(p, mode, n=256, scheme=scheme)
+        A = companion_matrix(p, mode)
+        matrix, rhs = _discrete_system(A, mode.lam, trace, config)
+        ref, ref_rhs = _reference_discrete_system(A, mode.lam, trace, config)
+        assert matrix.format == "csc"
+        for attr in ("indptr", "indices", "data"):
+            got, want = getattr(matrix, attr), getattr(ref, attr)
+            assert got.dtype == want.dtype, attr
+            np.testing.assert_array_equal(got, want, err_msg=attr)
+        np.testing.assert_array_equal(rhs, ref_rhs)
 
 
 class TestBvpSolve:
@@ -39,6 +120,26 @@ class TestBvpSolve:
         h = sol.x[1] - sol.x[0]
         drho = (-3.0 * sol.rho[0] + 4.0 * sol.rho[1] - sol.rho[2]) / (2.0 * h)
         assert drho == pytest.approx(-trace.g_hat, rel=1e-3)
+
+    @pytest.mark.parametrize("scheme", ["second_order_fd", "fourth_order_fd"])
+    def test_boundary_rows_enforced_in_3d(self, params_by_case, scheme):
+        p = params_by_case["IV"]
+        mode = TangentialMode(xi=[0.6, -0.4], lam=1.1 + 0.3j, dim=3)
+        trace = BoundaryTrace(0.7 - 0.2j, [1.0 + 0.5j, -0.4 + 0.8j])
+        cfg = BvpConfig.for_mode(p, mode, n=2048, scheme=scheme)
+        sol = solve_mode_bvp(p, mode, trace, cfg)
+        assert sol.u.shape == (3, 2048)
+        # x = 0: u_1 = h_1, u_2 = h_2, u_3 = 0, d_N rho = -g
+        assert sol.u[0, 0] == pytest.approx(trace.h_hat[0], rel=1e-12)
+        assert sol.u[1, 0] == pytest.approx(trace.h_hat[1], rel=1e-12)
+        assert abs(sol.u[2, 0]) <= 1e-12
+        h = sol.x[1] - sol.x[0]
+        drho = (-3.0 * sol.rho[0] + 4.0 * sol.rho[1] - sol.rho[2]) / (2.0 * h)
+        assert drho == pytest.approx(-trace.g_hat, rel=1e-3)
+        # x = L: u_1 = u_2 = u_3 = phi = 0
+        scale = max(np.max(np.abs(sol.u)), np.max(np.abs(sol.phi)))
+        assert np.max(np.abs(sol.u[:, -1])) <= 1e-12 * scale
+        assert abs(sol.phi[-1]) <= 1e-12 * scale
 
     def test_all_cases_modest_grid(self, params_by_case, rng):
         for name, p in params_by_case.items():
