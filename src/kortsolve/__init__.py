@@ -18,7 +18,7 @@ from .errors import (BranchCutError, CaseMismatchError, ConfigurationError,
 from .lopatinski import (BoundaryMatrix, LowerBoundReport, boundary_matrix, det_L,
                          det_M, lower_bound_scan, scan_stability)
 from .modes import (BoundaryTrace, ModeBatch, ModeCoefficients, ModeSolution, ResidualReport,
-                    assembled_formula_check, boundary_residuals, pde_residual,
+                    assembled_formula_check, batch_residuals, boundary_residuals, pde_residual,
                     solve_mode, solve_modes)
 from .oracle import (BvpConfig, BvpSolution, compare_with_closed_form,
                      convergence_study, solve_mode_bvp)
@@ -37,7 +37,7 @@ __all__ = [
     "Degeneracy", "DomainError", "FluidParams", "GridError", "LowerBoundReport",
     "ModeBatch", "ModeCoefficients", "ModeSolution", "ResidualReport", "RootData", "ScanGrid",
     "SymbolSpec", "TangentialMode", "VerticalProfile", "assembled_formula_check",
-    "asymptotic_check", "boundary_matrix", "boundary_residuals",
+    "asymptotic_check", "batch_residuals", "boundary_matrix", "boundary_residuals",
     "case1_product_constant", "char_poly", "classify", "compare_with_closed_form",
     "compute_roots", "confluent_m", "confluent_m0", "confluent_mj",
     "convergence_study", "det_L", "det_M", "lower_bound_scan", "make_named_symbol",

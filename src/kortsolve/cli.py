@@ -242,6 +242,7 @@ def cmd_solve_field(args):
         "whole_space_residuals": report.whole_space_residuals,
         "correction_residual_max": report.correction_residual_max,
         "correction_residual_index": list(report.correction_residual_index),
+        "correction_residual_equation": report.correction_residual_equation,
         "boundary_u_max": report.boundary_u_max,
         "boundary_g_residual": report.boundary_g_residual,
         "un_trace_ratio": report.un_trace_ratio,
@@ -373,7 +374,10 @@ def build_parser():
     s.add_argument("--lam", required=True)
     s.add_argument("--data", default=None,
                    help="prefix of input fields <p>.d/.f0../.g (binary+json); "
-                        "defaults to the built-in manufactured data")
+                        "defaults to the built-in manufactured data.  The normal "
+                        "force must vanish on the boundary row: zero the x_N = 0 "
+                        "row of an f_N built by inverse transforms, whose "
+                        "rounding there is rejected")
     s.add_argument("--box", type=float, default=3.0)
     s.add_argument("--n-tangential", type=int, default=64)
     s.add_argument("--cutoff", type=float, default=16.0)

@@ -11,15 +11,18 @@ reduced to the boundary-data-only problem in three steps:
    velocity and the normal density gradient are sine series and vanish on
    the interface, so only the tangential velocities need correcting;
 3. solve the reduced boundary problem of every tangential lattice mode in
-   one `modes.solve_modes` batch and add the exact profile correction to
-   the whole-space part.
+   one `modes.solve_modes` batch, add the exact profile correction to the
+   whole-space part, and spot-check the profile identities of a selection
+   of modes with `modes.batch_residuals`, all on the batch's coefficient
+   arrays.
 
 Steps 1 and 2 are `whole_space_reduction`, the one path shared by
 `reduce_boundary_data`, `solve_resolvent` and the full-data rbound family.
 Step 3 is `lattice_modes`, which solves each lattice mode exactly once, and
-`boundary_correction`, which samples the batch's profiles on the grid and
-hands the batch back, so boundary diagnostics read exact profile
-derivatives off its coefficients instead of solving again.
+`boundary_correction`, which samples the batch's profiles on the grid (each
+mode only where it has not decayed) and hands the batch back, so boundary
+diagnostics and the spot-check read exact profile derivatives off its
+coefficients instead of solving again.
 
 Grid convention: vertical nodes sit at x_N = k*h, k = 0..n_z-1 with
 h = L/n_z, so the interface x_N = 0 is a grid row; the reflections are
@@ -37,9 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GridError
-from .modes import ModeBatch, pde_residual, solve_modes
+from .modes import ModeBatch, batch_residuals, solve_modes
 from .modes import solve_mode  # noqa: F401  (perfbench/tests looks it up on this module)
-from .spectral import FluidParams, TangentialMode
+from .spectral import FluidParams
 
 EDGE_DECAY_REQUIREMENT = 1e-12
 
@@ -216,9 +219,11 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam,
     whose denominator is kappa (s1 lam + |xi|^2)(s2 lam + |xi|^2) != 0 for
     Re lam > 0.  The odd reflection of f_N is continuous only if f_N
     vanishes at x_N = 0; a trace above EDGE_DECAY_REQUIREMENT times its peak
-    raises ConfigurationError.  Returns (rho, u list, residual dict) on the
-    half grid: rho and u_1..u_{N-1} are cosine series, u_N a sine series, so
-    d_N rho and u_N vanish at x_N = 0.  The discrete residuals of both
+    raises ConfigurationError.  That bound also rejects a trace of transform
+    rounding, so an f_N built by inverse transforms must have its boundary
+    row f_N[..., 0] set to zero.  Returns (rho, u list, residual dict) on
+    the half grid: rho and u_1..u_{N-1} are cosine series, u_N a sine
+    series, so d_N rho and u_N vanish at x_N = 0.  The discrete residuals of both
     equations are checked to 1e-10 relative over kz >= 0, whose maximum is
     the maximum over the full spectrum by symmetry.
     """
@@ -235,7 +240,9 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam,
     if trace > EDGE_DECAY_REQUIREMENT * peak:
         raise ConfigurationError(
             f"normal force does not vanish at x_N = 0: trace/peak = {trace / peak:.2e} "
-            f"(require <= {EDGE_DECAY_REQUIREMENT:.0e}); its odd reflection is discontinuous"
+            f"(require <= {EDGE_DECAY_REQUIREMENT:.0e}); its odd reflection is discontinuous. "
+            "An f_N built by inverse transforms keeps rounding there: set its boundary row "
+            "f_N[..., 0] to zero"
         )
 
     t_axes = tuple(range(N - 1))
@@ -365,17 +372,19 @@ def reduce_boundary_data(params: FluidParams, d: GridField, f, g_trace, lam):
 class FieldSolveReport:
     """Diagnostics of `solve_resolvent`.
 
-    `correction_residual_max` is the worst `pde_residual` of the spot-checked
-    lattice modes and `correction_residual_index` the lattice index of the
-    mode it was found at.  `un_trace_ratio` is max|U_N(0)| of the
-    whole-space part over max|U_1|.  It is zero by construction, because U_N
-    is a sine series in x_N; the input guard of `whole_space_solve` is what
-    catches incompatible data.
+    `correction_residual_max` is the worst `modes.batch_residuals` defect of
+    the spot-checked lattice modes, `correction_residual_index` the lattice
+    index (a tuple of ints) and `correction_residual_equation` the identity
+    ("mass", "divergence", "momentum_j", "momentum_N") it was found at.
+    `un_trace_ratio` is max|U_N(0)| of the whole-space part over max|U_1|.
+    It is zero by construction, because U_N is a sine series in x_N; the
+    input guard of `whole_space_solve` is what catches incompatible data.
     """
 
     whole_space_residuals: dict
     correction_residual_max: float
     correction_residual_index: tuple
+    correction_residual_equation: str
     boundary_u_max: float
     boundary_g_residual: float
     un_trace_ratio: float
@@ -421,8 +430,10 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     d is a GridField, f a list of N GridFields, g either a GridField (whose
     boundary row is used) or a trace array over the tangential lattice.
     One pass: `whole_space_reduction`, then `boundary_correction`, whose
-    mode batch also gives the exact d_N rho_corr(0) trace and, through
-    ModeSolution views, the profile-identity spot-check of the report.
+    mode batch also gives the exact d_N rho_corr(0) trace and the
+    profile-identity spot-check of the report: `modes.batch_residuals` on
+    the modes whose lattice index sum is a multiple of n_tangential / 4,
+    on the ladder {0} + 2^k, k = -4..3.
     Returns (rho GridField, u list of GridFields, FieldSolveReport).
     """
     spec = d.spec
@@ -447,18 +458,19 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     dn_term_sum = float(np.sum(np.abs(batch.rates * rho_c[..., 0]))
                         + np.sum(np.abs(rho_c[..., 1:])))
 
-    # Spot-check of the profile identity lambda*rho + div u = 0 on a tiny
-    # ladder for every (n_tangential/4)-th index sum (cheap, catches
-    # assembly/transcription slips).
+    # Spot-check of the profile identities on a tiny ladder for every
+    # (n_tangential/4)-th index sum (cheap, catches assembly/transcription
+    # slips), in one pass over the batch coefficients.
     ladder = np.concatenate([[0.0], 2.0 ** np.arange(-4, 4, dtype=float)])
     stride = max(1, spec.n_tangential // 4)
-    corr_residual, corr_index = 0.0, None
-    for k, index in enumerate(np.ndindex(*spec.tangential_shape)):
-        if sum(index) % stride == 0:
-            mode = TangentialMode(xi=batch.xi[k], lam=lam, dim=spec.dim)
-            rep = pde_residual(params, mode, batch.solution(k), sample_points=ladder)
-            if corr_index is None or rep.pde_max > corr_residual:
-                corr_residual, corr_index = rep.pde_max, index
+    spot = np.indices(spec.tangential_shape).sum(axis=0).ravel() % stride == 0
+    per_equation = batch_residuals(batch, ladder, spot)[0]
+    table = np.array(list(per_equation.values()))
+    worst = table.max(axis=0)
+    k = int(np.argmax(worst))
+    corr_index = tuple(int(i) for i in np.unravel_index(np.flatnonzero(spot)[k],
+                                                        spec.tangential_shape))
+    corr_equation = list(per_equation)[int(np.argmax(table[:, k]))]
 
     rho_vals = rho_ws + rho_corr
     u_vals = [u_ws[J] + u_corr[J] for J in range(spec.dim)]
@@ -477,8 +489,9 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
 
     report = FieldSolveReport(
         whole_space_residuals=ws_res,
-        correction_residual_max=corr_residual,
+        correction_residual_max=float(worst[k]),
         correction_residual_index=corr_index,
+        correction_residual_equation=corr_equation,
         boundary_u_max=boundary_u,
         boundary_g_residual=boundary_g,
         un_trace_ratio=un_trace / max(float(np.max(np.abs(u_ws[0]))), 1e-300),

@@ -13,7 +13,9 @@ ModeBatch: the rates and profile coefficients of rho, u_1..u_N and the
 divergence phi = i xi . u' + d_N u_N (which satisfies lambda rho + phi = 0),
 with exact vertical derivatives as coefficient transforms.  `solve_mode`
 runs the same case formulas for one mode and returns VerticalProfile
-objects.
+objects.  `batch_residuals` checks the interior identities and boundary
+conditions of selected batch modes in array passes; `pde_residual` is its
+one-mode form.
 
 Two independent evaluation routes exist for every case: the coefficient path
 implemented here (numerically stabilized against the large-|xi| cancellations)
@@ -24,7 +26,7 @@ and the assembled multiplier-times-kernel formulas checked by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -180,6 +182,25 @@ _CASES = {
 }
 
 
+# A batch evaluates mode k only on x <= DECAY_SUPPORT / Re t_min(k); see
+# `ModeBatch.evaluate` for the margin.
+DECAY_SUPPORT = 46.0
+
+
+def _derivative(coeffs, factor, order):
+    """order-fold C_p -> factor C_p + (p + 1) C_{p+1} on (..., M, R, P) coefficients.
+
+    With factor = -rates (M, R) this differentiates; with |rates| on |C| it
+    sums |coefficient| over the unmerged terms of the derivative.
+    """
+    for _ in range(order):
+        out = factor[:, :, None] * coeffs
+        for p in range(1, coeffs.shape[-1]):
+            out[..., p - 1] += p * coeffs[..., p]
+        coeffs = out
+    return coeffs
+
+
 @dataclass(frozen=True, eq=False)
 class ModeBatch:
     """Solutions of M tangential modes at one lambda, in the case's term layout.
@@ -208,13 +229,13 @@ class ModeBatch:
 
     def derivative(self, order: int) -> np.ndarray:
         """Coefficients of d^order/dx^order: C'_p = -t C_p + (p + 1) C_{p+1}."""
-        coeffs = self.coeffs
-        for _ in range(order):
-            out = -self.rates[:, :, None] * coeffs
-            for p in range(1, coeffs.shape[-1]):
-                out[..., p - 1] += p * coeffs[..., p]
-            coeffs = out
-        return coeffs
+        return _derivative(self.coeffs, -self.rates, order)
+
+    def take(self, modes) -> "ModeBatch":
+        """The batch of the selected modes (an index array or a boolean mask)."""
+        per_mode = ("xi", "rates", "alpha", "beta", "gamma", "sigma", "tau")
+        return replace(self, coeffs=self.coeffs[:, modes],
+                       **{k: getattr(self, k)[modes] for k in per_mode})
 
     def evaluate(self, x, coeffs=None) -> np.ndarray:
         """Profiles on x >= 0 for every leading index of `coeffs` and every mode.
@@ -222,22 +243,29 @@ class ModeBatch:
         `coeffs` (..., M, R, P) defaults to `self.coeffs`; the result has
         shape coeffs.shape[:-2] + (len(x),).  One e^{-rate x} per rate is
         shared by every component and accumulated before the next rate.
+        Mode k is evaluated only on x <= DECAY_SUPPORT / Re t_min(k), in any
+        order of x, and is zero beyond.  Past that point every term is below
+        e^{-46} (power 0) or 46 e^{-45} < e^{-41} (power 1) of its own peak,
+        |c| at x = 0 or |c| / (e Re t) at x = 1 / Re t.
         """
         coeffs = self.coeffs if coeffs is None else coeffs
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise DomainError("profiles are defined for x >= 0 only")
-        n_modes, n_rates, n_powers = coeffs.shape[-3:]
+        n_rates, n_powers = coeffs.shape[-2:]
+        reach = DECAY_SUPPORT / self.rates.real.min(axis=1, initial=np.inf)
+        pairs = np.flatnonzero(x <= reach[:, None])  # (mode, x) pairs in support, flattened
+        modes, xs = pairs // x.size, x[pairs % x.size]
+        flat_coeffs = coeffs.reshape((math.prod(coeffs.shape[:-3]),) + coeffs.shape[-3:])
         out = np.zeros(coeffs.shape[:-2] + x.shape, dtype=complex)
-        flat_out = out.reshape(-1, n_modes, x.size)
-        flat_coeffs = coeffs.reshape(-1, n_modes, n_rates, n_powers)
+        flat_out = out.reshape(flat_coeffs.shape[0], -1)
         for r in range(n_rates):
-            basis = np.exp(-np.multiply.outer(self.rates[:, r], x))
+            basis = np.exp(-(self.rates[modes, r] * xs))
             for p in range(n_powers):
                 if p:
-                    basis = basis * x
+                    basis = basis * xs
                 for c, o in zip(flat_coeffs, flat_out):
-                    o += c[:, r, p, None] * basis
+                    o[pairs] += c[modes, r, p] * basis
         return out
 
     def solution(self, k: int) -> ModeSolution:
@@ -347,11 +375,11 @@ def default_sample_points(params: FluidParams, mode: TangentialMode):
 class ResidualReport:
     """Normalized interior and boundary residuals of a mode solution.
 
-    Interior residuals are normalized per equation by the largest sum of
-    absolute term magnitudes over the sample points (so 1e-16-level values
-    mean the profiles cancel to rounding); boundary residuals are normalized
-    by the magnitude of the quantities entering each condition, floored by
-    the trace scale.
+    Interior residuals are normalized per equation by the sum of
+    |coefficients| of the terms entering it (so 1e-16-level values mean the
+    profiles cancel to rounding); boundary residuals are normalized by the
+    magnitude of the quantities entering each condition, floored by the
+    trace scale.
     """
 
     pde_max: float
@@ -363,104 +391,121 @@ class ResidualReport:
         return max(self.per_equation, key=self.per_equation.get)
 
 
+def batch_residuals(batch: ModeBatch, x, modes=None, trace=None):
+    """Interior and boundary residuals of the selected modes of a batch.
+
+    `modes` (an index array or a boolean mask; default all) selects the
+    modes, x are the sample points and `trace` (g (M,), h (M, N-1)) the
+    boundary data of the selected modes; without it the data are the
+    solve's own, h = alpha and g from d_N phi(0) = lambda g.  Returns
+    (per_equation, per_boundary), dicts of arrays over the selected modes.
+    The defect of an identity is max_x |its residual| over the sum of
+    |coefficients| of the unmerged terms entering it, which the derivative
+    recursion gives when run on |C| and |t|: the exponential basis is
+    ill-conditioned at large |xi|^2/|lambda|, so only the coefficient scale
+    tells rounding from a transcription slip, which shows at O(1).
+    """
+    b = batch if modes is None else batch.take(modes)
+    mu, nu, kappa = b.params.mu, b.params.nu, b.params.kappa
+    lam, n = b.lam, b.xi.shape[1] + 1
+    xi = b.xi.T[:, :, None, None]
+    xi_sq = np.sum(b.xi * b.xi, axis=1)[:, None, None]
+
+    # Every quantity is a pair: its coefficients and their unmerged |.| sums.
+    def d(pair, order):
+        return (_derivative(pair[0], -b.rates, order),
+                _derivative(pair[1], np.abs(b.rates), order))
+
+    def lap(pair):
+        d2 = d(pair, 2)
+        return d2[0] - xi_sq * pair[0], d2[1] + xi_sq * pair[1]
+
+    def combine(*terms):
+        return (sum(f * p[0] for f, p in terms), sum(abs(f) * p[1] for f, p in terms))
+
+    rho, u, u_n, phi = ((b.coeffs[i], np.abs(b.coeffs[i]))
+                        for i in (0, slice(1, n), n, n + 1))
+    du_n = d(u_n, 1)
+    div = (np.sum(1j * xi * u[0], axis=0) + du_n[0], np.sum(np.abs(xi) * u[1], axis=0) + du_n[1])
+    lap_rho = lap(rho)
+    momentum = combine((lam, u), (-mu, lap(u)), (-nu * 1j * xi, div),
+                       (-kappa * 1j * xi, lap_rho))
+    identities = {"mass": combine((lam, rho), (1.0, div)),
+                  "divergence": combine((1.0, phi), (-1.0, div)),
+                  **{f"momentum_{j + 1}": (momentum[0][j], momentum[1][j]) for j in range(n - 1)},
+                  "momentum_N": combine((lam, u_n), (-mu, lap(u_n)), (-nu, d(div, 1)),
+                                        (-kappa, d(lap_rho, 1)))}
+    values = np.abs(b.evaluate(x, np.array([v for v, _ in identities.values()]))).max(axis=-1)
+    scales = np.array([s for _, s in identities.values()]).sum(axis=(-2, -1))
+    defects = np.divide(values, scales, out=np.zeros_like(values), where=scales != 0.0)
+    per_equation = dict(zip(identities, defects))
+
+    u0 = b.coeffs[1:n + 1, :, :, 0].sum(axis=-1)
+    u_scale = np.abs(b.coeffs[1:n + 1]).sum(axis=(-2, -1))
+    drho = d(rho, 1)
+    drho0 = drho[0][..., 0].sum(axis=-1)
+    if trace is None:
+        g, h = d(phi, 1)[0][..., 0].sum(axis=-1) / lam, b.alpha[:, :-1]
+        floor = np.maximum(np.abs(u0).max(axis=0), np.maximum(np.abs(drho0), 1e-300))
+        g_floor = 1e-300
+    else:
+        g, h = (np.asarray(v, dtype=complex) for v in trace)
+        floor = g_floor = np.maximum(np.maximum(np.abs(g), np.abs(h).max(axis=1)), 1e-300)
+    per_boundary = {f"u_{j + 1}(0)-h_{j + 1}": np.abs(u0[j] - h[:, j])
+                    / np.maximum(np.maximum(u_scale[j], np.abs(h[:, j])), floor)
+                    for j in range(n - 1)}
+    per_boundary["u_N(0)"] = np.abs(u0[-1]) / np.maximum(u_scale[-1], floor)
+    per_boundary["dN_rho(0)+g"] = np.abs(drho0 + g) / np.maximum(
+        np.maximum(drho[1].sum(axis=(-2, -1)), np.abs(g)), g_floor)
+    return per_equation, per_boundary
+
+
+def _one_mode_batch(params: FluidParams, mode: TangentialMode, solution: ModeSolution):
+    """A ModeSolution as a batch of one, on the distinct rates of its profiles.
+
+    Rates are taken in order of first use over u, phi, rho: the batch order
+    for the view of a batch mode.
+    """
+    profiles = [solution.rho, *solution.u, solution.phi]
+    rates = list(dict.fromkeys(t for prof in profiles[1:] + profiles[:1] for t in prof.rates))
+    n_powers = 1 + max((int(prof.powers.max()) for prof in profiles if len(prof)), default=0)
+    coeffs = np.zeros((len(profiles), 1, len(rates), n_powers), dtype=complex)
+    for i, prof in enumerate(profiles):
+        for c, m, t in prof.terms():
+            coeffs[i, 0, rates.index(t), m] += c
+    raw = solution.coeffs
+    return ModeBatch(params=params, lam=complex(mode.lam), xi=np.asarray(mode.xi)[None],
+                     rates=np.array(rates, dtype=complex).reshape(1, -1), coeffs=coeffs,
+                     alpha=raw.alpha[None], beta=raw.beta[None], gamma=raw.gamma[None],
+                     sigma=np.array([raw.sigma]), tau=np.array([raw.tau]))
+
+
 def pde_residual(params: FluidParams, mode: TangentialMode, solution: ModeSolution,
                  sample_points=None) -> ResidualReport:
-    """Evaluate the interior equations and boundary conditions on sample points."""
+    """Evaluate the interior equations and boundary conditions on sample points.
+
+    `batch_residuals` on the solution laid out as a batch of one.
+    """
     if sample_points is None:
         sample_points = default_sample_points(params, mode)
-    x = np.asarray(sample_points, dtype=float)
-    lam = mode.lam
-    xi = mode.xi
-    xi_sq = mode.xi_sq
-    mu, nu, kappa = params.mu, params.nu, params.kappa
-
-    rho, u, _phi = solution.rho, solution.u, solution.phi
-    div = VerticalProfile.zero()
-    for j in range(mode.dim - 1):
-        div = div + u[j].scaled(1j * xi[j])
-    div = div + u[mode.dim - 1].differentiate(1)
-
-    def lap(profile):
-        """(d_N^2 - |xi|^2) profile."""
-        return profile.differentiate(2) + profile.scaled(-xi_sq)
-
-    per_equation = {}
-    # mass: lambda rho + div u = 0
-    terms = [rho.scaled(lam), div]
-    per_equation["mass"] = _normalized_residual(terms, x)
-    # divergence consistency: phi - div u = 0 (phi is the stored profile)
-    per_equation["divergence"] = _normalized_residual([solution.phi, div.scaled(-1.0)], x)
-    lap_rho = lap(rho)
-    for j in range(mode.dim - 1):
-        terms = [u[j].scaled(lam), lap(u[j]).scaled(-mu),
-                 div.scaled(-nu * 1j * xi[j]), lap_rho.scaled(-kappa * 1j * xi[j])]
-        per_equation[f"momentum_{j + 1}"] = _normalized_residual(terms, x)
-    terms = [u[-1].scaled(lam), lap(u[-1]).scaled(-mu),
-             div.differentiate(1).scaled(-nu), lap_rho.differentiate(1).scaled(-kappa)]
-    per_equation["momentum_N"] = _normalized_residual(terms, x)
-
-    # Boundary conditions.
-    per_boundary = {}
-    trace_scale = max(abs(c) for c in
-                      [*(p.value_at_zero() for p in u), rho.derivative_at_zero(), 1e-300])
-    for j in range(mode.dim - 1):
-        val = u[j].value_at_zero()
-        target = solution.coeffs.alpha[j]
-        scale = max(u[j].magnitude_scale(), abs(target), trace_scale)
-        per_boundary[f"u_{j + 1}(0)-h_{j + 1}"] = abs(val - target) / scale
-    val = u[-1].value_at_zero()
-    per_boundary["u_N(0)"] = abs(val) / max(u[-1].magnitude_scale(), trace_scale)
-    # d_N rho(0) + g = 0; g is recovered from the solve's own coefficients via
-    # the stored phi: d_N phi(0) = lambda g.
-    dphi0 = solution.phi.derivative_at_zero()
-    g_hat = dphi0 / lam
-    drho = rho.differentiate(1)
-    scale = max(drho.magnitude_scale(), abs(g_hat), 1e-300)
-    per_boundary["dN_rho(0)+g"] = abs(drho.evaluate(0.0) + g_hat) / scale
-
-    return ResidualReport(
-        pde_max=max(per_equation.values()),
-        boundary_max=max(per_boundary.values()),
-        per_equation=per_equation,
-        per_boundary=per_boundary,
-    )
+    per_equation, per_boundary = (
+        {k: float(v[0]) for k, v in table.items()}
+        for table in batch_residuals(_one_mode_batch(params, mode, solution), sample_points))
+    return ResidualReport(pde_max=max(per_equation.values()),
+                          boundary_max=max(per_boundary.values()),
+                          per_equation=per_equation, per_boundary=per_boundary)
 
 
 def boundary_residuals(params: FluidParams, mode: TangentialMode, solution: ModeSolution,
                        trace: BoundaryTrace) -> dict:
-    """Boundary defects against explicitly supplied trace data.
+    """Boundary defects against explicitly supplied trace data, floored by its scale.
 
-    Normalization follows the same term-scale convention as `pde_residual`.
+    The boundary part of `batch_residuals` on the solution laid out as a
+    batch of one.
     """
-    out = {}
-    u = solution.u
-    floor = max(trace.scale(), 1e-300)
-    for j in range(mode.dim - 1):
-        val = u[j].value_at_zero()
-        scale = max(u[j].magnitude_scale(), floor)
-        out[f"u_{j + 1}(0)-h_{j + 1}"] = abs(val - trace.h_hat[j]) / scale
-    out["u_N(0)"] = abs(u[-1].value_at_zero()) / max(u[-1].magnitude_scale(), floor)
-    drho = solution.rho.differentiate(1)
-    scale = max(drho.magnitude_scale(), floor)
-    out["dN_rho(0)+g"] = abs(drho.evaluate(0.0) + trace.g_hat) / scale
-    return out
-
-
-def _normalized_residual(term_profiles, x):
-    """max_x |sum of terms| over the representation scale of the terms.
-
-    The profiles are exponential sums whose coefficients can be large while
-    their values nearly cancel (the basis is ill-conditioned at large
-    |xi|^2/|lambda|), so the defect of an identity is meaningful relative to
-    the coefficient magnitudes it was computed from, not to the cancelled
-    values.  A transcription error still shows up at O(1) on this scale.
-    """
-    vals = np.array([p.evaluate(x) for p in term_profiles])
-    residual = np.abs(vals.sum(axis=0)).max()
-    scale = sum(p.magnitude_scale() for p in term_profiles)
-    if scale == 0.0:
-        return 0.0
-    return float(residual / scale)
+    batch = _one_mode_batch(params, mode, solution)
+    per_boundary = batch_residuals(batch, [0.0], trace=([trace.g_hat], trace.h_hat[None]))[1]
+    return {k: float(v[0]) for k, v in per_boundary.items()}
 
 
 # ---------------------------------------------------------------------------

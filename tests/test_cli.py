@@ -150,6 +150,8 @@ class TestSolveField:
         assert summary["boundary_u_max"] <= 1e-8
         index = summary["correction_residual_index"]
         assert len(index) == spec.dim - 1 and sum(index) % (spec.n_tangential // 4) == 0
+        assert summary["correction_residual_equation"] in ("mass", "divergence", "momentum_1",
+                                                           "momentum_N")
         assert os.path.exists(out_prefix + ".rho.bin")
         manifest = json.loads((tmp_path / "sol.rho.bin.manifest.json").read_text())
         assert manifest["input_hashes"]
@@ -170,3 +172,10 @@ class TestSolveField:
                             "-o", str(tmp_path / "sol")], capsys)
         assert code == 1
         assert "trace/peak = 3.68e-01" in err
+        assert "set its boundary row f_N[..., 0] to zero" in err
+
+    def test_data_help_names_the_boundary_row_requirement(self):
+        from kortsolve.cli import build_parser
+        subs = next(a for a in build_parser()._actions if a.choices and "solve-field" in a.choices)
+        help_text = " ".join(subs.choices["solve-field"].format_help().split())
+        assert "zero the x_N = 0 row of an f_N built by inverse transforms" in help_text

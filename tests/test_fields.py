@@ -230,6 +230,16 @@ class TestWholeSpace:
         with pytest.raises(ConfigurationError, match=r"trace/peak = 1\.00e-06"):
             whole_space_solve(spec, params, z, [z, f_normal], 1.0 + 0.5j)
 
+    def test_trace_rejection_says_how_to_fix_spectral_data(self, spec, params):
+        # transform rounding on the boundary row is rejected as well, so the
+        # message names the fix
+        z = np.zeros(spec.shape, dtype=complex)
+        f_normal = _gaussian_data(spec).astype(complex)
+        f_normal[..., 0] = 2.2e-12
+        with pytest.raises(ConfigurationError, match=r"set its boundary row f_N\[\.\.\., 0\] "
+                                                     r"to zero"):
+            whole_space_solve(spec, params, z, [z, f_normal], 1.0 + 0.5j)
+
     def test_requires_right_half_plane(self, spec, params):
         from kortsolve import DomainError
         z = np.zeros(spec.shape, dtype=complex)
@@ -370,14 +380,16 @@ class TestSolveResolvent:
         ladder = np.concatenate([[0.0], 2.0 ** np.arange(-4, 4, dtype=float)])
         _, _, _, g_tilde, h_tilde = whole_space_reduction(params, d, f, bump, lam)
         batch = lattice_modes(params, spec, g_tilde, h_tilde, lam)
-        residuals = {}
+        residuals, equations = {}, {}
         for k, index in enumerate(np.ndindex(*spec.tangential_shape)):
             if sum(index) % stride == 0:
                 mode = TangentialMode(xi=batch.xi[k], lam=lam, dim=dim)
-                residuals[index] = pde_residual(params, mode, batch.solution(k),
-                                                sample_points=ladder).pde_max
+                r = pde_residual(params, mode, batch.solution(k), sample_points=ladder)
+                residuals[index], equations[index] = r.pde_max, r.worst_equation()
         assert rep.correction_residual_index == max(residuals, key=residuals.get)
         assert rep.correction_residual_max == max(residuals.values())
+        assert rep.correction_residual_equation == equations[rep.correction_residual_index]
+        assert all(type(i) is int for i in rep.correction_residual_index)
 
     def test_normal_force_with_boundary_trace_rejected(self, spec, params):
         # its odd reflection would jump at x_N = 0 and the solve would return

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from kortsolve import (BoundaryTrace, Case, ConsistencyError, DomainError, TangentialMode,
                        VerticalProfile, assembled_formula_check, boundary_residuals,
                        classify, compute_roots, pde_residual, solve_mode)
-from kortsolve.modes import default_sample_points, solve_modes
+from kortsolve.modes import (DECAY_SUPPORT, _batch, batch_residuals, default_sample_points,
+                             solve_modes)
 
 from tests.conftest import CASE_PARAMS, random_mode_values, random_trace
 
@@ -214,6 +215,75 @@ class TestAssembledFormulas:
             assembled_formula_check(p, mode, BoundaryTrace(1.0, [0.5]), fail_above=1e-18)
 
 
+# ---------------------------------------------------------------------------
+# Test-only reference: the per-mode residual on VerticalProfile algebra that
+# `batch_residuals` replaced.  Every identity is a list of term profiles whose
+# values are summed on the sample points and whose coefficients are never
+# merged.
+# ---------------------------------------------------------------------------
+
+
+def _reference_normalized_residual(term_profiles, x):
+    vals = np.array([p.evaluate(x) for p in term_profiles])
+    residual = np.abs(vals.sum(axis=0)).max()
+    scale = sum(p.magnitude_scale() for p in term_profiles)
+    return 0.0 if scale == 0.0 else float(residual / scale)
+
+
+def _reference_pde_residual(params, mode, solution, x):
+    """(per_equation, per_boundary) of one mode solution."""
+    lam, xi, xi_sq = mode.lam, mode.xi, mode.xi_sq
+    mu, nu, kappa = params.mu, params.nu, params.kappa
+    rho, u = solution.rho, solution.u
+    div = VerticalProfile.zero()
+    for j in range(mode.dim - 1):
+        div = div + u[j].scaled(1j * xi[j])
+    div = div + u[mode.dim - 1].differentiate(1)
+
+    def lap(profile):
+        return profile.differentiate(2) + profile.scaled(-xi_sq)
+
+    per_equation = {"mass": _reference_normalized_residual([rho.scaled(lam), div], x),
+                    "divergence": _reference_normalized_residual(
+                        [solution.phi, div.scaled(-1.0)], x)}
+    lap_rho = lap(rho)
+    for j in range(mode.dim - 1):
+        terms = [u[j].scaled(lam), lap(u[j]).scaled(-mu),
+                 div.scaled(-nu * 1j * xi[j]), lap_rho.scaled(-kappa * 1j * xi[j])]
+        per_equation[f"momentum_{j + 1}"] = _reference_normalized_residual(terms, x)
+    terms = [u[-1].scaled(lam), lap(u[-1]).scaled(-mu),
+             div.differentiate(1).scaled(-nu), lap_rho.differentiate(1).scaled(-kappa)]
+    per_equation["momentum_N"] = _reference_normalized_residual(terms, x)
+
+    per_boundary = {}
+    trace_scale = max(abs(c) for c in
+                      [*(p.value_at_zero() for p in u), rho.derivative_at_zero(), 1e-300])
+    for j in range(mode.dim - 1):
+        target = solution.coeffs.alpha[j]
+        scale = max(u[j].magnitude_scale(), abs(target), trace_scale)
+        per_boundary[f"u_{j + 1}(0)-h_{j + 1}"] = abs(u[j].value_at_zero() - target) / scale
+    per_boundary["u_N(0)"] = abs(u[-1].value_at_zero()) \
+        / max(u[-1].magnitude_scale(), trace_scale)
+    g_hat = solution.phi.derivative_at_zero() / lam
+    drho = rho.differentiate(1)
+    scale = max(drho.magnitude_scale(), abs(g_hat), 1e-300)
+    per_boundary["dN_rho(0)+g"] = abs(drho.evaluate(0.0) + g_hat) / scale
+    return per_equation, per_boundary
+
+
+def _reference_boundary_residuals(mode, solution, trace):
+    out = {}
+    u = solution.u
+    floor = max(trace.scale(), 1e-300)
+    for j in range(mode.dim - 1):
+        scale = max(u[j].magnitude_scale(), floor)
+        out[f"u_{j + 1}(0)-h_{j + 1}"] = abs(u[j].value_at_zero() - trace.h_hat[j]) / scale
+    out["u_N(0)"] = abs(u[-1].value_at_zero()) / max(u[-1].magnitude_scale(), floor)
+    drho = solution.rho.differentiate(1)
+    out["dN_rho(0)+g"] = abs(drho.evaluate(0.0) + trace.g_hat) / max(drho.magnitude_scale(), floor)
+    return out
+
+
 class TestResiduals:
     def test_zero_solution_nonzero_trace_flags_boundary(self, params_by_case):
         p = params_by_case["I"]
@@ -325,6 +395,102 @@ class TestModeBatch:
         p = classify(1, 1, 2)
         with pytest.raises(DomainError):
             solve_modes(p, [[1.0], [2.0]], 1.0, [1.0], [[0.5], [0.5]])
+
+
+def _reference_evaluate(batch, x, coeffs):
+    """Test-only reference: every (mode, x) pair, with no decay truncation."""
+    n_modes, n_rates, n_powers = coeffs.shape[-3:]
+    out = np.zeros(coeffs.shape[:-2] + x.shape, dtype=complex)
+    for r in range(n_rates):
+        basis = np.exp(-np.multiply.outer(batch.rates[:, r], x))
+        for p in range(n_powers):
+            if p:
+                basis = basis * x
+            out += coeffs[..., r, p, None] * basis
+    return out
+
+
+class TestTruncatedEvaluate:
+    @pytest.mark.parametrize("name", list(CASE_PARAMS))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_untruncated_reference(self, name, dim):
+        # the xi = 0 mode decays slowest and keeps the whole grid; the others'
+        # supports end mid-grid; cases IV and V carry x e^{-t x} terms
+        p = classify(*CASE_PARAMS[name])
+        xi, lam, g, h = _batch_inputs(11, dim, n_modes=12)
+        xi[0] = 0.0
+        batch = solve_modes(p, xi, lam, g, h)
+        reach = DECAY_SUPPORT / batch.rates.real.min(axis=1)
+        x = np.linspace(0.0, reach[0], 257)
+        inside = np.sum(x[None, :] <= reach[:, None], axis=1)
+        assert inside[0] == x.size and np.any((inside > 1) & (inside < x.size))
+        shuffled = np.random.default_rng(dim).permutation(x)
+        for order in (0, 1, 2):
+            coeffs = batch.derivative(order)
+            for points in (x, shuffled):
+                got = batch.evaluate(points, coeffs)
+                want = _reference_evaluate(batch, points, coeffs)
+                peak = np.abs(want).max(axis=(-2, -1), keepdims=True)
+                assert np.all(np.abs(got - want) <= 1e-15 * peak)
+
+    def test_negative_x_rejected(self):
+        p = classify(*CASE_PARAMS["IV"])
+        batch = solve_modes(p, *_batch_inputs(3, 2, n_modes=4)[:1], 1.0, [1.0] * 4, [[0.5]] * 4)
+        with pytest.raises(DomainError):
+            batch.evaluate(np.array([0.0, 1.0, -1e-3]))
+
+
+class TestBatchResiduals:
+    LADDER = np.concatenate([[0.0], 2.0 ** np.arange(-4, 4, dtype=float)])
+
+    @pytest.mark.parametrize("name", list(CASE_PARAMS))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_per_mode_reference(self, name, dim):
+        p = classify(*CASE_PARAMS[name])
+        xi, lam, g, h = _batch_inputs(5, dim)
+        xi[0] = 0.0
+        batch = solve_modes(p, xi, lam, g, h)
+        spot = np.arange(len(xi)) % 3 != 1
+        per_equation, per_boundary = batch_residuals(batch, self.LADDER, spot)
+        for i, k in enumerate(np.flatnonzero(spot)):
+            mode = TangentialMode(xi=xi[k], lam=lam, dim=dim)
+            ref_eq, ref_bd = _reference_pde_residual(p, mode, batch.solution(k), self.LADDER)
+            for got, ref in ((per_equation, ref_eq), (per_boundary, ref_bd)):
+                assert list(got) == list(ref)
+                for key, value in ref.items():
+                    assert abs(got[key][i] - value) <= 1e-14, (k, key)
+            # pde_residual is the same routine on a batch of one
+            rep = pde_residual(p, mode, batch.solution(k), sample_points=self.LADDER)
+            assert rep.per_equation == {key: v[i] for key, v in per_equation.items()}
+            # and so is boundary_residuals, against a supplied trace
+            trace = BoundaryTrace(g[k] * 1.001, h[k] * 0.999)
+            got = boundary_residuals(p, mode, batch.solution(k), trace)
+            ref = _reference_boundary_residuals(mode, batch.solution(k), trace)
+            assert list(got) == list(ref)
+            assert all(abs(got[key] - ref[key]) <= 1e-14 for key in ref)
+
+    @pytest.mark.parametrize("name", ["I", "II", "IV", "V"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_perturbed_beta_located(self, name, dim):
+        # a 1 % slip in one mode's beta_N, laid out like a solve would, at
+        # |xi| <= 3 (the normalization by coefficient magnitudes shrinks such
+        # a slip below 1e-6 once |xi|^2/|lambda| exceeds about 1e3)
+        p = classify(*CASE_PARAMS[name])
+        rng = np.random.default_rng(dim)
+        xi, lam = rng.uniform(-3.0, 3.0, (8, dim - 1)), 1.0 + 0.5j
+        g = rng.normal(size=8) + 1j * rng.normal(size=8)
+        h = rng.normal(size=(8, dim - 1)) + 1j * rng.normal(size=(8, dim - 1))
+        ok = solve_modes(p, xi, lam, g, h)
+        beta = ok.beta.copy()
+        beta[5, -1] *= 1.01
+        bad = _batch(p, ok.lam, ok.xi, h, ok.rates, beta, ok.gamma, ok.sigma, ok.tau)
+        per_equation, _ = batch_residuals(bad, self.LADDER)
+        worst = np.max(list(per_equation.values()), axis=0)
+        assert np.argmax(worst) == 5
+        flagged = [key for key, v in per_equation.items()
+                   if v[5] > 1e-6 and (key == "mass" or key.startswith("momentum"))]
+        assert flagged
+        assert np.all(np.delete(worst, 5) <= PDE_TOL)
 
 
 class TestHomogeneity:
