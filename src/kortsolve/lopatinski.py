@@ -115,10 +115,10 @@ def lower_bound_scan(params: FluidParams, name: str, grid: ScanGrid,
     normalization) would contradict the nonvanishing results and is raised
     as an internal error with the offending point.
     """
-    if normalize_power is None:
-        normalize_power = SYMBOL_ORDERS[name]
     xi_sq, xi_norm, lam = grid.flat_points()
     vals = stable_symbol_values(params, name, xi_sq, lam)
+    if normalize_power is None:
+        normalize_power = SYMBOL_ORDERS[name]
     scale = np.sqrt(np.abs(lam)) + xi_norm
     ratios = np.abs(vals) / scale ** normalize_power
     k = int(np.argmin(ratios))

@@ -64,9 +64,6 @@ class ModeField:
     modes: dict  # index tuple -> VerticalProfile
     spec: GridSpec
 
-    def scale(self, c):
-        return ModeField({k: p.scaled(c) for k, p in self.modes.items()}, self.spec)
-
 
 class LiftedTuple:
     """A tuple of derived fields, stored per active tangential mode.

@@ -293,16 +293,13 @@ class ScanGrid:
     """Log-spaced product grid over tangential frequencies and resolvent values.
 
     The grid is the Cartesian product of |xi| magnitudes, unit directions,
-    |lambda| magnitudes and arg(lambda) values.  `fd_step` is the relative
-    finite-difference step used by the symbol-class verifier.
+    |lambda| magnitudes and arg(lambda) values.
     """
 
     xi_magnitudes: np.ndarray
     directions: np.ndarray  # shape (n_dir, N-1), unit rows
     lambda_magnitudes: np.ndarray
     lambda_args: np.ndarray
-    fd_step: float = 1e-5
-    fd_step_lambda: float = 1e-4
 
     def __post_init__(self):
         for name in ("xi_magnitudes", "lambda_magnitudes", "lambda_args"):
@@ -318,8 +315,7 @@ class ScanGrid:
 
     @classmethod
     def logspace(cls, dim=2, xi_range=(1e-3, 1e3), n_xi=24, lam_sqrt_range=(1e-3, 1e3),
-                 n_lam=24, arg_limit=math.pi / 2 - 0.05, n_arg=5, include_zero_xi=False,
-                 fd_step=1e-5, fd_step_lambda=1e-4):
+                 n_lam=24, arg_limit=math.pi / 2 - 0.05, n_arg=5, include_zero_xi=False):
         """Build the default scan: |xi| and |lambda|^(1/2) log-spaced, args symmetric.
 
         The scan stays strictly inside the right half-plane; by default the
@@ -333,8 +329,7 @@ class ScanGrid:
         dirs = np.zeros((1, dim - 1))
         dirs[0, 0] = 1.0
         return cls(xi_magnitudes=xi_mags, directions=dirs,
-                   lambda_magnitudes=lam_mags, lambda_args=args,
-                   fd_step=fd_step, fd_step_lambda=fd_step_lambda)
+                   lambda_magnitudes=lam_mags, lambda_args=args)
 
     def refined(self, factor=2):
         """Same ranges with `factor` times as many points on every log axis."""
@@ -355,8 +350,6 @@ class ScanGrid:
             directions=self.directions,
             lambda_magnitudes=densify(self.lambda_magnitudes, log=True),
             lambda_args=densify(self.lambda_args, log=False),
-            fd_step=self.fd_step,
-            fd_step_lambda=self.fd_step_lambda,
         )
 
     def flat_points(self):

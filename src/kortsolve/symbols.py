@@ -1,9 +1,10 @@
 """Registry of the boundary-symbol zoo with dual algebraic forms.
 
-Each named symbol is a scalar function of (xi, lambda) built from the
-characteristic roots.  Where a cancellation-free rewriting exists it is wired
-in as the alternate form; scans evaluate whichever form is stable and the
-test suite pins the two forms against each other.
+Each named symbol is a function of (xi, lambda) built from the characteristic
+roots, evaluated on arrays under the one contract of `SymbolSpec`.  Where a
+cancellation-free rewriting exists it is wired in as the alternate form; scans
+evaluate whichever form is stable and the test suite pins the two forms
+against each other.
 
 The module also provides a numerical verifier for the anisotropic multiplier
 classes: a symbol of order r with type 1 satisfies
@@ -12,8 +13,8 @@ classes: a symbol of order r with type 1 satisfies
 
 for all multi-indices a and n = 0, 1, while type 2 replaces the right-hand
 side by C (|lambda|^(1/2)+|xi|)^r |xi|^(-|a|).  The verifier estimates the
-constants by central finite differences on a scan grid and reports them per
-dyadic band of |lambda|^(1/2)+|xi| so non-uniformity is visible.
+constants by central finite differences, one array call per stencil, and
+reports them per dyadic band of |lambda|^(1/2)+|xi| so non-uniformity shows.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import CaseMismatchError, DomainError, GridError
-from .spectral import Case, FluidParams, ScanGrid, _detL_over_dt, root_arrays
+from .spectral import Case, FluidParams, ScanGrid, root_arrays
 
 __all__ = [
     "SymbolSpec", "ScanGrid", "make_named_symbol", "verify_symbol_class",
@@ -44,11 +46,6 @@ def _detL_raw(params, xi_sq, lam):
 def _detL_factored(params, xi_sq, lam):
     t1, t2, om = root_arrays(params, xi_sq, lam)
     return (t2 - t1) * (t1 * t2 * om * (t2 + t1) - xi_sq * (t2 * t2 + t1 * t2 + t1 * t1 - xi_sq))
-
-
-def _detL_over_dt_stable(params, xi_sq, lam):
-    """det L / (t2 - t1) without the large-|xi| cancellation."""
-    return _detL_over_dt(params, *root_arrays(params, xi_sq, lam), lam)
 
 
 def _cofactor_L(params, xi_sq, lam, which):
@@ -162,24 +159,25 @@ def _detM_factored(params, xi_sq, lam):
     return (params.nu - params.mu) * (t2 - om) * _q(params, xi_sq, lam)
 
 
-# name -> (order, allowed cases, raw eval, alternate eval or None)
+# name -> (order, allowed cases, raw form, alternate form or None); each form
+# is f(params, |xi|^2, lam), elementwise over arrays.
 _REGISTRY = {
-    "m1": (4, (Case.I, Case.II), lambda p, x, l: _m_raw(p, x, l, 1), lambda p, x, l: _m_stable(p, x, l, 1)),
-    "m2": (4, (Case.I, Case.II), lambda p, x, l: _m_raw(p, x, l, 2), lambda p, x, l: _m_stable(p, x, l, 2)),
-    "n1": (2, (Case.I, Case.II), lambda p, x, l: _n_raw(p, x, l, 1), lambda p, x, l: _n_stable(p, x, l, 1)),
-    "n2": (2, (Case.I, Case.II), lambda p, x, l: _n_raw(p, x, l, 2), lambda p, x, l: _n_stable(p, x, l, 2)),
-    "p1": (0, (Case.I, Case.II), lambda p, x, l: _p(p, x, l, 1), None),
-    "p2": (0, (Case.I, Case.II), lambda p, x, l: _p(p, x, l, 2), None),
-    "L11": (3, (Case.I, Case.II), lambda p, x, l: _cofactor_L(p, x, l, "L11"), None),
-    "L12": (2, (Case.I, Case.II), lambda p, x, l: _cofactor_L(p, x, l, "L12"), None),
-    "L21": (3, (Case.I, Case.II), lambda p, x, l: _cofactor_L(p, x, l, "L21"), None),
-    "L22": (2, (Case.I, Case.II), lambda p, x, l: _cofactor_L(p, x, l, "L22"), None),
+    "m1": (4, (Case.I, Case.II), partial(_m_raw, k=1), partial(_m_stable, k=1)),
+    "m2": (4, (Case.I, Case.II), partial(_m_raw, k=2), partial(_m_stable, k=2)),
+    "n1": (2, (Case.I, Case.II), partial(_n_raw, k=1), partial(_n_stable, k=1)),
+    "n2": (2, (Case.I, Case.II), partial(_n_raw, k=2), partial(_n_stable, k=2)),
+    "p1": (0, (Case.I, Case.II), partial(_p, k=1), None),
+    "p2": (0, (Case.I, Case.II), partial(_p, k=2), None),
+    "L11": (3, (Case.I, Case.II), partial(_cofactor_L, which="L11"), None),
+    "L12": (2, (Case.I, Case.II), partial(_cofactor_L, which="L12"), None),
+    "L21": (3, (Case.I, Case.II), partial(_cofactor_L, which="L21"), None),
+    "L22": (2, (Case.I, Case.II), partial(_cofactor_L, which="L22"), None),
     "detL": (5, (Case.I, Case.II), _detL_raw, _detL_factored),
     "q": (3, (Case.IV,), _q, None),
-    "M11": (2, (Case.IV,), lambda p, x, l: _M_entry(p, x, l, "M11"), None),
-    "M12": (1, (Case.IV,), lambda p, x, l: _M_entry(p, x, l, "M12"), None),
-    "M21": (3, (Case.IV,), lambda p, x, l: _M_entry(p, x, l, "M21"), None),
-    "M22": (2, (Case.IV,), lambda p, x, l: _M_entry(p, x, l, "M22"), None),
+    "M11": (2, (Case.IV,), partial(_M_entry, which="M11"), None),
+    "M12": (1, (Case.IV,), partial(_M_entry, which="M12"), None),
+    "M21": (3, (Case.IV,), partial(_M_entry, which="M21"), None),
+    "M22": (2, (Case.IV,), partial(_M_entry, which="M22"), None),
     # det M is homogeneous of degree 4 = 1 + 3 via its factorization.
     "detM": (4, (Case.IV,), _detM_raw, _detM_factored),
     "d3": (2, (Case.III,), _d3, None),
@@ -191,25 +189,31 @@ SYMBOL_ORDERS = {name: entry[0] for name, entry in _REGISTRY.items()}
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """A named symbol: scalar evaluator, declared order, and multiplier type."""
+    """A symbol m(xi, lambda) with its declared order and multiplier type.
+
+    `eval(xi, lam)` and the optional cancellation-free `alt_eval` take xi of
+    shape (..., N-1) and lam of shape (...) and return m, shape (...); one
+    point is xi of shape (N-1,) with a scalar lam.  `type_tag` is "type1" or
+    "type2" (the two bounds in the module docstring).
+    """
 
     name: str
     order: float
-    type_tag: str  # "type1" | "type2"
-    eval: object   # (xi_vector, lam) -> complex
+    type_tag: str
+    eval: object
     alt_eval: object = None
-    eval_many: object = None  # (xi_sq array, lam array) -> array, optional
+
+    def __post_init__(self):
+        if self.type_tag not in ("type1", "type2"):
+            raise DomainError(f"symbol {self.name!r}: type_tag must be 'type1' or 'type2', "
+                              f"got {self.type_tag!r}")
 
     def __call__(self, xi, lam):
         return self.eval(xi, lam)
 
 
-def make_named_symbol(params: FluidParams, name: str) -> SymbolSpec:
-    """Look up one of the registered boundary symbols for `params`.
-
-    Raises CaseMismatchError when the symbol is undefined in the parameter
-    case (the degenerate-root cases deliberately have no m_k, for instance).
-    """
+def _lookup(params: FluidParams, name: str):
+    """(order, raw form, alternate form) of a symbol defined in the case of `params`."""
     try:
         order, cases, raw, alt = _REGISTRY[name]
     except KeyError:
@@ -220,34 +224,36 @@ def make_named_symbol(params: FluidParams, name: str) -> SymbolSpec:
             f"symbol {name!r} is only defined in case(s) {allowed}, "
             f"parameters are case {params.case}"
         )
+    return order, raw, alt
 
-    def eval_(xi, lam, _f=raw):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return complex(_f(params, float(xi @ xi), complex(lam)))
 
-    alt_ = None
-    if alt is not None:
-        def alt_(xi, lam, _f=alt):
-            xi = np.atleast_1d(np.asarray(xi, dtype=float))
-            return complex(_f(params, float(xi @ xi), complex(lam)))
+def _on_xi(form, params, xi, lam):
+    """A registry form f(params, |xi|^2, lam) under the (xi, lam) array contract."""
+    xi = np.asarray(xi, dtype=float)
+    return form(params, np.sum(xi * xi, axis=-1), np.asarray(lam, dtype=complex))
 
-    def eval_many(xi_sq, lam, _f=raw):
-        return _f(params, np.asarray(xi_sq, dtype=float), np.asarray(lam, dtype=complex))
 
+def make_named_symbol(params: FluidParams, name: str) -> SymbolSpec:
+    """Look up one of the registered boundary symbols for `params`.
+
+    Raises DomainError for an unknown name and CaseMismatchError when the
+    symbol is undefined in the parameter case (the degenerate-root cases
+    deliberately have no m_k, for instance).
+    """
+    order, raw, alt = _lookup(params, name)
     return SymbolSpec(name=name, order=order, type_tag="type1",
-                      eval=eval_, alt_eval=alt_, eval_many=eval_many)
+                      eval=partial(_on_xi, raw, params),
+                      alt_eval=None if alt is None else partial(_on_xi, alt, params))
 
 
 def stable_symbol_values(params: FluidParams, name: str, xi_sq, lam):
-    """Vectorized evaluation preferring the cancellation-free form.
+    """Vectorized evaluation over |xi|^2, preferring the cancellation-free form.
 
     Scan infrastructure uses this instead of the raw definitional form so
     that normalized lower bounds are trustworthy at extreme |xi|^2/|lambda|
     ratios; the dual-form identity tests tie the two forms together.
     """
-    order, cases, raw, alt = _REGISTRY[name]
-    if params.case not in cases:
-        raise CaseMismatchError(f"symbol {name!r} undefined in case {params.case}")
+    order, raw, alt = _lookup(params, name)
     f = alt if alt is not None else raw
     return f(params, np.asarray(xi_sq, dtype=float), np.asarray(lam, dtype=complex))
 
@@ -309,35 +315,32 @@ def _multi_indices(dim, max_order):
     return out
 
 
-def _apply_lambda_derivative(fun, xi, lam, n, step):
-    """(lam d/dlam)^n fun at (xi, lam) via central differences in log lambda."""
-    if n == 0:
-        return fun(xi, lam)
-    h = step
-    return (_apply_lambda_derivative(fun, xi, lam * math.exp(h), n - 1, step)
-            - _apply_lambda_derivative(fun, xi, lam * math.exp(-h), n - 1, step)) / (2.0 * h)
+# Relative xi steps of the first and second differences (with the base step
+# the nested lambda/xi second differences are roundoff-dominated), and the
+# log-lambda step of lam d/dlam.
+FD_STEP = 1e-5
+FD_STEP_SECOND = 1e-3
+FD_STEP_LAMBDA = 1e-4
 
 
-def _fd_xi_derivative(fun, xi, lam, alpha, step):
-    """Central finite-difference d_xi^alpha fun, |alpha| <= 2."""
-    order = sum(alpha)
-    if order == 0:
-        return fun(xi, lam)
+def _xi_stencil(alpha):
+    """Central difference for d_xi^alpha, |alpha| <= 2.
+
+    Returns the offsets in steps (K, N-1), the K weights and the constant div
+    of the divisor div * step^|alpha|.
+    """
+    e = np.eye(len(alpha))
     axes = [k for k, a in enumerate(alpha) for _ in range(a)]
-    if order == 1:
-        k = axes[0]
-        e = np.zeros_like(xi)
-        e[k] = step
-        return (fun(xi + e, lam) - fun(xi - e, lam)) / (2.0 * step)
+    if not axes:
+        return np.zeros((1, len(alpha))), (1.0,), 1.0
+    if len(axes) == 1:
+        k, = axes
+        return np.stack([e[k], -e[k]]), (1.0, -1.0), 2.0
     i, j = axes
-    ei = np.zeros_like(xi)
-    ei[i] = step
     if i == j:
-        return (fun(xi + ei, lam) - 2.0 * fun(xi, lam) + fun(xi - ei, lam)) / step**2
-    ej = np.zeros_like(xi)
-    ej[j] = step
-    return (fun(xi + ei + ej, lam) - fun(xi + ei - ej, lam)
-            - fun(xi - ei + ej, lam) + fun(xi - ei - ej, lam)) / (4.0 * step**2)
+        return np.stack([e[i], 0.0 * e[i], -e[i]]), (1.0, -2.0, 1.0), 1.0
+    return (np.stack([e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j]]),
+            (1.0, -1.0, -1.0, 1.0), 4.0)
 
 
 def verify_symbol_class(sym: SymbolSpec, grid: ScanGrid, max_multi_order: int = 2,
@@ -351,10 +354,13 @@ def verify_symbol_class(sym: SymbolSpec, grid: ScanGrid, max_multi_order: int = 
     spread by more than `band_spread_limit`.
 
     The normalized constant varies legitimately with the shape parameter
-    |xi| / (|lambda|^(1/2)+|xi|) at fixed scale, so the stability verdict
-    only compares bands the grid actually covers across shapes (at least 4
-    points spanning half the shape range); sparse edge bands are reported
-    but not judged.
+    |xi| / (|lambda|^(1/2)+|xi|) at fixed scale, so every band is probed at
+    the same (shape, arg) menu; bands whose maximum is below 1e-10 of the
+    overall one are reported but not judged.
+
+    Each alpha is one evaluator call over all stencil nodes and scan points
+    (lambda differences inside xi differences); a non-finite value raises
+    DomainError naming the first such point.
     """
     if max_multi_order > 2:
         raise DomainError("finite-difference verifier supports |alpha| <= 2")
@@ -380,45 +386,39 @@ def verify_symbol_class(sym: SymbolSpec, grid: ScanGrid, max_multi_order: int = 
     n_u = max(3, min(grid.xi_magnitudes.size, grid.lambda_magnitudes.size))
     shapes = np.linspace(0.05, 0.95, n_u)
 
-    points = []
-    direction = grid.directions[0]
-    for s in scales:
-        band = int(math.floor(math.log2(s)))
-        for u in shapes:
-            xi = (u * s) * direction
-            lam_mag = ((1.0 - u) * s) ** 2
-            for arg in grid.lambda_args:
-                points.append((xi, lam_mag * np.exp(1j * arg), s, band))
+    scale, u, arg = (a.reshape(-1) for a in
+                     np.meshgrid(scales, shapes, grid.lambda_args, indexing="ij"))
+    xi = (u * scale)[:, None] * grid.directions[0]
+    xi_norm = np.linalg.norm(xi, axis=-1)
+    lam = ((1.0 - u) * scale) ** 2 * np.exp(1j * arg)
+    lam_nodes = np.stack([lam, lam * math.exp(FD_STEP_LAMBDA), lam * math.exp(-FD_STEP_LAMBDA)])
+    band = np.floor(np.log2(scale)).astype(int)
 
     entries = []
     for alpha in alphas:
         order = sum(alpha)
-        # Second differences need a wider step: with the base 1e-5 step the
-        # nested lambda/xi differences are roundoff-dominated.
-        rel_step = grid.fd_step if order < 2 else max(grid.fd_step, 1e-3)
-        for n in (0, 1):
-            worst = 0.0
-            bands = {}
-            for xi, lam, scale, band in points:
-                def dlam(x, l):
-                    return _apply_lambda_derivative(evaluate, x, l, n, grid.fd_step_lambda)
-
-                val = _fd_xi_derivative(dlam, np.asarray(xi, dtype=float), lam,
-                                        alpha, rel_step * scale)
-                if not np.isfinite(val):
-                    raise DomainError(f"symbol {sym.name} not finite at xi={xi}, lam={lam}")
-                if sym.type_tag == "type1":
-                    bound = scale ** (sym.order - order)
-                else:
-                    bound = scale ** sym.order * float(np.linalg.norm(xi)) ** (-order)
-                const = abs(val) / bound
-                bands[band] = max(bands.get(band, 0.0), const)
-                worst = max(worst, const)
-            positive = [c for c in bands.values() if c > 1e-10 * max(worst, 1e-300)]
-            if len(positive) >= 2:
-                stable = max(positive) <= band_spread_limit * min(positive)
+        offsets, weights, div = _xi_stencil(alpha)
+        step = (FD_STEP if order < 2 else FD_STEP_SECOND) * scale
+        nodes = (len(weights),) + lam_nodes.shape
+        xi_nodes = xi + offsets[:, None, :] * step[:, None]
+        vals = evaluate(np.broadcast_to(xi_nodes[:, None], nodes + (dim,)),
+                        np.broadcast_to(lam_nodes, nodes))
+        lam_derivs = (vals[:, 0], (vals[:, 1] - vals[:, 2]) / (2.0 * FD_STEP_LAMBDA))
+        for n, g in enumerate(lam_derivs):
+            val = sum(w * gk for w, gk in zip(weights, g)) / (div * step ** order)
+            bad = ~np.isfinite(val)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise DomainError(f"symbol {sym.name} not finite at xi={xi[k]}, lam={lam[k]}")
+            if sym.type_tag == "type1":
+                bound = scale ** (sym.order - order)
             else:
-                stable = True
+                bound = scale ** sym.order * xi_norm ** (-order)
+            const = np.abs(val) / bound
+            bands = {int(b): float(const[band == b].max()) for b in np.unique(band)}
+            worst = float(const.max())
+            positive = [c for c in bands.values() if c > 1e-10 * max(worst, 1e-300)]
+            stable = len(positive) < 2 or max(positive) <= band_spread_limit * min(positive)
             entries.append(ClassEntry(alpha=tuple(alpha), n=n, constant=worst,
                                       band_constants=bands, stable=stable))
     return ClassReport(name=sym.name, order=sym.order, type_tag=sym.type_tag, entries=entries)

@@ -103,13 +103,14 @@ class TestScans:
         assert code == 0
 
     def test_determinism_byte_for_byte(self, tmp_path, capsys):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for path in (a, b):
-            run(["lopatinski-scan", "--mu", "2", "--nu", "1", "--kappa", "2",
-                 "--name", "d3", "--n-xi", "8", "--n-lam", "8", "--n-arg", "3",
-                 "-o", str(path)], capsys)
-        assert a.read_bytes() == b.read_bytes()
-        assert json.loads((tmp_path / "a.csv.manifest.json").read_text())["outputs"]
+        for cmd in ("lopatinski-scan", "symbol-check"):
+            a, b = tmp_path / f"{cmd}-a.csv", tmp_path / f"{cmd}-b.csv"
+            for path in (a, b):
+                run([cmd, "--mu", "2", "--nu", "1", "--kappa", "2",
+                     "--name", "d3", "--n-xi", "8", "--n-lam", "8", "--n-arg", "3",
+                     "-o", str(path)], capsys)
+            assert a.read_bytes() == b.read_bytes(), cmd
+            assert json.loads((tmp_path / f"{cmd}-a.csv.manifest.json").read_text())["outputs"]
 
 
 class TestRbound:

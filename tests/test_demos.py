@@ -13,6 +13,17 @@ def run_demo(name):
                           capture_output=True, text=True, timeout=300)
 
 
+def test_boundary_determinants_demo():
+    proc = run_demo("03_boundary_determinants.py")
+    assert proc.returncode == 0, proc.stderr
+    infima = re.findall(r"inf = ([0-9.eE+-]+)", proc.stdout)
+    assert len(infima) == 5 and min(map(float, infima)) > 0, proc.stdout
+    # the raw and cancellation-free forms of m1 print as scalars and agree
+    raw, alt = (complex(re.search(rf"^  {form} +(\S+)$", proc.stdout, re.M).group(1))
+                for form in ("raw", "alt"))
+    assert abs(raw - alt) <= 1e-10 * abs(alt), (raw, alt)
+
+
 def test_oracle_crosscheck_demo():
     proc = run_demo("05_oracle_crosscheck.py")
     assert proc.returncode == 0, proc.stderr

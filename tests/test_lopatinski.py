@@ -133,3 +133,9 @@ class TestLowerBoundScan:
         rows = rep.csv_rows()
         assert rows[0] == ("band", "inf", "argmin_xi", "argmin_lam_re", "argmin_lam_im")
         assert len(rep.band_infima) >= 3
+
+    def test_unknown_symbol_rejected(self, params_by_case):
+        # the registry lookup's DomainError, not a bare KeyError from the order table
+        from kortsolve import DomainError
+        with pytest.raises(DomainError, match="unknown symbol 'zz'"):
+            lower_bound_scan(params_by_case["I"], "zz", ScanGrid.logspace(n_xi=4, n_lam=4))

@@ -131,9 +131,12 @@ class TestFamilies:
     def test_scale_invariance_of_probe(self, params):
         cfg = ProbeConfig(m=4, trials=80, rng_seed=3, draws_per_decade=1)
 
+        def scaled(f):
+            return ModeField({k: p.scaled(137.0) for k, p in f.modes.items()}, f.spec)
+
         def scaled_sampler(rng_, spec_, mpf, rate_scale=1.0):
             g, hs = sample_boundary_data(rng_, spec_, mpf, rate_scale)
-            return (g.scale(137.0), tuple(h.scale(137.0) for h in hs))
+            return (scaled(g), tuple(scaled(h) for h in hs))
 
         fam = ReducedSolveFamily(params, "B2")
         r1 = estimate_rbound(fam, cfg).global_max

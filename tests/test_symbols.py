@@ -3,15 +3,139 @@ import math
 import numpy as np
 import pytest
 
-from kortsolve import (CaseMismatchError, ScanGrid, asymptotic_check, classify,
-                       make_named_symbol, verify_symbol_class)
-from kortsolve.symbols import SYMBOL_ORDERS, SymbolSpec, case1_product_constant
+from kortsolve import (CaseMismatchError, DomainError, GridError, ScanGrid, asymptotic_check,
+                       classify, make_named_symbol, verify_symbol_class)
+from kortsolve.symbols import (_REGISTRY, FD_STEP, FD_STEP_LAMBDA, FD_STEP_SECOND,
+                               SYMBOL_ORDERS, ClassEntry, ClassReport, SymbolSpec,
+                               _multi_indices, case1_product_constant)
 
 from tests.conftest import CASE_PARAMS
 
 
+# -- test-only reference: the scalar verifier, one evaluator call per point ---
+
+
+def _reference_lambda_derivative(fun, xi, lam, n, step):
+    """(lam d/dlam)^n fun at (xi, lam) via central differences in log lambda."""
+    if n == 0:
+        return fun(xi, lam)
+    h = step
+    return (_reference_lambda_derivative(fun, xi, lam * math.exp(h), n - 1, step)
+            - _reference_lambda_derivative(fun, xi, lam * math.exp(-h), n - 1, step)) / (2.0 * h)
+
+
+def _reference_xi_derivative(fun, xi, lam, alpha, step):
+    """Central finite-difference d_xi^alpha fun, |alpha| <= 2."""
+    order = sum(alpha)
+    if order == 0:
+        return fun(xi, lam)
+    axes = [k for k, a in enumerate(alpha) for _ in range(a)]
+    if order == 1:
+        k = axes[0]
+        e = np.zeros_like(xi)
+        e[k] = step
+        return (fun(xi + e, lam) - fun(xi - e, lam)) / (2.0 * step)
+    i, j = axes
+    ei = np.zeros_like(xi)
+    ei[i] = step
+    if i == j:
+        return (fun(xi + ei, lam) - 2.0 * fun(xi, lam) + fun(xi - ei, lam)) / step**2
+    ej = np.zeros_like(xi)
+    ej[j] = step
+    return (fun(xi + ei + ej, lam) - fun(xi + ei - ej, lam)
+            - fun(xi - ei + ej, lam) + fun(xi - ei - ej, lam)) / (4.0 * step**2)
+
+
+def scalar_form(params, name):
+    """A registered symbol's preferred form at one point, on Python scalars."""
+    _, _, raw, alt = _REGISTRY[name]
+    form = alt if alt is not None else raw
+    return lambda xi, lam: complex(form(params, float(xi @ xi), complex(lam)))
+
+
+def reference_verify_symbol_class(sym, grid, max_multi_order=2, band_spread_limit=2.0,
+                                  evaluate=None):
+    """The point-by-point verifier: same menu, stencils and verdicts as the array one.
+
+    `evaluate(xi, lam) -> complex` is one point; by default the symbol's own
+    (alternate, else raw) evaluator applied to that point.
+    """
+    alphas = _multi_indices(grid.directions.shape[1], max_multi_order)
+    if evaluate is None:
+        f = sym.alt_eval if sym.alt_eval is not None else sym.eval
+
+        def evaluate(xi, lam):
+            return complex(f(xi, lam))
+
+    pos_xi = grid.xi_magnitudes[grid.xi_magnitudes > 0]
+    s_lo = min(float(pos_xi.min()) if pos_xi.size else np.inf,
+               math.sqrt(float(grid.lambda_magnitudes.min())))
+    s_hi = max(float(grid.xi_magnitudes.max()),
+               math.sqrt(float(grid.lambda_magnitudes.max())))
+    if not (0 < s_lo < s_hi):
+        raise GridError("scan grid does not span positive scales")
+    n_scales = max(2, int(math.floor(math.log2(s_hi / s_lo))) + 1)
+    scales = s_lo * 2.0 ** np.arange(n_scales)
+    n_u = max(3, min(grid.xi_magnitudes.size, grid.lambda_magnitudes.size))
+    shapes = np.linspace(0.05, 0.95, n_u)
+
+    points = []
+    direction = grid.directions[0]
+    for s in scales:
+        band = int(math.floor(math.log2(s)))
+        for u in shapes:
+            xi = (u * s) * direction
+            lam_mag = ((1.0 - u) * s) ** 2
+            for arg in grid.lambda_args:
+                points.append((xi, lam_mag * np.exp(1j * arg), s, band))
+
+    entries = []
+    for alpha in alphas:
+        order = sum(alpha)
+        rel_step = FD_STEP if order < 2 else FD_STEP_SECOND
+        for n in (0, 1):
+            worst = 0.0
+            bands = {}
+            for xi, lam, scale, band in points:
+                def dlam(x, l):
+                    return _reference_lambda_derivative(evaluate, x, l, n, FD_STEP_LAMBDA)
+
+                val = _reference_xi_derivative(dlam, np.asarray(xi, dtype=float), lam,
+                                               alpha, rel_step * scale)
+                if not np.isfinite(val):
+                    raise DomainError(f"symbol {sym.name} not finite at xi={xi}, lam={lam}")
+                if sym.type_tag == "type1":
+                    bound = scale ** (sym.order - order)
+                else:
+                    bound = scale ** sym.order * float(np.linalg.norm(xi)) ** (-order)
+                const = abs(val) / bound
+                bands[band] = max(bands.get(band, 0.0), const)
+                worst = max(worst, const)
+            positive = [c for c in bands.values() if c > 1e-10 * max(worst, 1e-300)]
+            if len(positive) >= 2:
+                stable = max(positive) <= band_spread_limit * min(positive)
+            else:
+                stable = True
+            entries.append(ClassEntry(alpha=tuple(alpha), n=n, constant=worst,
+                                      band_constants=bands, stable=stable))
+    return ClassReport(name=sym.name, order=sym.order, type_tag=sym.type_tag, entries=entries)
+
+
+def assert_reports_match(rep, ref, rel=1e-5):
+    """Same entries, bands and verdicts; constants within rel * ref.max_constant."""
+    tol = rel * ref.max_constant
+    assert [(e.alpha, e.n) for e in rep.entries] == [(e.alpha, e.n) for e in ref.entries]
+    for e, r in zip(rep.entries, ref.entries):
+        assert e.stable == r.stable, (e.alpha, e.n)
+        assert list(e.band_constants) == list(r.band_constants), (e.alpha, e.n)
+        assert abs(e.constant - r.constant) <= tol, (e.alpha, e.n)
+        for band, c in r.band_constants.items():
+            assert abs(e.band_constants[band] - c) <= tol, (e.alpha, e.n, band)
+    assert rep.all_stable == ref.all_stable
+
+
 def sample_points(rng, n, lo=0.2, hi=5.0):
-    """Random admissible (xi_sq, lam) arrays on a moderate annulus.
+    """Random admissible (xi, lam) arrays, xi of shape (n, 1), on a moderate annulus.
 
     The dual-form identities are exact in real arithmetic; sampling keeps the
     anisotropic shape ratio |xi|^2 / |lambda| bounded so both evaluation
@@ -22,7 +146,7 @@ def sample_points(rng, n, lo=0.2, hi=5.0):
     xi = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size=n)
     lam_mag = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size=n) ** 2
     lam = lam_mag * np.exp(1j * rng.uniform(-1.4, 1.4, size=n))
-    return xi**2, lam
+    return xi[:, None], lam
 
 
 class TestRegistry:
@@ -59,9 +183,10 @@ class TestRegistry:
     def test_detM_factorization_bulk(self, params_by_case, rng):
         p = params_by_case["IV"]
         detM = make_named_symbol(p, "detM")
-        xi_sq, lam = sample_points(rng, 10_000)
-        raw = detM.eval_many(xi_sq, lam)
-        q = make_named_symbol(p, "q").eval_many(xi_sq, lam)
+        xi, lam = sample_points(rng, 10_000)
+        xi_sq = xi[:, 0] ** 2
+        raw = detM.eval(xi, lam)
+        q = make_named_symbol(p, "q").eval(xi, lam)
         t2 = np.sqrt(xi_sq + p.s2 * lam)
         om = np.sqrt(xi_sq + lam / p.mu)
         factored = (p.nu - p.mu) * (t2 - om) * q
@@ -70,11 +195,11 @@ class TestRegistry:
     def test_m_dual_forms_bulk(self, rng):
         for case in ("I", "II"):
             p = classify(*CASE_PARAMS[case])
-            xi_sq, lam = sample_points(rng, 10_000)
+            xi, lam = sample_points(rng, 10_000)
+            xi_sq = xi[:, 0] ** 2
             for name in ("m1", "m2", "n1", "n2"):
                 sym = make_named_symbol(p, name)
-                raw = sym.eval_many(xi_sq, lam)
-                xi = np.array([1.0])
+                raw = sym.eval(xi, lam)
                 # alt_eval is the paper-simplified form; compare vectorized
                 from kortsolve.symbols import _m_stable, _n_stable
                 k = int(name[1])
@@ -128,7 +253,7 @@ class TestClassVerifier:
 
     def test_constant_symbol(self):
         sym = SymbolSpec(name="one", order=0, type_tag="type1",
-                         eval=lambda xi, lam: 1.0 + 0.0j)
+                         eval=lambda xi, lam: np.ones_like(lam))
         rep = verify_symbol_class(sym, self._tiny_grid(), max_multi_order=1)
         assert rep.entry((0,), 0).constant == pytest.approx(1.0)
         assert rep.entry((1,), 0).constant <= 1e-6
@@ -136,7 +261,7 @@ class TestClassVerifier:
 
     def test_linear_symbol_order_one(self):
         sym = SymbolSpec(name="xi", order=1, type_tag="type1",
-                         eval=lambda xi, lam: complex(xi[0]))
+                         eval=lambda xi, lam: xi[..., 0] + 0j)
         rep = verify_symbol_class(sym, self._tiny_grid(), max_multi_order=1)
         e = rep.entry((1,), 0)
         assert e.constant == pytest.approx(1.0, rel=1e-4)
@@ -145,7 +270,7 @@ class TestClassVerifier:
     def test_direction_symbol_type_two(self):
         # xi_k / |xi| is order 0 type 2 (derivative bounds decay in |xi| only)
         sym = SymbolSpec(name="dir", order=0, type_tag="type2",
-                         eval=lambda xi, lam: complex(xi[0] / abs(xi[0])))
+                         eval=lambda xi, lam: xi[..., 0] / np.abs(xi[..., 0]) + 0j)
         rep = verify_symbol_class(sym, self._tiny_grid(), max_multi_order=1)
         assert rep.max_constant <= 1.5
 
@@ -172,9 +297,48 @@ class TestClassVerifier:
     def test_nonfinite_value_reported(self):
         from kortsolve import DomainError
         sym = SymbolSpec(name="bad", order=0, type_tag="type1",
-                         eval=lambda xi, lam: float("nan"))
+                         eval=lambda xi, lam: np.full_like(lam, np.nan))
         with pytest.raises(DomainError):
             verify_symbol_class(sym, self._tiny_grid(), max_multi_order=0)
+
+    def test_nonfinite_error_names_first_point(self):
+        # finite except for |xi| > 1 at arg(lambda) > 0: the first offending
+        # point in (alpha, n, scale, shape, arg) order is the one named
+        sym = SymbolSpec(name="half", order=0, type_tag="type1",
+                         eval=lambda xi, lam: np.where((xi[..., 0] > 1.0) & (lam.imag > 0),
+                                                       np.nan, 1.0 + 0j))
+        grid = self._tiny_grid()
+        with pytest.raises(DomainError) as ref:
+            reference_verify_symbol_class(sym, grid, max_multi_order=1)
+        with pytest.raises(DomainError) as got:
+            verify_symbol_class(sym, grid, max_multi_order=1)
+        assert str(got.value) == str(ref.value)
+
+    def test_type_tag_must_be_known(self):
+        with pytest.raises(DomainError, match="type_tag"):
+            SymbolSpec(name="one", order=0, type_tag="type3", eval=lambda xi, lam: np.ones_like(lam))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name", sorted(_REGISTRY))
+    def test_matches_scalar_reference(self, name, dim):
+        # every registered symbol, in the first case it is defined in, on the
+        # default symbol-check grid
+        p = classify(*CASE_PARAMS[_REGISTRY[name][1][0].value])
+        sym = make_named_symbol(p, name)
+        grid = ScanGrid.logspace(dim=dim)
+        ref = reference_verify_symbol_class(sym, grid, evaluate=scalar_form(p, name))
+        assert_reports_match(verify_symbol_class(sym, grid), ref)
+
+    def test_cli_symbol_matches_scalar_reference_tightly(self):
+        # the benchmark's symbol-check m1 at (3, 1, 1), 2-D
+        p = classify(3, 1, 1)
+        sym = make_named_symbol(p, "m1")
+        grid = ScanGrid.logspace()
+        rep = verify_symbol_class(sym, grid)
+        ref = reference_verify_symbol_class(sym, grid, evaluate=scalar_form(p, "m1"))
+        assert rep.csv_rows() == ref.csv_rows()
+        for e, r in zip(rep.entries, ref.entries):
+            assert e.constant == pytest.approx(r.constant, rel=1e-13, abs=0.0)
 
 
 class TestAsymptotics:
