@@ -33,8 +33,11 @@ sampled at powers of two.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +164,32 @@ def validate_edge_decay(values, spec: GridSpec, what: str = "data"):
 # DCT/DST coefficients, so the whole-space formulas apply unchanged.
 # scipy.fft is imported where the transforms run: with scipy.special it adds
 # about 0.15 s to the package import, which commands that never solve a field
-# should not pay.
+# should not pay.  Every transform runs on all `cpu_workers()`; pocketfft
+# splits independent lines across threads, so results do not depend on it.
+
+
+def cpu_workers() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def tangential_fft(values, axes, inverse: bool = False, overwrite_x: bool = False):
+    """FFT (or inverse FFT) of `values` along the tangential `axes`.
+
+    The axes are transformed one at a time, last first, as numpy.fft.fftn
+    does, so the result is bit-identical to numpy's; each pass runs on every
+    CPU.  With `overwrite_x` the input may be destroyed.
+    """
+    from scipy import fft
+
+    transform = fft.ifft if inverse else fft.fft
+    for axis in reversed(axes):
+        values = transform(values, axis=axis, overwrite_x=overwrite_x, workers=cpu_workers())
+        overwrite_x = True
+    return values
 
 
 def _vertical_forward(values, parity: str, tangential_axes=()):
@@ -176,23 +204,23 @@ def _vertical_forward(values, parity: str, tangential_axes=()):
     hat = np.zeros(values.shape[:-1] + (n + 1,), dtype=complex)
     if parity == "even":
         hat[..., :n] = values
-        hat = fft.dct(hat, type=1, axis=-1, overwrite_x=True)
+        hat = fft.dct(hat, type=1, axis=-1, overwrite_x=True, workers=cpu_workers())
     else:
-        hat[..., 1:n] = -1j * fft.dst(values[..., 1:], type=1, axis=-1)
-    return fft.fftn(hat, axes=tangential_axes, overwrite_x=True) if tangential_axes else hat
+        hat[..., 1:n] = -1j * fft.dst(values[..., 1:], type=1, axis=-1, workers=cpu_workers())
+    return tangential_fft(hat, tangential_axes, overwrite_x=True)
 
 
 def _vertical_inverse(hat, parity: str, tangential_axes=()):
     """Inverse of `_vertical_forward`: half-grid samples x_N = 0..L - h."""
     from scipy import fft
 
-    if tangential_axes:
-        hat = fft.ifftn(hat, axes=tangential_axes)
+    hat = tangential_fft(hat, tangential_axes, inverse=True)
     n = hat.shape[-1] - 1
     if parity == "even":
-        return fft.idct(hat, type=1, axis=-1)[..., :n]
+        return fft.idct(hat, type=1, axis=-1, workers=cpu_workers())[..., :n]
     values = np.zeros(hat.shape[:-1] + (n,), dtype=complex)
-    values[..., 1:] = fft.idst(1j * hat[..., 1:n], type=1, axis=-1, overwrite_x=True)
+    values[..., 1:] = fft.idst(1j * hat[..., 1:n], type=1, axis=-1, overwrite_x=True,
+                               workers=cpu_workers())
     return values
 
 
@@ -201,8 +229,72 @@ def _wavenumber_mesh(spec: GridSpec):
     return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
-def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam,
-                      check_residual: bool = True):
+# The whole-space algebra runs over slabs of rows of the leading tangential
+# axis, at least one per worker and each about this many bytes per complex
+# temporary, so that a slab's temporaries stay in cache.
+SLAB_BYTES = 1 << 19
+
+
+def _row_slabs(n_rows: int, row_bytes: int, workers: int):
+    """Slices splitting n_rows rows into near-equal, nonempty slabs."""
+    n_slabs = min(n_rows, max(workers, math.ceil(n_rows * row_bytes / SLAB_BYTES)))
+    bounds = [n_rows * k // n_slabs for k in range(n_slabs + 1)]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _solve_slab(params: FluidParams, lam, mesh, d_hat, f_hat, rho_hat, u_hat, rows):
+    """The whole-space algebra on rows `rows` of the leading tangential axis.
+
+    Writes rho_hat[rows] and u_hat[:, rows] and returns the slab's maxima of
+    |d_hat|, |f_hat|, |r_mass|, |lam rho| and, per component i, |r_mom_i| and
+    |visc u_i|.  The caller's arrays are only read or written in these rows,
+    so slabs may run concurrently.
+    """
+    mu, nu, kappa = params.mu, params.nu, params.kappa
+    N = len(mesh)
+    mesh = [mesh[0][rows], *mesh[1:]]
+    d_hat, f_hat = d_hat[rows], f_hat[:, rows]
+    rho, u = rho_hat[rows], u_hat[:, rows]
+    maxima = [np.max(np.abs(d_hat)), np.max(np.abs(f_hat))]
+    K_sq = sum(k ** 2 for k in mesh)
+    xi_dot_f = sum(mesh[i] * f_hat[i] for i in range(N))
+
+    visc = lam + mu * K_sq
+    pot = lam + (mu + nu) * K_sq
+    D = lam * pot + kappa * K_sq * K_sq
+    rho[...] = (pot * d_hat - 1j * xi_dot_f) / D
+    del pot, D
+    ip_hat = 1j * (d_hat - lam * rho)  # i p with p = i xi . u
+
+    zero = (0,) * N
+    with np.errstate(divide="ignore"):
+        inv_K_sq = 1.0 / K_sq
+    if rows.start == 0:
+        inv_K_sq[zero] = 0.0
+    for i in range(N):
+        k_inv = mesh[i] * inv_K_sq
+        u[i] = (f_hat[i] - k_inv * xi_dot_f) / visc - k_inv * ip_hat
+    del ip_hat, inv_K_sq, k_inv, xi_dot_f
+    if rows.start == 0:
+        # The zero mode decouples: u = f/lam, rho = d/lam.
+        u[(slice(None), *zero)] = f_hat[(slice(None), *zero)] / lam
+        rho[zero] = d_hat[zero] / lam
+
+    xi_dot_u = sum(mesh[i] * u[i] for i in range(N))
+    lam_rho = lam * rho
+    r_mass = lam_rho + 1j * xi_dot_u - d_hat
+    maxima += [np.max(np.abs(r_mass)), np.max(np.abs(lam_rho))]
+    # nu xi_i (xi . u) + i kappa |xi|^2 xi_i rho = xi_i q
+    q = nu * xi_dot_u + (1j * kappa * K_sq) * rho
+    del lam_rho, r_mass, xi_dot_u
+    for i in range(N):
+        visc_u = visc * u[i]
+        r_mom = visc_u + mesh[i] * q - f_hat[i]
+        maxima += [np.max(np.abs(r_mom)), np.max(np.abs(visc_u))]
+    return maxima
+
+
+def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     """Solve the whole-space resolvent problem for reflected half-grid data.
 
     d is a half-grid scalar, f a list of N half-grid components.  d and the
@@ -226,11 +318,15 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam,
     series, so d_N rho and u_N vanish at x_N = 0.  The discrete residuals of both
     equations are checked to 1e-10 relative over kz >= 0, whose maximum is
     the maximum over the full spectrum by symmetry.
+
+    The transforms and the per-frequency algebra run on every CPU in the
+    process's affinity mask; the algebra in row slabs of the leading
+    tangential axis, each element with the same operations as in one pass,
+    so the result does not depend on the CPU count.
     """
     lam = complex(lam)
     if lam.real <= 0.0:
         raise DomainError("whole-space solve requires Re lambda > 0")
-    mu, nu, kappa = params.mu, params.nu, params.kappa
     N = spec.dim
     if len(f) != N:
         raise DomainError(f"need {N} force components")
@@ -257,54 +353,22 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam,
     d_hat[..., -1] = 0.0
     f_hat[..., -1] = 0.0
 
-    # Every array below spans the whole spectrum; each temporary is deleted
-    # once spent, which bounds the peak memory of the solve.
-    mesh = _wavenumber_mesh(spec)
-    K_sq = sum(k ** 2 for k in mesh)
-    xi_dot_f = sum(mesh[i] * f_hat[i] for i in range(N))
-
-    visc = lam + mu * K_sq
-    pot = lam + (mu + nu) * K_sq
-    D = lam * pot + kappa * K_sq * K_sq
-    rho_hat = (pot * d_hat - 1j * xi_dot_f) / D
-    del pot, D
-    ip_hat = 1j * (d_hat - lam * rho_hat)  # i p with p = i xi . u
-
-    zero = (0,) * N
-    with np.errstate(divide="ignore"):
-        inv_K_sq = 1.0 / K_sq
-    inv_K_sq[zero] = 0.0
+    rho_hat = np.empty_like(d_hat)
     u_hat = np.empty_like(f_hat)
-    for i in range(N):
-        k_inv = mesh[i] * inv_K_sq
-        u_hat[i] = (f_hat[i] - k_inv * xi_dot_f) / visc - k_inv * ip_hat
-    del ip_hat, inv_K_sq, k_inv, xi_dot_f
-    # The zero mode decouples: u = f/lam, rho = d/lam.
-    u_hat[(slice(None), *zero)] = f_hat[(slice(None), *zero)] / lam
-    rho_hat[zero] = d_hat[zero] / lam
-
-    residuals = {}
-    if check_residual:
-        # Components that are identically zero only carry transform rounding,
-        # so relative residuals are floored by the overall data magnitude.
-        data_scale = max(np.max(np.abs(d_hat)), np.max(np.abs(f_hat)), 1e-300)
-        xi_dot_u = sum(mesh[i] * u_hat[i] for i in range(N))
-        lam_rho = lam * rho_hat
-        r_mass = lam_rho + 1j * xi_dot_u - d_hat
-        scale_mass = max(np.max(np.abs(lam_rho)), data_scale)
-        residuals["mass"] = float(np.max(np.abs(r_mass)) / scale_mass)
-        # nu xi_i (xi . u) + i kappa |xi|^2 xi_i rho = xi_i q
-        q = nu * xi_dot_u + (1j * kappa * K_sq) * rho_hat
-        del lam_rho, r_mass, xi_dot_u
-        worst = 0.0
-        for i in range(N):
-            visc_u = visc * u_hat[i]
-            r_mom = visc_u + mesh[i] * q - f_hat[i]
-            scale = max(np.max(np.abs(visc_u)), data_scale)
-            worst = max(worst, float(np.max(np.abs(r_mom)) / scale))
-        residuals["momentum"] = worst
-        if max(residuals.values()) > 1e-10:
-            raise ConfigurationError(f"whole-space residuals too large: {residuals}")
+    workers = cpu_workers()
+    slabs = _row_slabs(len(d_hat), d_hat[0].nbytes, workers)
+    solve = functools.partial(_solve_slab, params, lam, _wavenumber_mesh(spec),
+                              d_hat, f_hat, rho_hat, u_hat)
+    with ThreadPoolExecutor(workers) as pool:
+        d_max, f_max, mass, lam_rho, *momentum = np.max(list(pool.map(solve, slabs)), axis=0)
+    # Components that are identically zero only carry transform rounding,
+    # so relative residuals are floored by the overall data magnitude.
+    data_scale = max(d_max, f_max, 1e-300)
+    residuals = {"mass": float(mass / max(lam_rho, data_scale)),
+                 "momentum": max(float(r_mom / max(visc_u, data_scale))
+                                 for r_mom, visc_u in zip(momentum[0::2], momentum[1::2]))}
+    if max(residuals.values()) > 1e-10:
+        raise ConfigurationError(f"whole-space residuals too large: {residuals}")
 
     rho = _vertical_inverse(rho_hat, "even", t_axes)
     u = [_vertical_inverse(u_hat[i], parities[i], t_axes) for i in range(N)]
@@ -376,6 +440,10 @@ class FieldSolveReport:
     the spot-checked lattice modes, `correction_residual_index` the lattice
     index (a tuple of ints) and `correction_residual_equation` the identity
     ("mass", "divergence", "momentum_j", "momentum_N") it was found at.
+    The index and equation mean something only when the maximum is above
+    rounding: when every defect is rounding (about 1e-16, as on well-posed
+    data), they locate last-bit noise and move with any reordering of the
+    arithmetic.
     `un_trace_ratio` is max|U_N(0)| of the whole-space part over max|U_1|.
     It is zero by construction, because U_N is a sine series in x_N; the
     input guard of `whole_space_solve` is what catches incompatible data.
@@ -400,9 +468,10 @@ def lattice_modes(params: FluidParams, spec: GridSpec, g_tilde, h_tilde, lam) ->
     ks = spec.tangential_wavenumbers()
     xi = np.stack([k.ravel() for k in np.meshgrid(*[ks] * (spec.dim - 1), indexing="ij")],
                   axis=-1)
-    g_hat = np.fft.fftn(np.asarray(g_tilde, dtype=complex)).ravel()
-    h_hat = np.stack([np.fft.fftn(np.asarray(h, dtype=complex)).ravel() for h in h_tilde],
-                     axis=-1)
+    t_axes = tuple(range(spec.dim - 1))
+    g_hat = tangential_fft(np.asarray(g_tilde, dtype=complex), t_axes).ravel()
+    h_hat = np.stack([tangential_fft(np.asarray(h, dtype=complex), t_axes).ravel()
+                      for h in h_tilde], axis=-1)
     return solve_modes(params, xi, lam, g_hat, h_hat)
 
 
@@ -419,7 +488,8 @@ def boundary_correction(params: FluidParams, spec: GridSpec, g_tilde, h_tilde, l
     N = spec.dim
     batch = lattice_modes(params, spec, g_tilde, h_tilde, lam)
     values = batch.evaluate(spec.vertical_coords(), batch.coeffs[:N + 1])
-    corr = np.fft.ifftn(values.reshape((N + 1,) + spec.shape), axes=tuple(range(1, N)))
+    corr = tangential_fft(values.reshape((N + 1,) + spec.shape), tuple(range(1, N)),
+                          inverse=True, overwrite_x=True)
     return corr[0], list(corr[1:]), batch
 
 
@@ -482,7 +552,7 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     # the profile part carries it all: d_N rho_corr(0) = -g_tilde = -g.  The
     # defect is relative to g; for g = 0 it is relative to the profile terms
     # whose sum d_N rho_corr(0) is, which bound its rounding.
-    dn_rho0 = np.fft.ifftn(dn_rho_corr_hat, axes=tuple(range(spec.dim - 1)))
+    dn_rho0 = tangential_fft(dn_rho_corr_hat, tuple(range(spec.dim - 1)), inverse=True)
     g_scale = float(np.max(np.abs(g_trace))) \
         or max(dn_term_sum / len(batch), 1e-300)
     boundary_g = float(np.max(np.abs(dn_rho0 + g_trace))) / g_scale

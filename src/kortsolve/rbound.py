@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridError
-from .fields import (GridField, GridSpec, _wavenumber_mesh, lattice_modes,
+from .fields import (GridField, GridSpec, _wavenumber_mesh, lattice_modes, tangential_fft,
                      vertical_spectral_derivative, whole_space_reduction)
 from .modes import BoundaryTrace, solve_mode
 from .profiles import VerticalProfile
@@ -113,8 +113,7 @@ class LiftedTuple:
         hat = np.zeros(shape, dtype=complex)
         for k, v in self.modes.items():
             hat[(slice(None), *k, slice(None))] = v
-        axes = tuple(range(1, spec.dim))
-        return np.fft.ifftn(hat, axes=axes)
+        return tangential_fft(hat, tuple(range(1, spec.dim)), inverse=True)
 
 
 def _vertical_derivatives(profile, n_orders, x):
@@ -366,7 +365,7 @@ class FullSolveFamily:
             x = spec.vertical_coords()
             for k, p in mode_field.modes.items():
                 hat[(*k, slice(None))] = p.evaluate(x)
-            return np.fft.ifftn(hat, axes=tuple(range(dim - 1)))
+            return tangential_fft(hat, tuple(range(dim - 1)), inverse=True)
 
         rho_ws, u_ws, _, g_tilde, h_tilde = whole_space_reduction(
             self.params, GridField(synthesize(d), spec),
@@ -378,16 +377,16 @@ class FullSolveFamily:
 
         # correction lift from exact profile derivatives, all modes in one pass
         corr_hat = _lift_batch(batch, lam, spec, kind_lift)
-        corr = np.fft.ifftn(corr_hat.reshape((len(corr_hat),) + spec.shape),
-                            axes=tuple(a + 1 for a in t_axes))
+        corr = tangential_fft(corr_hat.reshape((len(corr_hat),) + spec.shape),
+                              tuple(a + 1 for a in t_axes), inverse=True)
 
         # whole-space part lift: one parity derivative per vertical order,
         # tangential derivatives as i*xi multipliers on the tangential FFT
         k_t = _wavenumber_mesh(spec)[:dim - 1]
 
         def lift(values, parity):
-            v_hat = [np.fft.fftn(vertical_spectral_derivative(values, spec, v, parity)
-                                 if v else values, axes=t_axes)
+            v_hat = [tangential_fft(vertical_spectral_derivative(values, spec, v, parity)
+                                    if v else values, t_axes)
                      for v in range(_lift_orders(kind_lift))]
 
             def derivative(axes_tuple):
@@ -395,7 +394,8 @@ class FullSolveFamily:
                 for ax in axes_tuple:
                     if ax < dim - 1:
                         factor = factor * (1j * k_t[ax])
-                return np.fft.ifftn(factor * v_hat[axes_tuple.count(dim - 1)], axes=t_axes)
+                return tangential_fft(factor * v_hat[axes_tuple.count(dim - 1)], t_axes,
+                                      inverse=True)
 
             return _lift_rows(derivative, lam, dim, kind_lift)
 

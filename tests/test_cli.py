@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kortsolve
 from kortsolve.cli import dispatch
 
 
@@ -11,6 +15,18 @@ def run(argv, capsys):
     code = dispatch(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_does_not_load_scipy_fft():
+    # scipy.fft is imported where a field solve runs its transforms, so
+    # commands that never solve a field do not pay for it at start-up.
+    src = str(Path(kortsolve.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, kortsolve.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestClassify:
@@ -156,6 +172,34 @@ class TestSolveField:
         assert os.path.exists(out_prefix + ".rho.bin")
         manifest = json.loads((tmp_path / "sol.rho.bin.manifest.json").read_text())
         assert manifest["input_hashes"]
+
+    def test_determinism_byte_for_byte(self, tmp_path, capsys, monkeypatch):
+        # The field solve runs on threads; its outputs must not depend on
+        # their scheduling or number.
+        from kortsolve import fields
+        from kortsolve.fields import GridField, GridSpec, save_field
+        spec = GridSpec(dim=3, box_half_length=3.0, n_tangential=16,
+                        vertical_cutoff=6.0, n_vertical=64)
+        X, Y, Z = np.meshgrid(spec.tangential_coords(), spec.tangential_coords(),
+                              spec.vertical_coords(), indexing="ij")
+        bump = np.exp(-(X**2 + (Y - 0.3) ** 2 + (Z - 1.5) ** 2) / 0.25)
+        prefix = str(tmp_path / "data")
+        save_field(prefix + ".d", GridField(bump, spec))
+        save_field(prefix + ".f0", GridField(0.5j * bump, spec))
+        save_field(prefix + ".f1", GridField(np.zeros(spec.shape), spec))
+        save_field(prefix + ".f2", GridField(Z * bump, spec))
+        save_field(prefix + ".g", GridField(bump, spec))
+        for run_name, workers in (("a", None), ("b", 3)):
+            if workers is not None:
+                monkeypatch.setattr(fields, "cpu_workers", lambda: workers)
+            code, _, _ = run(["solve-field", "--mu", "3", "--nu", "1", "--kappa", "4",
+                              "--lam", "1+0.5j", "--data", prefix,
+                              "-o", str(tmp_path / run_name)], capsys)
+            assert code == 0
+        for part in ("rho", "u1", "u2", "u3"):
+            a = (tmp_path / f"a.{part}.bin").read_bytes()
+            assert a == (tmp_path / f"b.{part}.bin").read_bytes(), part
+            assert len(a) == 16 * 16 * 16 * 64
 
     def test_normal_force_with_boundary_trace_fails(self, tmp_path, capsys):
         from kortsolve.fields import GridField, GridSpec, save_field

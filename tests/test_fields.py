@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from kortsolve import fields
 from kortsolve import (BoundaryTrace, ConfigurationError, TangentialMode, classify,
                        pde_residual, solve_mode)
 from kortsolve.fields import (GridField, GridSpec, _vertical_forward, grid_norm, lattice_modes,
@@ -82,6 +85,66 @@ def _compatible_random_data(spec, rng):
     f = [draw() for _ in range(spec.dim)]
     f[-1][..., 0] = 0.0
     return draw(), f
+
+
+# ---------------------------------------------------------------------------
+# Test-only reference: the whole-space algebra in one pass over the whole
+# spectrum, as it ran before it was split into row slabs.  It shares the
+# solve's transforms, so the two must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _reference_one_pass_solve(spec, params, d, f, lam):
+    lam = complex(lam)
+    mu, nu, kappa = params.mu, params.nu, params.kappa
+    N = spec.dim
+    t_axes = tuple(range(N - 1))
+    parities = ["even"] * (N - 1) + ["odd"]
+    d_hat = fields._vertical_forward(d, "even", t_axes)
+    f_hat = np.empty((N,) + d_hat.shape, dtype=complex)
+    for i, parity in enumerate(parities):
+        f_hat[i] = fields._vertical_forward(f[i], parity, t_axes)
+    d_hat[..., -1] = 0.0
+    f_hat[..., -1] = 0.0
+
+    mesh = fields._wavenumber_mesh(spec)
+    K_sq = sum(k ** 2 for k in mesh)
+    xi_dot_f = sum(mesh[i] * f_hat[i] for i in range(N))
+    visc = lam + mu * K_sq
+    pot = lam + (mu + nu) * K_sq
+    D = lam * pot + kappa * K_sq * K_sq
+    rho_hat = (pot * d_hat - 1j * xi_dot_f) / D
+    ip_hat = 1j * (d_hat - lam * rho_hat)
+    zero = (0,) * N
+    with np.errstate(divide="ignore"):
+        inv_K_sq = 1.0 / K_sq
+    inv_K_sq[zero] = 0.0
+    u_hat = np.empty_like(f_hat)
+    for i in range(N):
+        k_inv = mesh[i] * inv_K_sq
+        u_hat[i] = (f_hat[i] - k_inv * xi_dot_f) / visc - k_inv * ip_hat
+    u_hat[(slice(None), *zero)] = f_hat[(slice(None), *zero)] / lam
+    rho_hat[zero] = d_hat[zero] / lam
+
+    residuals = {}
+    data_scale = max(np.max(np.abs(d_hat)), np.max(np.abs(f_hat)), 1e-300)
+    xi_dot_u = sum(mesh[i] * u_hat[i] for i in range(N))
+    lam_rho = lam * rho_hat
+    r_mass = lam_rho + 1j * xi_dot_u - d_hat
+    scale_mass = max(np.max(np.abs(lam_rho)), data_scale)
+    residuals["mass"] = float(np.max(np.abs(r_mass)) / scale_mass)
+    q = nu * xi_dot_u + (1j * kappa * K_sq) * rho_hat
+    worst = 0.0
+    for i in range(N):
+        visc_u = visc * u_hat[i]
+        r_mom = visc_u + mesh[i] * q - f_hat[i]
+        scale = max(np.max(np.abs(visc_u)), data_scale)
+        worst = max(worst, float(np.max(np.abs(r_mom)) / scale))
+    residuals["momentum"] = worst
+
+    rho = fields._vertical_inverse(rho_hat, "even", t_axes)
+    u = [fields._vertical_inverse(u_hat[i], parities[i], t_axes) for i in range(N)]
+    return rho, u, residuals
 
 
 class TestGridSpec:
@@ -245,6 +308,53 @@ class TestWholeSpace:
         z = np.zeros(spec.shape, dtype=complex)
         with pytest.raises(DomainError):
             whole_space_solve(spec, params, z, [z, z], -1.0)
+
+
+class TestSlabAlgebra:
+    """The row-slab whole-space algebra against the one-pass reference, bit for bit."""
+
+    @pytest.mark.parametrize("dim, n_tangential, n_vertical, workers, slab_rows, data", [
+        (2, 64, 128, 2, None, "random"),
+        (2, 64, 128, 3, None, "random"),   # 64 rows over 3 slabs: 21, 21, 22
+        (2, 64, 128, 2, 5, "random"),      # 13 cache slabs of 4 or 5 rows
+        (2, 8, 64, 12, None, "random"),    # fewer rows than workers: one row a slab
+        (3, 16, 32, 3, None, "random"),
+        (3, 8, 16, 12, None, "random"),
+        (2, 64, 128, 3, None, "zero"),
+        (3, 16, 32, 3, None, "zero"),
+        (2, 64, 128, 3, None, "mean"),     # data with a nonzero zero mode
+        (3, 16, 32, 3, None, "mean"),
+    ])
+    def test_matches_one_pass_reference(self, monkeypatch, params, dim, n_tangential,
+                                        n_vertical, workers, slab_rows, data):
+        spec = GridSpec(dim=dim, box_half_length=3.0, n_tangential=n_tangential,
+                        vertical_cutoff=4.0, n_vertical=n_vertical)
+        if data == "random":
+            d, f = _compatible_random_data(spec, np.random.default_rng(n_tangential + dim))
+        elif data == "zero":
+            d = np.zeros(spec.shape, dtype=complex)
+            f = [d] * dim
+        else:
+            coords = [spec.tangential_coords()] * (dim - 1) + [spec.vertical_coords() - 2.0]
+            bump = np.exp(-sum(c ** 2 for c in np.meshgrid(*coords, indexing="ij")))
+            d = (1.0 + 0.5j) * bump
+            f = [(0.5 - 1.0j) * bump] * (dim - 1) + [np.zeros(spec.shape, dtype=complex)]
+            assert abs(fields._vertical_forward(d, "even", tuple(range(dim - 1))).flat[0]) > 1.0
+        lam = 0.7 + 1.3j
+        row_bytes = spec.n_tangential ** (dim - 2) * (spec.n_vertical + 1) * 16
+        monkeypatch.setattr(fields, "cpu_workers", lambda: workers)
+        if slab_rows is not None:
+            monkeypatch.setattr(fields, "SLAB_BYTES", slab_rows * row_bytes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the slab threads as finely as possible
+        try:
+            rho, u, res = whole_space_solve(spec, params, d, f, lam)
+        finally:
+            sys.setswitchinterval(interval)
+        rho_ref, u_ref, res_ref = _reference_one_pass_solve(spec, params, d, f, lam)
+        assert np.array_equal(rho, rho_ref)
+        assert all(np.array_equal(a, b) for a, b in zip(u, u_ref, strict=True))
+        assert res == res_ref
 
 
 class TestBoundaryReduction:
