@@ -37,7 +37,7 @@ import functools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,8 +164,20 @@ def validate_edge_decay(values, spec: GridSpec, what: str = "data"):
 # DCT/DST coefficients, so the whole-space formulas apply unchanged.
 # scipy.fft is imported where the transforms run: with scipy.special it adds
 # about 0.15 s to the package import, which commands that never solve a field
-# should not pay.  Every transform runs on all `cpu_workers()`; pocketfft
-# splits independent lines across threads, so results do not depend on it.
+# should not pay.
+#
+# The transforms run on every CPU in the process's affinity mask.  Each is
+# cut into slabs of independent lines, about TASK_BYTES each; the calling
+# thread and cpu_workers() - 1 helper threads take the next slab as they come
+# free, each slab in one pocketfft call.  So a CPU that the host is slow to
+# give back holds up one slab, not a fixed share of the work.  The helpers
+# start once per process and wait idle between calls.  Work of fewer than two
+# slabs stays on the calling thread.  The whole-space algebra runs in slabs of
+# the same size on the calling thread: it is many short numpy calls, each
+# taking the GIL, and on threads its wall time followed the host's load on
+# the other CPUs.  Lines are independent, so results do not depend on the
+# slabs or the CPU count.
+TASK_BYTES = 1 << 21
 
 
 def cpu_workers() -> int:
@@ -176,18 +188,95 @@ def cpu_workers() -> int:
         return os.cpu_count() or 1
 
 
+def _slices(n: int, nbytes: int):
+    """Slices of range(n), rows holding nbytes of work: near-equal, one per TASK_BYTES."""
+    n_slabs = max(1, min(n, nbytes // TASK_BYTES))
+    bounds = [n * k // n_slabs for k in range(n_slabs + 1)]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+@functools.lru_cache(maxsize=None)
+def _helpers(n_threads: int, pid: int) -> ThreadPoolExecutor:
+    """A pool of n_threads helper threads, one per process (a forked child makes its own)."""
+    return ThreadPoolExecutor(n_threads, thread_name_prefix="kortsolve")
+
+
+def _run_slabs(task, slabs):
+    """[task(s) for s in slabs], on every CPU when there are two slabs or more.
+
+    The calling thread and cpu_workers() - 1 helper threads take the next
+    slab as they come free, so the slabs need not cost the same.
+    """
+    workers = min(cpu_workers(), len(slabs))
+    if workers < 2:
+        return [task(s) for s in slabs]
+    results = [None] * len(slabs)
+    queue = iter(range(len(slabs)))  # each index is taken by one thread
+
+    def drain():
+        for k in queue:
+            results[k] = task(slabs[k])
+
+    pool = _helpers(workers - 1, os.getpid())
+    helpers = [pool.submit(drain) for _ in range(workers - 1)]
+    try:
+        drain()
+    except BaseException:
+        for _ in queue:  # leave the helpers no further slab
+            pass
+        raise
+    finally:
+        wait(helpers)
+    for h in helpers:
+        h.result()
+    return results
+
+
+def _store(dst, result):
+    """dst[...] = result, unless a transform run with overwrite_x already wrote it there."""
+    if not np.may_share_memory(dst, result):
+        dst[...] = result
+
+
+def _along(transform, values, axis: int, overwrite_x: bool):
+    """transform(values, axis=axis) in slabs of lines cut across the largest other axis.
+
+    Returns a new array, or with `overwrite_x` a complex `values` transformed
+    in place.  Each slab is copied into the output and transformed there, so
+    no slab allocates: fresh pages cost a fault each.
+    """
+    split = max((a for a in range(values.ndim) if a != axis), key=lambda a: values.shape[a],
+                default=None)
+    slabs = [slice(None)] if split is None else _slices(values.shape[split], values.nbytes)
+    if len(slabs) == 1:
+        return transform(values, axis=axis, overwrite_x=overwrite_x, workers=1)
+    out = values if overwrite_x and values.dtype == complex \
+        else np.empty(values.shape, dtype=complex)
+
+    def task(part):
+        index = (slice(None),) * split + (part,)
+        if out is not values:
+            out[index] = values[index]
+        _store(out[index], transform(out[index], axis=axis, overwrite_x=True, workers=1))
+
+    _run_slabs(task, slabs)
+    return out
+
+
 def tangential_fft(values, axes, inverse: bool = False, overwrite_x: bool = False):
     """FFT (or inverse FFT) of `values` along the tangential `axes`.
 
     The axes are transformed one at a time, last first, as numpy.fft.fftn
-    does, so the result is bit-identical to numpy's; each pass runs on every
-    CPU.  With `overwrite_x` the input may be destroyed.
+    does, so the result is bit-identical to numpy's.  The result is a new
+    array (`values` itself when there are no axes); with `overwrite_x` a
+    complex input may be used for it instead.
     """
     from scipy import fft
 
     transform = fft.ifft if inverse else fft.fft
+    values = np.asarray(values)
     for axis in reversed(axes):
-        values = transform(values, axis=axis, overwrite_x=overwrite_x, workers=cpu_workers())
+        values = _along(transform, values, axis, overwrite_x)
         overwrite_x = True
     return values
 
@@ -202,11 +291,17 @@ def _vertical_forward(values, parity: str, tangential_axes=()):
     values = np.asarray(values, dtype=complex)
     n = values.shape[-1]
     hat = np.zeros(values.shape[:-1] + (n + 1,), dtype=complex)
-    if parity == "even":
-        hat[..., :n] = values
-        hat = fft.dct(hat, type=1, axis=-1, overwrite_x=True, workers=cpu_workers())
-    else:
-        hat[..., 1:n] = -1j * fft.dst(values[..., 1:], type=1, axis=-1, workers=cpu_workers())
+    lines, data = hat.reshape(-1, n + 1), values.reshape(-1, n)
+
+    def task(rows):
+        if parity == "even":
+            lines[rows, :n] = data[rows]
+            _store(lines[rows], fft.dct(lines[rows], type=1, axis=-1, overwrite_x=True,
+                                        workers=1))
+        else:
+            lines[rows, 1:n] = -1j * fft.dst(data[rows, 1:], type=1, axis=-1, workers=1)
+
+    _run_slabs(task, _slices(len(lines), hat.nbytes))
     return tangential_fft(hat, tangential_axes, overwrite_x=True)
 
 
@@ -214,13 +309,23 @@ def _vertical_inverse(hat, parity: str, tangential_axes=()):
     """Inverse of `_vertical_forward`: half-grid samples x_N = 0..L - h."""
     from scipy import fft
 
-    hat = tangential_fft(hat, tangential_axes, inverse=True)
+    # a new array either way, so the even case can transform it in place
+    hat = tangential_fft(hat, tangential_axes, inverse=True) if tangential_axes \
+        else np.array(hat, dtype=complex)
     n = hat.shape[-1] - 1
-    if parity == "even":
-        return fft.idct(hat, type=1, axis=-1, workers=cpu_workers())[..., :n]
-    values = np.zeros(hat.shape[:-1] + (n,), dtype=complex)
-    values[..., 1:] = fft.idst(1j * hat[..., 1:n], type=1, axis=-1, overwrite_x=True,
-                               workers=cpu_workers())
+    lines = hat.reshape(-1, n + 1)
+    values = hat[..., :n] if parity == "even" else np.zeros(hat.shape[:-1] + (n,), dtype=complex)
+    out = values.reshape(-1, n) if parity == "odd" else None
+
+    def task(rows):
+        if parity == "even":
+            _store(lines[rows], fft.idct(lines[rows], type=1, axis=-1, overwrite_x=True,
+                                         workers=1))
+        else:
+            out[rows, 1:] = fft.idst(1j * lines[rows, 1:n], type=1, axis=-1, overwrite_x=True,
+                                     workers=1)
+
+    _run_slabs(task, _slices(len(lines), hat.nbytes))
     return values
 
 
@@ -229,26 +334,12 @@ def _wavenumber_mesh(spec: GridSpec):
     return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
-# The whole-space algebra runs over slabs of rows of the leading tangential
-# axis, at least one per worker and each about this many bytes per complex
-# temporary, so that a slab's temporaries stay in cache.
-SLAB_BYTES = 1 << 19
-
-
-def _row_slabs(n_rows: int, row_bytes: int, workers: int):
-    """Slices splitting n_rows rows into near-equal, nonempty slabs."""
-    n_slabs = min(n_rows, max(workers, math.ceil(n_rows * row_bytes / SLAB_BYTES)))
-    bounds = [n_rows * k // n_slabs for k in range(n_slabs + 1)]
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 def _solve_slab(params: FluidParams, lam, mesh, d_hat, f_hat, rho_hat, u_hat, rows):
     """The whole-space algebra on rows `rows` of the leading tangential axis.
 
     Writes rho_hat[rows] and u_hat[:, rows] and returns the slab's maxima of
     |d_hat|, |f_hat|, |r_mass|, |lam rho| and, per component i, |r_mom_i| and
-    |visc u_i|.  The caller's arrays are only read or written in these rows,
-    so slabs may run concurrently.
+    |visc u_i|.  The caller's arrays are only read or written in these rows.
     """
     mu, nu, kappa = params.mu, params.nu, params.kappa
     N = len(mesh)
@@ -319,10 +410,11 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     equations are checked to 1e-10 relative over kz >= 0, whose maximum is
     the maximum over the full spectrum by symmetry.
 
-    The transforms and the per-frequency algebra run on every CPU in the
-    process's affinity mask; the algebra in row slabs of the leading
-    tangential axis, each element with the same operations as in one pass,
-    so the result does not depend on the CPU count.
+    The transforms run on every CPU in the process's affinity mask.  The
+    per-frequency algebra runs in row slabs of the leading tangential axis,
+    whose temporaries the allocator reuses; each element gets the same
+    operations as in one pass, so the result does not depend on the slabs
+    or the CPU count.
     """
     lam = complex(lam)
     if lam.real <= 0.0:
@@ -355,12 +447,10 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
 
     rho_hat = np.empty_like(d_hat)
     u_hat = np.empty_like(f_hat)
-    workers = cpu_workers()
-    slabs = _row_slabs(len(d_hat), d_hat[0].nbytes, workers)
     solve = functools.partial(_solve_slab, params, lam, _wavenumber_mesh(spec),
                               d_hat, f_hat, rho_hat, u_hat)
-    with ThreadPoolExecutor(workers) as pool:
-        d_max, f_max, mass, lam_rho, *momentum = np.max(list(pool.map(solve, slabs)), axis=0)
+    maxima = [solve(rows) for rows in _slices(len(d_hat), d_hat.nbytes)]
+    d_max, f_max, mass, lam_rho, *momentum = np.max(maxima, axis=0)
     # Components that are identically zero only carry transform rounding,
     # so relative residuals are floored by the overall data magnitude.
     data_scale = max(d_max, f_max, 1e-300)

@@ -192,6 +192,7 @@ class TestSolveField:
         for run_name, workers in (("a", None), ("b", 3)):
             if workers is not None:
                 monkeypatch.setattr(fields, "cpu_workers", lambda: workers)
+                monkeypatch.setattr(fields, "TASK_BYTES", 1)  # threads even at this size
             code, _, _ = run(["solve-field", "--mu", "3", "--nu", "1", "--kappa", "4",
                               "--lam", "1+0.5j", "--data", prefix,
                               "-o", str(tmp_path / run_name)], capsys)

@@ -314,9 +314,10 @@ class TestSlabAlgebra:
     """The row-slab whole-space algebra against the one-pass reference, bit for bit."""
 
     @pytest.mark.parametrize("dim, n_tangential, n_vertical, workers, slab_rows, data", [
+        # slab_rows None: one slab per worker, as even as the rows allow
         (2, 64, 128, 2, None, "random"),
         (2, 64, 128, 3, None, "random"),   # 64 rows over 3 slabs: 21, 21, 22
-        (2, 64, 128, 2, 5, "random"),      # 13 cache slabs of 4 or 5 rows
+        (2, 64, 128, 2, 5, "random"),      # 12 slabs of 5 or 6 rows
         (2, 8, 64, 12, None, "random"),    # fewer rows than workers: one row a slab
         (3, 16, 32, 3, None, "random"),
         (3, 8, 16, 12, None, "random"),
@@ -342,19 +343,100 @@ class TestSlabAlgebra:
             assert abs(fields._vertical_forward(d, "even", tuple(range(dim - 1))).flat[0]) > 1.0
         lam = 0.7 + 1.3j
         row_bytes = spec.n_tangential ** (dim - 2) * (spec.n_vertical + 1) * 16
+        if slab_rows is None:
+            slab_rows = max(1, n_tangential // workers)
         monkeypatch.setattr(fields, "cpu_workers", lambda: workers)
-        if slab_rows is not None:
-            monkeypatch.setattr(fields, "SLAB_BYTES", slab_rows * row_bytes)
+        monkeypatch.setattr(fields, "TASK_BYTES", slab_rows * row_bytes)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the slab threads as finely as possible
         try:
             rho, u, res = whole_space_solve(spec, params, d, f, lam)
         finally:
             sys.setswitchinterval(interval)
+        monkeypatch.undo()  # the reference runs its transforms on this thread alone
         rho_ref, u_ref, res_ref = _reference_one_pass_solve(spec, params, d, f, lam)
         assert np.array_equal(rho, rho_ref)
         assert all(np.array_equal(a, b) for a, b in zip(u, u_ref, strict=True))
         assert res == res_ref
+
+
+class TestWorkPool:
+    """Slabs on the helper threads: each taken once, results in order, same bits."""
+
+    def _threads(self, monkeypatch, workers=3):
+        monkeypatch.setattr(fields, "cpu_workers", lambda: workers)
+        monkeypatch.setattr(fields, "TASK_BYTES", 1)
+
+    def test_each_slab_once_in_order(self, monkeypatch):
+        self._threads(monkeypatch)
+        seen = []
+        slabs = fields._slices(50, 50)
+        assert len(slabs) == 50
+
+        def task(s):
+            seen.append(s.start)
+            return s.start * 2
+
+        assert fields._run_slabs(task, slabs) == [2 * k for k in range(50)]
+        assert sorted(seen) == list(range(50))
+
+    def test_small_work_stays_on_the_calling_thread(self, monkeypatch):
+        import threading
+        monkeypatch.setattr(fields, "cpu_workers", lambda: 3)
+        caller = threading.get_ident()
+        slabs = fields._slices(8, 2 * fields.TASK_BYTES - 1)
+        assert len(slabs) == 1
+        assert fields._run_slabs(lambda s: threading.get_ident(), slabs) == [caller]
+
+    def test_error_raised_after_every_slab_is_done(self, monkeypatch):
+        import threading
+        import time
+        self._threads(monkeypatch)
+        running, lock = [0], threading.Lock()
+
+        def task(s):
+            with lock:
+                running[0] += 1
+            try:
+                time.sleep(0.002)
+                if s.start == 3:
+                    raise ValueError("slab 3")
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        with pytest.raises(ValueError, match="slab 3"):
+            fields._run_slabs(task, fields._slices(20, 20))
+        assert running[0] == 0
+
+    @pytest.mark.parametrize("shape", [(64, 33), (8, 16, 17), (3, 8, 16, 17)])
+    def test_transforms_do_not_depend_on_the_slabs(self, monkeypatch, shape):
+        rng = np.random.default_rng(len(shape))
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        v[..., 0] = 0.0
+        t_axes = tuple(range(len(shape) - 1))
+        hat_axes = tuple(range(1, len(shape) - 1)) if len(shape) == 4 else t_axes
+
+        def transforms():
+            out = [fields.tangential_fft(v, t_axes), fields.tangential_fft(v, t_axes, True),
+                   fields.tangential_fft(v.copy(), t_axes, overwrite_x=True)]
+            for parity in ("even", "odd"):
+                hat = fields._vertical_forward(v, parity, hat_axes)
+                kept = hat.copy()
+                out += [hat, fields._vertical_inverse(hat, parity, hat_axes),
+                        fields._vertical_inverse(hat, parity)]
+                assert np.array_equal(hat, kept)  # inverses leave their input alone
+            return out
+
+        kept = v.copy()
+        serial = transforms()
+        assert np.array_equal(v, kept)
+        self._threads(monkeypatch)
+        pooled = transforms()
+        assert all(np.array_equal(a, b) for a, b in zip(serial, pooled, strict=True))
+        # one axis at a time, last first: numpy's own order, so numpy's bits
+        assert np.array_equal(pooled[0], np.fft.fftn(v, axes=t_axes))
+        assert np.array_equal(pooled[1], np.fft.ifftn(v, axes=t_axes))
 
 
 class TestBoundaryReduction:
