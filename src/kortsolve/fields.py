@@ -127,10 +127,14 @@ class GridField:
 
 def grid_norm(values, spec: GridSpec, q: float = 2.0) -> float:
     """Discrete l_q norm with uniform cell-volume quadrature weights."""
+    return _lq_norm(np.abs(values), spec, q)
+
+
+def _lq_norm(magnitude, spec: GridSpec, q: float) -> float:
+    """`grid_norm` of values whose absolute values `magnitude` are given."""
     if q <= 0:
         raise DomainError("q must be positive")
-    vol = spec.cell_volume()
-    return float((np.sum(np.abs(values) ** q) * vol) ** (1.0 / q))
+    return float((np.sum(magnitude ** q) * spec.cell_volume()) ** (1.0 / q))
 
 
 def validate_edge_decay(values, spec: GridSpec, what: str = "data"):
@@ -608,7 +612,8 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
         raise GridError(f"g trace shape {g_trace.shape} != {spec.tangential_shape}")
 
     rho_ws, u_ws, ws_res, g_tilde, h_tilde = whole_space_reduction(params, d, f, g_trace, lam)
-    un_trace = float(np.max(np.abs(u_ws[-1][..., 0])))
+    un_trace_ratio = float(np.max(np.abs(u_ws[-1][..., 0]))) \
+        / max(float(np.max(np.abs(u_ws[0]))), 1e-300)
     rho_corr, u_corr, batch = boundary_correction(params, spec, g_tilde, h_tilde, lam)
 
     # d_N rho_corr(0) per mode: the power-0 coefficients of the derivative.
@@ -632,8 +637,11 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
                                                         spec.tangential_shape))
     corr_equation = list(per_equation)[int(np.argmax(table[:, k]))]
 
-    rho_vals = rho_ws + rho_corr
-    u_vals = [u_ws[J] + u_corr[J] for J in range(spec.dim)]
+    # the whole-space arrays are this call's own: add the correction in place
+    rho_vals, u_vals = rho_ws, u_ws
+    rho_vals += rho_corr
+    for J in range(spec.dim):
+        u_vals[J] += u_corr[J]
 
     # Boundary defects of the assembled field.
     u_scale = max(max(float(np.max(np.abs(v))) for v in u_vals), 1e-300)
@@ -647,6 +655,7 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
         or max(dn_term_sum / len(batch), 1e-300)
     boundary_g = float(np.max(np.abs(dn_rho0 + g_trace))) / g_scale
 
+    rho_abs = np.abs(rho_vals)
     report = FieldSolveReport(
         whole_space_residuals=ws_res,
         correction_residual_max=float(worst[k]),
@@ -654,8 +663,8 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
         correction_residual_equation=corr_equation,
         boundary_u_max=boundary_u,
         boundary_g_residual=boundary_g,
-        un_trace_ratio=un_trace / max(float(np.max(np.abs(u_ws[0]))), 1e-300),
-        norms={f"l{q:g}": grid_norm(rho_vals, spec, q) for q in (1.5, 2.0, 4.0)},
+        un_trace_ratio=un_trace_ratio,
+        norms={f"l{q:g}": _lq_norm(rho_abs, spec, q) for q in (1.5, 2.0, 4.0)},
     )
     rho_field = GridField(rho_vals, spec, role="density")
     u_fields = [GridField(v, spec, role="velocity_component") for v in u_vals]

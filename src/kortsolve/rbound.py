@@ -18,7 +18,8 @@ the operators: the output of the density solver is measured as
 of the velocity solver as (grad^2 u, lam^(1/2) grad u, lam u), and boundary
 data (g, h') through the same second-order lift applied per component.  All
 derivatives are exact: tangential ones act as i*xi multipliers per lattice
-mode and vertical ones differentiate the exponential profiles.
+mode and vertical ones differentiate the exponential profiles.  A lift takes
+all active modes of a family member in one array pass (`_profile_verticals`).
 """
 
 from __future__ import annotations
@@ -116,12 +117,6 @@ class LiftedTuple:
         return tangential_fft(hat, tuple(range(1, spec.dim)), inverse=True)
 
 
-def _vertical_derivatives(profile, n_orders, x):
-    """[d^v profile / dx^v sampled at x for v < n_orders]."""
-    return [profile.differentiate(v).evaluate(x) if v else profile.evaluate(x)
-            for v in range(n_orders)]
-
-
 def _tangential_derivative(vertical, axes_tuple, xi):
     """Exact d^axes_tuple of v(x_N) e^{i xi.x'}, given vertical[k] = d^k v / dx_N^k.
 
@@ -136,7 +131,7 @@ def _tangential_derivative(vertical, axes_tuple, xi):
             factor = factor * (1j * xi[..., ax])
         else:
             v_order += 1
-    return np.expand_dims(factor, -1) * vertical[v_order]
+    return np.asarray(factor)[..., None] * vertical[v_order]
 
 
 def _lift_rows(derivative, lam, dim: int, kind: str):
@@ -173,20 +168,6 @@ def _lift_orders(kind: str) -> int:
     return 4 if kind == "S0" else 3
 
 
-def _lift_profiles(profile_sets, lam, spec: GridSpec, xi, kind: str):
-    """Lifted component arrays for one mode.
-
-    profile_sets: for kind 'S0' a single density profile; for kind 'T' a list
-    of profiles (the lift concatenates the second-order lift of each).  Each
-    vertical derivative order is evaluated once per profile.
-    """
-    lam = complex(lam)
-    x = spec.vertical_coords()
-    profiles = [profile_sets] if kind == "S0" else profile_sets
-    verticals = [_vertical_derivatives(p, _lift_orders(kind), x) for p in profiles]
-    return np.array(_lift_vertical(verticals, lam, xi, spec.dim, kind))
-
-
 def _lift_batch(batch, lam, spec: GridSpec, kind: str):
     """Lift rows (n_comp, M, n_z) of every mode of a ModeBatch.
 
@@ -202,19 +183,107 @@ def _lift_batch(batch, lam, spec: GridSpec, kind: str):
     return np.array(_lift_vertical(verticals, complex(lam), batch.xi, spec.dim, kind))
 
 
+def _times(a, b):
+    """a * b rounded as numpy's scalar complex product.
+
+    numpy's array kernel for complex products may fuse a multiply with an
+    add, so it rounds differently from the scalar `-c * t` of
+    `VerticalProfile.differentiate`.  Written out in float arithmetic,
+    (ar br - ai bi) + i (ar bi + ai br), the product rounds like the scalar.
+    """
+    a, b = np.broadcast_arrays(a, b)
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _profile_verticals(fields, x, n_orders):
+    """d^v/dx^v of every field's profile at every mode on x, v < n_orders.
+
+    fields[i][k] is field i's VerticalProfile at mode k.  Returns
+    (F, n_orders, M, len(x)), equal bit for bit to evaluating
+    `differentiate(v)` of each profile: the profiles are padded into
+    (F, M, T) coefficient, power and rate arrays (zero coefficient, power 0
+    and rate 0 in the padding, so x**0 stays finite at x = 0), order v holds
+    the terms of `differentiate(v)` in its order (each term's descendants in
+    place, with zero coefficients where a power would drop below 0), and
+    every order is summed term by term on the one basis e^{-rate x}.
+    """
+    x = np.asarray(x, dtype=float)
+    n_terms = max([len(p) for row in fields for p in row], default=0) or 1
+    shape = (len(fields), len(fields[0]), n_terms)
+    coeffs = np.zeros(shape, dtype=complex)
+    powers = np.zeros(shape, dtype=int)
+    rates = np.zeros(shape, dtype=complex)
+    lengths = np.zeros(shape[:2] + (1,), dtype=int)
+    for i, row in enumerate(fields):
+        for k, p in enumerate(row):
+            coeffs[i, k, :len(p)], powers[i, k, :len(p)], rates[i, k, :len(p)] = \
+                p.coeffs, p.powers, p.rates
+            lengths[i, k] = len(p)
+
+    top = int(powers.max(initial=0))
+    # rows x**m, m <= top, then x * x: `evaluate` takes x**m through pow, but
+    # numpy squares x for a one-term profile, and the two can differ in the last bit
+    x_powers = np.concatenate([x[None, :] ** np.arange(top + 1)[:, None], (x * x)[None]])
+    power_rows = np.where((lengths == 1) & (powers == 2), top + 1, powers)[..., None]
+    basis = np.ones(shape + (1, x.size), dtype=complex)  # (F, M, T, 1, n)
+    real = np.arange(n_terms) < lengths
+    basis[real] = np.exp(-rates[real][:, None, None] * x)
+    out = np.empty((shape[0], n_orders, shape[1], x.size), dtype=complex)
+    # c, p (F, M, T, S): the current order's terms, S slots per input term;
+    # slot s descends from its term through n_down[s] power-lowering steps
+    c, p, n_down = coeffs[..., None], powers[..., None], np.zeros(1, dtype=int)
+    for v in range(n_orders):
+        if v:
+            # c x^p e^{-tx} -> (-c t) x^p e^{-tx} + (c p) x^(p-1) e^{-tx}
+            c = np.stack([_times(-c, rates[..., None]), c * p], axis=-1).reshape(
+                c.shape[:-1] + (-1,))
+            p = np.stack([p, p - 1], axis=-1).reshape(c.shape)
+            n_down = np.stack([n_down, n_down + 1], axis=-1).ravel()
+            keep = n_down <= top
+            c, p, n_down = c[..., keep], p[..., keep], n_down[keep]
+            power_rows = np.maximum(p, 0)
+        terms = (c[..., None] * x_powers[power_rows] * basis).reshape(
+            shape[:2] + (-1, x.size))
+        acc = out[:, v]
+        acc[...] = terms[:, :, 0]
+        for j in range(1, terms.shape[2]):
+            acc += terms[:, :, j]
+    return out
+
+
+def _lift_modes(active, fields, lam, spec: GridSpec, kind: str) -> LiftedTuple:
+    """LiftedTuple of the lift of `fields` (fields[i][k] at mode active[k]).
+
+    Kind 'S0' lifts the one field to third order, kind 'T' concatenates the
+    second-order lift of each field.  All modes are lifted in one pass.
+    """
+    values = _profile_verticals(fields, spec.vertical_coords(), _lift_orders(kind))
+    rows = _lift_vertical(values, complex(lam), _frequencies(spec, active), spec.dim, kind)
+    return LiftedTuple(_per_mode(active, rows), spec, len(fields) * lift_arity(kind, spec.dim))
+
+
+def _frequencies(spec: GridSpec, active):
+    """(M, N-1) tangential frequencies of the lattice indices in `active`."""
+    ks = spec.tangential_wavenumbers()
+    return np.array([[ks[i] for i in index] for index in active],
+                    dtype=float).reshape(len(active), spec.dim - 1)
+
+
+def _per_mode(active, rows):
+    """{active[k]: (n_comp, n_z) block of mode k} from n_comp rows of shape (M, n_z)."""
+    return dict(zip(active, np.stack(rows, axis=1)))
+
+
 def lift_boundary_data(data, lam) -> LiftedTuple:
     """The trace lift (T_lam g, T_lam h_1, ..., T_lam h_{N-1})."""
     g, hs = data
-    spec = g.spec
-    ks = spec.tangential_wavenumbers()
-    out = {}
-    n_comp = spec.dim * lift_arity("T", spec.dim)
-    for index in set(g.modes) | set().union(*(set(h.modes) for h in hs)):
-        xi = np.array([ks[i] for i in index])
-        profiles = [g.modes.get(index, VerticalProfile.zero())] + \
-            [h.modes.get(index, VerticalProfile.zero()) for h in hs]
-        out[index] = _lift_profiles(profiles, lam, spec, xi, "T")
-    return LiftedTuple(out, spec, n_comp)
+    active = list(set(g.modes) | set().union(*(set(h.modes) for h in hs)))
+    zero = VerticalProfile.zero()
+    fields = [[c.modes.get(index, zero) for index in active] for c in (g, *hs)]
+    return _lift_modes(active, fields, lam, g.spec, "T")
 
 
 # ---------------------------------------------------------------------------
@@ -252,24 +321,18 @@ class ReducedSolveFamily:
     def apply(self, lam, data):
         g, hs = data
         spec = g.spec
-        ks = spec.tangential_wavenumbers()
-        out = {}
-        if self.kind == "A2":
-            n_comp = lift_arity("S0", spec.dim)
-        else:
-            n_comp = spec.dim * lift_arity("T", spec.dim)
-        for index in set(g.modes) | set().union(*(set(h.modes) for h in hs)):
-            xi = np.array([ks[i] for i in index])
+        active = list(set(g.modes) | set().union(*(set(h.modes) for h in hs)))
+        solutions = []
+        for index, xi in zip(active, _frequencies(spec, active)):
             mode = TangentialMode(xi=xi, lam=lam, dim=spec.dim)
             g_hat = g.modes[index].value_at_zero() if index in g.modes else 0.0
             h_hat = np.array([h.modes[index].value_at_zero() if index in h.modes else 0.0
                               for h in hs])
-            sol = solve_mode(self.params, mode, BoundaryTrace(g_hat, h_hat))
-            if self.kind == "A2":
-                out[index] = _lift_profiles(sol.rho, lam, spec, xi, "S0")
-            else:
-                out[index] = _lift_profiles(list(sol.u), lam, spec, xi, "T")
-        return LiftedTuple(out, spec, n_comp)
+            solutions.append(solve_mode(self.params, mode, BoundaryTrace(g_hat, h_hat)))
+        if self.kind == "A2":
+            return _lift_modes(active, [[s.rho for s in solutions]], lam, spec, "S0")
+        fields = [[s.u[J] for s in solutions] for J in range(spec.dim)]
+        return _lift_modes(active, fields, lam, spec, "T")
 
     def input_lift(self, lam, data):
         return lift_boundary_data(data, lam)
@@ -315,25 +378,18 @@ def lift_full_data(data, lam) -> LiftedTuple:
     d, f, g = data
     spec = d.spec
     lam = complex(lam)
-    sqrt_lam = np.sqrt(lam)
-    ks = spec.tangential_wavenumbers()
-    x = spec.vertical_coords()
     dim = spec.dim
-    n_comp = dim + 1 + dim + dim * dim + dim + 1
-    active = set(d.modes) | set(g.modes) | set().union(*(set(c.modes) for c in f))
-
-    out = {}
+    active = list(set(d.modes) | set(g.modes) | set().union(*(set(c.modes) for c in f)))
+    xi = _frequencies(spec, active)
     zero = VerticalProfile.zero()
-    for index in active:
-        xi = np.array([ks[i] for i in index])
-        vd = _vertical_derivatives(d.modes.get(index, zero), 2, x)
-        vg = _vertical_derivatives(g.modes.get(index, zero), 3, x)
-        rows = [_tangential_derivative(vd, t, xi) for t in derivative_tuples(1, dim)]
-        rows.append(sqrt_lam * vd[0])
-        rows += [f[i].modes.get(index, zero).evaluate(x) for i in range(dim)]
-        rows += _lift_vertical([vg], lam, xi, dim, "T")
-        out[index] = np.array(rows)
-    return LiftedTuple(out, spec, n_comp)
+    fields = [[c.modes.get(index, zero) for index in active] for c in (d, g, *f)]
+    vd, vg, *vf = _profile_verticals(fields, spec.vertical_coords(), 3)
+    rows = [_tangential_derivative(vd, t, xi) for t in derivative_tuples(1, dim)]
+    rows.append(np.sqrt(lam) * vd[0])
+    rows += [v[0] for v in vf]
+    rows += _lift_vertical([vg], lam, xi, dim, "T")
+    n_comp = dim + 1 + dim + dim * dim + dim + 1
+    return LiftedTuple(_per_mode(active, rows), spec, n_comp)
 
 
 class FullSolveFamily:

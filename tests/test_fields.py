@@ -6,10 +6,11 @@ import pytest
 from kortsolve import fields
 from kortsolve import (BoundaryTrace, ConfigurationError, TangentialMode, classify,
                        pde_residual, solve_mode)
-from kortsolve.fields import (GridField, GridSpec, _vertical_forward, grid_norm, lattice_modes,
-                              load_field, manufactured_solution, reduce_boundary_data,
-                              save_field, solve_resolvent, vertical_spectral_derivative,
-                              whole_space_reduction, whole_space_solve)
+from kortsolve.fields import (GridField, GridSpec, _vertical_forward, boundary_correction,
+                              grid_norm, lattice_modes, load_field, manufactured_solution,
+                              reduce_boundary_data, save_field, solve_resolvent,
+                              vertical_spectral_derivative, whole_space_reduction,
+                              whole_space_solve)
 
 
 @pytest.fixture(scope="module")
@@ -543,6 +544,26 @@ class TestSolveResolvent:
             assert rep.boundary_g_residual <= 1e-8
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 1e-6
+
+    def test_assembly_is_the_sum_of_its_parts(self, params):
+        # the correction is added into the whole-space arrays in place: the
+        # fields equal the sum of the two parts bit for bit, the data is left
+        # untouched, and the norms are grid_norm's
+        spec = GridSpec(dim=2, box_half_length=3.0, n_tangential=32,
+                        vertical_cutoff=8.0, n_vertical=64)
+        lam = 1.0 + 0.5j
+        mf = manufactured_solution(params, spec, lam)
+        data = [mf["d"].values.copy()] + [c.values.copy() for c in mf["f"]]
+        rho, u, rep = solve_resolvent(params, mf["d"], mf["f"], mf["g_trace"], lam)
+        rho_ws, u_ws, _, g_tilde, h_tilde = whole_space_reduction(params, mf["d"], mf["f"],
+                                                                  mf["g_trace"], lam)
+        rho_corr, u_corr, _ = boundary_correction(params, spec, g_tilde, h_tilde, lam)
+        assert np.array_equal(rho.values, rho_ws + rho_corr)
+        for J in range(2):
+            assert np.array_equal(u[J].values, u_ws[J] + u_corr[J])
+        for before, after in zip(data, [mf["d"]] + list(mf["f"])):
+            assert np.array_equal(before, after.values)
+        assert rep.norms == {f"l{q:g}": grid_norm(rho.values, spec, q) for q in (1.5, 2.0, 4.0)}
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_one_mode_solve_per_lattice_mode(self, params, dim, mode_solves):

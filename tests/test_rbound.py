@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from kortsolve.modes import BoundaryTrace, solve_mode
 from kortsolve.profiles import VerticalProfile
-from kortsolve.rbound import (FullSolveFamily, IdentityFamily, ModeField, ProbeConfig,
-                              ReducedSolveFamily, _lift_profiles, _lift_rows, estimate_rbound,
-                              lambda_log_derivative, lift_arity, lift_boundary_data, probe_grid,
+from kortsolve.rbound import (FullSolveFamily, IdentityFamily, LiftedTuple, ModeField,
+                              ProbeConfig, ReducedSolveFamily, _lift_modes, _lift_rows, _times,
+                              derivative_tuples, estimate_rbound, lambda_log_derivative,
+                              lift_arity, lift_boundary_data, lift_full_data, probe_grid,
                               sample_boundary_data, sample_full_data)
+from kortsolve.spectral import TangentialMode
 
 
 @pytest.fixture(scope="module")
@@ -43,22 +46,194 @@ def _reference_lift_profiles(profile_sets, lam, spec, xi, kind):
     return np.array(rows)
 
 
+def _reference_lift_full_data(data, lam):
+    """Per-mode, per-tuple reference of `lift_full_data`."""
+    d, f, g = data
+    spec = d.spec
+    lam = complex(lam)
+    x = spec.vertical_coords()
+    ks = spec.tangential_wavenumbers()
+    zero = VerticalProfile.zero()
+    out = {}
+    for index in set(d.modes) | set(g.modes) | set().union(*(set(c.modes) for c in f)):
+        xi = np.array([ks[i] for i in index])
+        vd = d.modes.get(index, zero)
+        rows = [_reference_profile_derivative(vd, t, xi, x) for t in derivative_tuples(1, spec.dim)]
+        rows.append(np.sqrt(lam) * vd.evaluate(x))
+        rows += [c.modes.get(index, zero).evaluate(x) for c in f]
+        rows += list(_reference_lift_profiles([g.modes.get(index, zero)], lam, spec, xi, "T"))
+        out[index] = np.array(rows)
+    return out
+
+
+def _reference_lift_boundary_data(data, lam):
+    """The per-mode boundary-data lift: one profile set per mode."""
+    g, hs = data
+    spec = g.spec
+    ks = spec.tangential_wavenumbers()
+    zero = VerticalProfile.zero()
+    out = {}
+    for index in set(g.modes) | set().union(*(set(h.modes) for h in hs)):
+        xi = np.array([ks[i] for i in index])
+        profiles = [g.modes.get(index, zero)] + [h.modes.get(index, zero) for h in hs]
+        out[index] = _reference_lift_profiles(profiles, lam, spec, xi, "T")
+    return LiftedTuple(out, spec, spec.dim * lift_arity("T", spec.dim))
+
+
+class _ReferenceReducedFamily(ReducedSolveFamily):
+    """The reduced family with one `solve_mode` and one per-tuple lift per mode."""
+
+    def apply(self, lam, data):
+        g, hs = data
+        spec = g.spec
+        ks = spec.tangential_wavenumbers()
+        lift = "S0" if self.kind == "A2" else "T"
+        out = {}
+        for index in set(g.modes) | set().union(*(set(h.modes) for h in hs)):
+            xi = np.array([ks[i] for i in index])
+            mode = TangentialMode(xi=xi, lam=lam, dim=spec.dim)
+            g_hat = g.modes[index].value_at_zero() if index in g.modes else 0.0
+            h_hat = np.array([h.modes[index].value_at_zero() if index in h.modes else 0.0
+                              for h in hs])
+            sol = solve_mode(self.params, mode, BoundaryTrace(g_hat, h_hat))
+            profiles = sol.rho if lift == "S0" else list(sol.u)
+            out[index] = _reference_lift_profiles(profiles, lam, spec, xi, lift)
+        n_fields = 1 if lift == "S0" else spec.dim
+        return LiftedTuple(out, spec, n_fields * lift_arity(lift, spec.dim))
+
+    def input_lift(self, lam, data):
+        return _reference_lift_boundary_data(data, lam)
+
+
+class _ReferenceIdentity(IdentityFamily):
+    def apply(self, lam, data):
+        return _reference_lift_boundary_data(data, lam)
+
+    def input_lift(self, lam, data):
+        return _reference_lift_boundary_data(data, lam)
+
+
+def _random_profile(rng, powers):
+    return VerticalProfile([(complex(*rng.normal(size=2)), m,
+                             complex(rng.uniform(0.2, 3.0), rng.normal())) for m in powers])
+
+
+def _assert_lift_matches_reference(active, fields, lam, spec, kind):
+    got = _lift_modes(active, fields, lam, spec, kind)
+    ks = spec.tangential_wavenumbers()
+    assert list(got.modes) == list(active)
+    for k, index in enumerate(active):
+        xi = np.array([ks[i] for i in index])
+        payload = fields[0][k] if kind == "S0" else [c[k] for c in fields]
+        want = _reference_lift_profiles(payload, lam, spec, xi, kind)
+        assert got.modes[index].shape == want.shape
+        # equal bit for bit, up to the sign of zeros where a mode has no profile
+        assert np.array_equal(got.modes[index], want)
+
+
 class TestLifts:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("kind", ["S0", "T"])
     def test_lift_profiles_bit_identical_to_per_tuple_reference(self, rng, dim, kind):
+        # every mode of every field in one pass: powers 0/1/2, a one-term
+        # x^2 profile, merged and empty profiles
         spec = probe_grid(dim=dim, n_tangential=8, n_vertical=48)
+        term_powers = [(0, 1, 2, 0), (0, 0), (2,), (1, 0, 2), (0,), ()]
+        n_fields = 1 if kind == "S0" else dim
         for lam in (1.0 + 0.5j, 0.02 * np.exp(-1.2j), 70.0):
-            xi = rng.normal(size=dim - 1) * 3.0
-            profiles = [VerticalProfile([(complex(*rng.normal(size=2)), m,
-                                          complex(rng.uniform(0.2, 3.0), rng.normal()))
-                                         for m in (0, 1, 2, 0)])
-                        for _ in range(dim)]
-            payload = profiles[0] if kind == "S0" else profiles
-            got = _lift_profiles(payload, lam, spec, xi, kind)
-            want = _reference_lift_profiles(payload, lam, spec, xi, kind)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            flat = rng.choice(8 ** (dim - 1), size=len(term_powers), replace=False)
+            active = [tuple(int(i) for i in np.unravel_index(j, spec.tangential_shape))
+                      for j in flat]
+            fields = [[_random_profile(rng, term_powers[(k + i) % len(term_powers)])
+                       for k in range(len(active))] for i in range(n_fields)]
+            _assert_lift_matches_reference(active, fields, lam, spec, kind)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_boundary_lift_merged_and_missing_modes(self, rng, dim):
+        # an index drawn twice carries a merged 4-term profile; a mode present
+        # in one field only carries the zero profile in the others
+        spec = probe_grid(dim=dim, n_tangential=8, n_vertical=64)
+        a, b, c = [(1,) * (dim - 1), (2,) * (dim - 1), (7,) * (dim - 1)]
+        g = ModeField({a: _random_profile(rng, (0, 0)) + _random_profile(rng, (0, 0)),
+                       b: _random_profile(rng, (0, 0))}, spec)
+        hs = tuple(ModeField({b: _random_profile(rng, (0, 0)), c: _random_profile(rng, (0, 0))},
+                             spec) for _ in range(dim - 1))
+        assert len(g.modes[a]) == 4
+        for lam in (1.0 + 0.5j, 30.0 * np.exp(1.2j)):
+            got = lift_boundary_data((g, hs), lam)
+            want = _reference_lift_boundary_data((g, hs), lam)
+            assert list(got.modes) == list(want.modes)
+            assert got.n_comp == want.n_comp
+            for index, v in want.modes.items():
+                assert np.array_equal(got.modes[index], v)
+
+    @pytest.mark.parametrize("case", ["I", "II", "III", "IV", "V"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_solve_mode_profiles_lift_bit_identical(self, params_by_case, rng, case, dim):
+        # the reduced family's lifts: rho (3 vertical derivatives) and u;
+        # cases IV and V carry x e^{-t x} terms
+        params = params_by_case[case]
+        spec = probe_grid(dim=dim, n_tangential=8, n_vertical=48)
+        ks = spec.tangential_wavenumbers()
+        lam = 1.3 * np.exp(0.7j)
+        active = [tuple(int(i) for i in rng.integers(0, 8, size=dim - 1)) for _ in range(4)]
+        active = list(dict.fromkeys(active))
+        sols = []
+        for index in active:
+            mode = TangentialMode(xi=np.array([ks[i] for i in index]), lam=lam, dim=dim)
+            g, h = complex(*rng.normal(size=2)), rng.normal(size=dim - 1) + 0j
+            sols.append(solve_mode(params, mode, BoundaryTrace(g, h)))
+        if case in ("IV", "V"):
+            assert max(int(s.rho.powers.max()) for s in sols) == 1
+        _assert_lift_matches_reference(active, [[s.rho for s in sols]], lam, spec, "S0")
+        fields = [[s.u[J] for s in sols] for J in range(dim)]
+        _assert_lift_matches_reference(active, fields, lam, spec, "T")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_full_data_lift_bit_identical(self, rng, dim):
+        # sample_full_data's normal force has x e^{-r x} terms
+        spec = probe_grid(dim=dim, n_tangential=8, n_vertical=64)
+        for lam in (1.0 + 0.5j, 0.05 * np.exp(-1.2j)):
+            data = sample_full_data(rng, spec, modes_per_field=3)
+            assert max(int(p.powers.max()) for p in data[1][-1].modes.values()) == 1
+            got = lift_full_data(data, lam)
+            want = _reference_lift_full_data(data, lam)
+            assert list(got.modes) == list(want)
+            for index, v in want.items():
+                assert got.modes[index].shape == (got.n_comp, spec.n_vertical)
+                assert np.array_equal(got.modes[index], v)
+
+    def test_scalar_rounded_product(self, rng):
+        # the derivative coefficients -c t round as numpy's scalar product
+        a = rng.normal(size=(2000, 2)) * 10.0 ** rng.uniform(-3, 3, size=(2000, 2))
+        b = rng.normal(size=(2000, 2)) * 10.0 ** rng.uniform(-3, 3, size=(2000, 2))
+        a, b = a[:, 0] + 1j * a[:, 1], b[:, 0] + 1j * b[:, 1]
+        want = np.array([-x * y for x, y in zip(a, b)])  # numpy complex scalars
+        assert _times(-a, b).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_no_profile_calculus_per_component(self, params, rng, dim, monkeypatch):
+        # structural: the lifts never call differentiate, and the reduced
+        # family's evaluate calls are its trace reads, one per profile, the
+        # same for the third-order density lift and the velocity lift
+        counts = {"evaluate": 0, "differentiate": 0}
+        for name in counts:
+            original = getattr(VerticalProfile, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(VerticalProfile, name, counted)
+        spec = probe_grid(dim=dim, n_tangential=16, n_vertical=64)
+        data = sample_boundary_data(rng, spec, 4)
+        traces = sum(len(c.modes) for c in (data[0], *data[1]))
+        lift_boundary_data(data, 1.0 + 0.5j)
+        assert counts == {"evaluate": 0, "differentiate": 0}
+        for kind in ("A2", "B2"):
+            counts.update(evaluate=0, differentiate=0)
+            ReducedSolveFamily(params, kind).apply(1.0 + 0.5j, data)
+            assert counts == {"evaluate": traces, "differentiate": 0}, kind
 
     def test_arities(self):
         assert lift_arity("S0", 2) == 8 + 4 + 2 + 1
@@ -105,6 +280,22 @@ class TestFamilies:
         rep = estimate_rbound(IdentityFamily(), SMALL)
         assert all(abs(r - 1.0) <= 1e-12 for r in rep.all_ratios)
         assert rep.global_max == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dim, kinds", [(2, ("A2", "B2", "dA2", "dB2")), (3, ("A2", "B2"))])
+    def test_probe_ratios_equal_per_mode_reference(self, params, dim, kinds):
+        # the array lifts leave every probe ratio unchanged, bit for bit;
+        # with four draws per field some lattice indices are drawn twice
+        spec = probe_grid(dim=dim, n_tangential=8 if dim == 3 else 16, n_vertical=64)
+        cfg = ProbeConfig(m=3, trials=60, rng_seed=5, draws_per_decade=1, modes_per_field=4)
+        for kind in kinds:
+            fam, ref = (c(params, kind.lstrip("d")) for c in (ReducedSolveFamily,
+                                                               _ReferenceReducedFamily))
+            if kind.startswith("d"):
+                fam, ref = lambda_log_derivative(fam), lambda_log_derivative(ref)
+            got = estimate_rbound(fam, cfg, spec).all_ratios
+            assert got == estimate_rbound(ref, cfg, spec).all_ratios, kind
+        got = estimate_rbound(IdentityFamily(), cfg, spec).all_ratios
+        assert got == estimate_rbound(_ReferenceIdentity(), cfg, spec).all_ratios
 
     def test_m_equals_one_is_norm_ratio(self, params, rng):
         # with a single member the Rademacher sum degenerates to ||Tf|| / ||f||
