@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -263,15 +264,14 @@ def cmd_oracle_compare(args):
     trace = BoundaryTrace(_parse_complex(args.g), h)
     length = args.length if args.length else BvpConfig.for_mode(p, mode, n=args.n).length
     config = BvpConfig(length=length, n=args.n, scheme=args.scheme)
-    sol = solve_mode(p, mode, trace)
-    err, numeric = compare_with_closed_form(p, mode, trace, config, closed=sol)
+    err, numeric = compare_with_closed_form(p, mode, trace, config)
 
     rows = [("x", "component", "closed_re", "closed_im", "oracle_re", "oracle_im",
              "abs_err", "rel_err")]
-    closed = [prof.evaluate(numeric.x) for prof in (sol.rho, *sol.u)]
+    closed = numeric.closed_form[:-1]  # rho, u_1..u_N
     labels = ["rho"] + [f"u_{J + 1}" for J in range(mode.dim)]
     numeric_stack = [numeric.rho, *numeric.u]
-    scale = max(float(np.max(np.abs(vals))) for vals in closed)
+    scale = float(np.max(np.abs(closed)))
     stride = max(1, args.n // args.rows)
     for label, vals, num in zip(labels, closed, numeric_stack):
         for i in range(0, args.n, stride):
@@ -418,9 +418,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's one parser; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, GridError, ValueError) as exc:

@@ -8,9 +8,11 @@ of complex dimension 2N+2, using the divergence constraint
 u_N' = phi - i xi . u' to lower the order in u_N and the interior equations
 to close u_j'' and phi'''.  The system y' = A y with constant A is then
 discretized on [0, L] by a two-point box scheme (second order) or its
-Obrechkoff correction (fourth order) and solved as one banded sparse system
-with the physical boundary conditions at x = 0 and homogeneous Dirichlet
-conditions at x = L.
+Obrechkoff correction (fourth order), with the physical boundary conditions
+at x = 0 and homogeneous Dirichlet conditions at x = L.  Ordered x = 0 rows,
+box rows, x = L rows, the system is banded with 3N+2 sub- and
+superdiagonals; it is assembled in LAPACK band storage and solved by banded
+LU with partial pivoting (zgbsv).
 
 Nothing here evaluates an exponential of A or reuses the closed-form roots;
 agreement with `modes.solve_mode` is therefore a genuine cross-check.
@@ -23,8 +25,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  (perfbench/tracing.py wraps spla.spsolve here)
+from scipy.linalg.lapack import zgbsv
 
 from .errors import ConfigurationError, DomainError
 from .modes import BoundaryTrace, ModeSolution, solve_mode
@@ -68,13 +70,18 @@ class BvpConfig:
 
 @dataclass
 class BvpSolution:
-    """Nodal values of the oracle solve."""
+    """Nodal values of the oracle solve.
+
+    `closed_form` is filled in by `compare_with_closed_form`: the closed-form
+    rho, u_1..u_N and phi on x, stacked in that order, shape (N+2, n).
+    """
 
     x: np.ndarray
     u: np.ndarray      # shape (N, n)
     phi: np.ndarray    # shape (n,)
     rho: np.ndarray    # shape (n,)
     far_field_ratio: float
+    closed_form: np.ndarray | None = None
 
 
 def companion_matrix(params: FluidParams, mode: TangentialMode) -> np.ndarray:
@@ -120,15 +127,20 @@ def _u_columns(N: int) -> list:
     return [*range(0, 2 * N - 2, 2), 2 * N - 2]
 
 
-def _discrete_system(A: np.ndarray, lam: complex, trace: BoundaryTrace, config: BvpConfig):
-    """The box-scheme matrix (CSC) and right-hand side of the per-mode BVP.
+def _band_system(A: np.ndarray, lam: complex, trace: BoundaryTrace, config: BvpConfig):
+    """The box-scheme system of the per-mode BVP in LAPACK band storage.
 
-    Row block i < n-1 is `left` on node i and `right` on node i+1; the last
-    block holds the boundary rows u_j(0) = h_j, u_N(0) = 0, phi'(0) = lam*g,
-    u_j(L) = u_N(L) = phi(L) = 0.  Only nonzero block entries are stored.
+    Returns (ab, rhs, k): the matrix has k = 3N+2 sub- and superdiagonals and
+    entry (r, c) is stored at ab[2k + r - c, c]; rows 0..k-1 of ab are
+    workspace for the factorization.  The unknowns are node-major (node i
+    holds y at x_i), and the rows come in the order x = 0 boundary rows
+    u_j(0) = h_j, u_N(0) = 0, phi'(0) = lam*g; then row block i < n-1,
+    `left` on node i and `right` on node i+1; then u_j(L) = u_N(L) =
+    phi(L) = 0.  That order keeps every row within k of the diagonal.
     """
     dim, n = A.shape[0], config.n
     N = dim // 2 - 1
+    k = 3 * N + 2
     h = config.length / (n - 1)
     eye = np.eye(dim, dtype=complex)
     if config.scheme == "second_order_fd":
@@ -141,33 +153,36 @@ def _discrete_system(A: np.ndarray, lam: complex, trace: BoundaryTrace, config: 
         right = eye / h - A / 2.0 + (h / 12.0) * A2
         left = -(eye / h + A / 2.0 + (h / 12.0) * A2)
 
-    off = np.arange(n - 1)[:, None] * dim
-    rows, cols, vals = [], [], []
-    for block, shift in ((left, 0), (right, dim)):
-        br, bc = np.nonzero(block)
-        rows.append((off + br).ravel())
-        cols.append((off + shift + bc).ravel())
-        vals.append(np.broadcast_to(block[br, bc], (n - 1, br.size)).ravel())
+    size = dim * n
+    ab = np.zeros((3 * k + 1, size), dtype=complex, order="F")
+    # Block row i starts at row N+1 + i*dim, so block entry (a, b) lies on
+    # band row 2k + N+1 + a - b (left) or 2k - (N+1) + a - b (right), in
+    # every dim-th column from b (left) or dim + b (right).
+    span = (n - 1) * dim
+    for b in range(dim):
+        top = 2 * k + N + 1 - b
+        ab[top:top + dim, b:b + span:dim] = left[:, b, None]
+        top -= dim
+        ab[top:top + dim, dim + b:dim + b + span:dim] = right[:, b, None]
     # boundary rows: u_1..u_N, then phi' (2N) at x = 0 or phi (2N-1) at x = L
-    far = (n - 1) * dim
     u_cols = _u_columns(N)
-    rows.append(far + np.arange(dim))
-    cols.append(np.array([*u_cols, 2 * N, *(far + c for c in u_cols), far + 2 * N - 1]))
-    vals.append(np.ones(dim))
-    rhs = np.zeros(dim * n, dtype=complex)
-    rhs[far:far + N - 1] = trace.h_hat
-    rhs[far + N] = lam * trace.g_hat
-    matrix = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                           shape=(dim * n, dim * n))
-    return matrix, rhs
+    for row0, col0, last in ((0, 0, 2 * N), (size - (N + 1), size - dim, 2 * N - 1)):
+        for r, c in enumerate([*u_cols, last]):
+            ab[2 * k + row0 + r - col0 - c, col0 + c] = 1.0
+    rhs = np.zeros(size, dtype=complex)
+    rhs[:N - 1] = trace.h_hat
+    rhs[N] = lam * trace.g_hat
+    return ab, rhs, k
 
 
 def solve_mode_bvp(params: FluidParams, mode: TangentialMode, trace: BoundaryTrace,
                    config: BvpConfig) -> BvpSolution:
-    """Banded finite-difference solve of the per-mode BVP on [0, L].
+    """Finite-difference solve of the per-mode BVP on [0, L], one banded LU (zgbsv).
 
     Boundary rows: u_j(0) = h_j, u_N(0) = 0, phi'(0) = lambda*g (which encodes
     d_N rho(0) = -g through rho = -phi/lambda), and u_J(L) = phi(L) = 0.
+    A singular factorization or a non-finite solution raises
+    ConfigurationError naming n and L.
     """
     N, n = mode.dim, config.n
     if trace.h_hat.shape != (N - 1,):
@@ -179,11 +194,11 @@ def solve_mode_bvp(params: FluidParams, mode: TangentialMode, trace: BoundaryTra
             f"interval length {config.length:.3g} is shorter than 10 decay lengths "
             f"({10.0 / tmin:.3g}); truncation error may dominate", stacklevel=2)
 
-    matrix, rhs = _discrete_system(companion_matrix(params, mode), mode.lam, trace, config)
-    try:
-        y = spla.spsolve(matrix, rhs)
-    except RuntimeError as exc:  # pragma: no cover - singular factorization
-        raise ConfigurationError(f"singular discrete system (n={n}, L={config.length}): {exc}")
+    ab, rhs, k = _band_system(companion_matrix(params, mode), mode.lam, trace, config)
+    _, _, y, info = zgbsv(k, k, ab, rhs[:, None], overwrite_ab=1, overwrite_b=1)
+    if info != 0 or not np.all(np.isfinite(y)):
+        raise ConfigurationError(
+            f"singular discrete system (n={n}, L={config.length}): LAPACK zgbsv info={info}")
     y = y.reshape(n, 2 * N + 2)
 
     x = np.linspace(0.0, config.length, n)
@@ -200,7 +215,8 @@ def compare_with_closed_form(params: FluidParams, mode: TangentialMode, trace: B
                              config: BvpConfig, closed: ModeSolution | None = None):
     """Relative sup-norm disagreement between oracle and closed form.
 
-    Returns (error, BvpSolution).  The error is normalized by the largest
+    Returns (error, BvpSolution), the solution carrying the closed-form
+    values it was compared with.  The error is normalized by the largest
     closed-form magnitude over the nodes, taken across all components.
     """
     if closed is None:
@@ -208,6 +224,7 @@ def compare_with_closed_form(params: FluidParams, mode: TangentialMode, trace: B
     numeric = solve_mode_bvp(params, mode, trace, config)
     x = numeric.x
     ref = np.array([p.evaluate(x) for p in (closed.rho, *closed.u, closed.phi)])
+    numeric.closed_form = ref
     got = np.vstack([numeric.rho[None, :], numeric.u, numeric.phi[None, :]])
     scale = max(np.max(np.abs(ref)), 1e-300)
     return float(np.max(np.abs(ref - got)) / scale), numeric

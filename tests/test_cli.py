@@ -100,6 +100,17 @@ class TestOracleCompare:
         rows = (tmp_path / "cmp.csv").read_text().splitlines()
         assert {row.split(",")[1] for row in rows[1:]} == {"rho", "u_1", "u_2", "u_3"}
 
+    def test_parser_reused_after_usage_error(self, tmp_path, capsys):
+        argv = ["oracle-compare", "--mu", "1", "--nu", "1", "--kappa", "2", "--xi", "1",
+                "--lam", "1", "--n", "512", "--scheme", "fourth_order_fd", "-o"]
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert run(argv + [str(first)], capsys)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["oracle-compare", "--bogus"])
+        assert exc.value.code == 2
+        assert run(argv + [str(again)], capsys)[0] == 0
+        assert again.read_bytes() == first.read_bytes()
+
 
 class TestScans:
     def test_lopatinski_scan_csv(self, tmp_path, capsys):

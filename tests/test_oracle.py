@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from kortsolve import (BoundaryTrace, BvpConfig, ConfigurationError, TangentialMode,
                        compare_with_closed_form, convergence_study, solve_mode_bvp)
-from kortsolve.oracle import _discrete_system, companion_matrix
-
+from kortsolve import oracle
+from kortsolve.oracle import _band_system, companion_matrix
 
 
 def _mode_and_trace():
@@ -13,11 +14,11 @@ def _mode_and_trace():
 
 
 def _reference_discrete_system(A, lam, trace, config):
-    """Test-only reference: the system assembled block by block, one COO copy per block.
+    """Test-only reference: the system assembled block by block as a sparse matrix.
 
-    `_discrete_system` must reproduce this matrix (CSC arrays) and right-hand
-    side exactly, so SuperLU sees the same system and the oracle's output is
-    unchanged.
+    Rows are the n-1 block rows, then the x = 0 rows, then the x = L rows.
+    `_band_system` must hold this matrix and right-hand side entry for entry
+    once the x = 0 rows are moved to the top.
     """
     dim, n = A.shape[0], config.n
     N = dim // 2 - 1
@@ -71,24 +72,70 @@ def _reference_discrete_system(A, lam, trace, config):
     return sp.csc_matrix((vals, (rows, cols)), shape=(dim * n, dim * n)), rhs
 
 
+def _band_to_dense(ab, k):
+    """Unpack LAPACK band storage with k sub- and superdiagonals."""
+    size = ab.shape[1]
+    dense = np.zeros((size, size), dtype=ab.dtype)
+    for d in range(-k, k + 1):  # entry (r, r + d) is stored at ab[2k - d, r + d]
+        r = np.arange(max(0, -d), min(size, size - d))
+        dense[r, r + d] = ab[2 * k - d, r + d]
+    return dense
+
+
+def _reference_case(params_by_case, name, dim, scheme):
+    p = params_by_case[name]
+    mode = TangentialMode(xi=[0.7, -0.3][:dim - 1], lam=1.2 + 0.4j, dim=dim)
+    trace = BoundaryTrace(0.8 - 0.6j, [0.5 + 0.25j, -0.3 + 1.1j][:dim - 1])
+    config = BvpConfig.for_mode(p, mode, n=256, scheme=scheme)
+    return p, mode, trace, config
+
+
+def _on_case_grid(test):
+    """Parametrize over cases I-V, 2-D and 3-D modes, and both schemes."""
+    for arg, values in (("scheme", ["second_order_fd", "fourth_order_fd"]), ("dim", [2, 3]),
+                        ("name", ["I", "II", "III", "IV", "V"])):
+        test = pytest.mark.parametrize(arg, values)(test)
+    return test
+
+
 class TestAssembly:
-    @pytest.mark.parametrize("scheme", ["second_order_fd", "fourth_order_fd"])
-    @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("name", ["I", "II", "III", "IV", "V"])
+    @_on_case_grid
     def test_matches_block_loop_reference(self, params_by_case, name, dim, scheme):
-        p = params_by_case[name]
-        mode = TangentialMode(xi=[0.7, -0.3][:dim - 1], lam=1.2 + 0.4j, dim=dim)
-        trace = BoundaryTrace(0.8 - 0.6j, [0.5 + 0.25j, -0.3 + 1.1j][:dim - 1])
-        config = BvpConfig.for_mode(p, mode, n=256, scheme=scheme)
+        p, mode, trace, config = _reference_case(params_by_case, name, dim, scheme)
         A = companion_matrix(p, mode)
-        matrix, rhs = _discrete_system(A, mode.lam, trace, config)
+        ab, rhs, k = _band_system(A, mode.lam, trace, config)
         ref, ref_rhs = _reference_discrete_system(A, mode.lam, trace, config)
-        assert matrix.format == "csc"
-        for attr in ("indptr", "indices", "data"):
-            got, want = getattr(matrix, attr), getattr(ref, attr)
-            assert got.dtype == want.dtype, attr
-            np.testing.assert_array_equal(got, want, err_msg=attr)
-        np.testing.assert_array_equal(rhs, ref_rhs)
+        N, size = dim, ref.shape[0]
+        assert k == 3 * N + 2
+        assert ab.shape == (3 * k + 1, size) and ab.flags.f_contiguous
+        assert not np.any(ab[:k])  # LAPACK workspace rows start zeroed
+        far = size - (2 * N + 2)
+        order = np.r_[far:far + N + 1, :far, far + N + 1:size]
+        np.testing.assert_array_equal(_band_to_dense(ab, k), ref.toarray()[order])
+        np.testing.assert_array_equal(rhs, ref_rhs[order])
+
+
+class TestBandSolve:
+    @_on_case_grid
+    def test_agrees_with_sparse_reference_solve(self, params_by_case, name, dim, scheme):
+        p, mode, trace, config = _reference_case(params_by_case, name, dim, scheme)
+        ref, ref_rhs = _reference_discrete_system(companion_matrix(p, mode), mode.lam,
+                                                  trace, config)
+        y = spla.spsolve(ref, ref_rhs).reshape(config.n, 2 * dim + 2)
+        sol = solve_mode_bvp(p, mode, trace, config)
+        got = np.vstack([sol.u, sol.phi[None, :]])
+        want = y[:, [*range(0, 2 * dim - 2, 2), 2 * dim - 2, 2 * dim - 1]].T
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_singular_system_raises(self, params_by_case, monkeypatch):
+        p = params_by_case["I"]
+        mode, trace = _mode_and_trace()
+        cfg = BvpConfig.for_mode(p, mode, n=256)
+        A = companion_matrix(p, mode)
+        A[1, 0] = np.nan
+        monkeypatch.setattr(oracle, "companion_matrix", lambda params, mode: A)
+        with pytest.raises(ConfigurationError, match=r"n=256, L="):
+            solve_mode_bvp(p, mode, trace, cfg)
 
 
 class TestBvpSolve:
