@@ -92,8 +92,9 @@ def _reference_case(params_by_case, name, dim, scheme):
 
 def _on_case_grid(test):
     """Parametrize over cases I-V, 2-D and 3-D modes, and both schemes."""
-    for arg, values in (("scheme", ["second_order_fd", "fourth_order_fd"]), ("dim", [2, 3]),
-                        ("name", ["I", "II", "III", "IV", "V"])):
+    # Marks applied later come later in the test ids: name-dim-scheme, as before.
+    for arg, values in (("name", ["I", "II", "III", "IV", "V"]), ("dim", [2, 3]),
+                        ("scheme", ["second_order_fd", "fourth_order_fd"])):
         test = pytest.mark.parametrize(arg, values)(test)
     return test
 
