@@ -1,25 +1,29 @@
 """Full-data resolvent solve on the half-space via FFT assembly.
 
 The inhomogeneous problem (data d, f in the interior, g on the boundary) is
-reduced to the boundary-data-only problem in three steps:
+reduced to the boundary-data-only problem in three steps, all in one
+(N+1, *tangential, n_z+1) complex buffer in the tangential spectrum:
 
 1. reflect d and the tangential components of f evenly about x_N = 0 and
-   the normal component oddly, and solve the whole-space problem for the
-   reflections mode-by-mode: in x_N on their cosine (DCT-I) and sine
-   (DST-I) spectra, tangentially on the FFT, all on the half grid;
-2. read corrected boundary traces off the whole-space solution: its normal
-   velocity and the normal density gradient are sine series and vanish on
-   the interface, so only the tangential velocities need correcting;
+   the normal component oddly, write their cosine (DCT-I) and sine (DST-I)
+   spectra in x_N, FFT'd tangentially, into the buffer, and overwrite them
+   with the whole-space solution mode-by-mode, all on the half grid; the
+   vertical inverse then runs in place and leaves U(xi, x_N), the
+   whole-space part in the tangential spectrum;
+2. read corrected boundary traces off that spectrum: its normal velocity
+   and the normal density gradient are sine series and vanish on the
+   interface, so only the tangential velocities need correcting, by
+   h_j(xi) = -U_j(xi, 0);
 3. solve the reduced boundary problem of every tangential lattice mode in
-   one `modes.solve_modes` batch, add the exact profile correction to the
-   whole-space part, and spot-check the profile identities of a selection
-   of modes with `modes.batch_residuals`, all on the batch's coefficient
-   arrays.
+   one `modes.solve_modes` batch, add the exact profile correction into the
+   buffer, spot-check the profile identities of a selection of modes with
+   `modes.batch_residuals`, all on the batch's coefficient arrays, and
+   finish with one inverse tangential FFT per component.
 
 Steps 1 and 2 are `whole_space_reduction`, the one path shared by
-`reduce_boundary_data`, `solve_resolvent` and the full-data rbound family.
-Step 3 is `lattice_modes`, which solves each lattice mode exactly once, and
-`boundary_correction`, which samples the batch's profiles on the grid (each
+`solve_resolvent` and the full-data rbound family.  Step 3 is
+`lattice_modes`, which solves each lattice mode exactly once, and
+`boundary_correction`, which adds the batch's profiles into the buffer (each
 mode only where it has not decayed) and hands the batch back, so boundary
 diagnostics and the spot-check read exact profile derivatives off its
 coefficients instead of solving again.
@@ -285,52 +289,56 @@ def tangential_fft(values, axes, inverse: bool = False, overwrite_x: bool = Fals
     return values
 
 
-def _vertical_forward(values, parity: str, tangential_axes=()):
+def _vertical_forward(values, parity: str, out):
     """Spectrum at kz = pi k / L, k = 0..n_z, of a half-grid array's reflection.
 
-    With `tangential_axes` the spectrum is also FFT'd along those axes.
+    Written into `out`, a C-contiguous array of shape values.shape[:-1] +
+    (n_z + 1,), which is returned.
     """
     from scipy import fft
 
     values = np.asarray(values, dtype=complex)
     n = values.shape[-1]
-    hat = np.zeros(values.shape[:-1] + (n + 1,), dtype=complex)
-    lines, data = hat.reshape(-1, n + 1), values.reshape(-1, n)
+    lines, data = out.reshape(-1, n + 1), values.reshape(-1, n)
 
     def task(rows):
         if parity == "even":
             lines[rows, :n] = data[rows]
+            lines[rows, n] = 0.0
             _store(lines[rows], fft.dct(lines[rows], type=1, axis=-1, overwrite_x=True,
                                         workers=1))
         else:
+            lines[rows, 0] = lines[rows, n] = 0.0
             lines[rows, 1:n] = -1j * fft.dst(data[rows, 1:], type=1, axis=-1, workers=1)
 
-    _run_slabs(task, _slices(len(lines), hat.nbytes))
-    return tangential_fft(hat, tangential_axes, overwrite_x=True)
+    _run_slabs(task, _slices(len(lines), out.nbytes))
+    return out
 
 
-def _vertical_inverse(hat, parity: str, tangential_axes=()):
-    """Inverse of `_vertical_forward`: half-grid samples x_N = 0..L - h."""
+def _vertical_inverse(hat, parity: str):
+    """Inverse of `_vertical_forward`, in place on the C-contiguous `hat`.
+
+    Returns the view hat[..., :n_z], the half-grid samples x_N = 0..L - h.
+    An odd inverse writes rows 1..n_z - 1 of its lines and zeroes row 0,
+    where its sine series vanishes.
+    """
     from scipy import fft
 
-    # a new array either way, so the even case can transform it in place
-    hat = tangential_fft(hat, tangential_axes, inverse=True) if tangential_axes \
-        else np.array(hat, dtype=complex)
     n = hat.shape[-1] - 1
     lines = hat.reshape(-1, n + 1)
-    values = hat[..., :n] if parity == "even" else np.zeros(hat.shape[:-1] + (n,), dtype=complex)
-    out = values.reshape(-1, n) if parity == "odd" else None
 
     def task(rows):
         if parity == "even":
             _store(lines[rows], fft.idct(lines[rows], type=1, axis=-1, overwrite_x=True,
                                          workers=1))
         else:
-            out[rows, 1:] = fft.idst(1j * lines[rows, 1:n], type=1, axis=-1, overwrite_x=True,
-                                     workers=1)
+            sine = lines[rows, 1:n]
+            sine *= 1j
+            _store(sine, fft.idst(sine, type=1, axis=-1, overwrite_x=True, workers=1))
+            lines[rows, 0] = 0.0
 
     _run_slabs(task, _slices(len(lines), hat.nbytes))
-    return values
+    return hat[..., :n]
 
 
 def _wavenumber_mesh(spec: GridSpec):
@@ -338,18 +346,20 @@ def _wavenumber_mesh(spec: GridSpec):
     return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
-def _solve_slab(params: FluidParams, lam, mesh, d_hat, f_hat, rho_hat, u_hat, rows):
+def _solve_slab(params: FluidParams, lam, mesh, hat, rows):
     """The whole-space algebra on rows `rows` of the leading tangential axis.
 
-    Writes rho_hat[rows] and u_hat[:, rows] and returns the slab's maxima of
-    |d_hat|, |f_hat|, |r_mass|, |lam rho| and, per component i, |r_mom_i| and
-    |visc u_i|.  The caller's arrays are only read or written in these rows.
+    hat holds d_hat and f_hat_1..f_hat_N.  The slab's rho_hat and u_hat are
+    computed into temporaries, the slab's maxima of |d_hat|, |f_hat|,
+    |r_mass|, |lam rho| and, per component i, |r_mom_i| and |visc u_i| are
+    taken while the data is intact, and only then are rho_hat, u_hat copied
+    over the same rows.  The maxima are returned.  The caller's array is
+    only read or written in these rows.
     """
     mu, nu, kappa = params.mu, params.nu, params.kappa
     N = len(mesh)
     mesh = [mesh[0][rows], *mesh[1:]]
-    d_hat, f_hat = d_hat[rows], f_hat[:, rows]
-    rho, u = rho_hat[rows], u_hat[:, rows]
+    d_hat, f_hat = hat[0, rows], hat[1:, rows]
     maxima = [np.max(np.abs(d_hat)), np.max(np.abs(f_hat))]
     K_sq = sum(k ** 2 for k in mesh)
     xi_dot_f = sum(mesh[i] * f_hat[i] for i in range(N))
@@ -357,7 +367,7 @@ def _solve_slab(params: FluidParams, lam, mesh, d_hat, f_hat, rho_hat, u_hat, ro
     visc = lam + mu * K_sq
     pot = lam + (mu + nu) * K_sq
     D = lam * pot + kappa * K_sq * K_sq
-    rho[...] = (pot * d_hat - 1j * xi_dot_f) / D
+    rho = (pot * d_hat - 1j * xi_dot_f) / D
     del pot, D
     ip_hat = 1j * (d_hat - lam * rho)  # i p with p = i xi . u
 
@@ -366,6 +376,7 @@ def _solve_slab(params: FluidParams, lam, mesh, d_hat, f_hat, rho_hat, u_hat, ro
         inv_K_sq = 1.0 / K_sq
     if rows.start == 0:
         inv_K_sq[zero] = 0.0
+    u = np.empty_like(f_hat)
     for i in range(N):
         k_inv = mesh[i] * inv_K_sq
         u[i] = (f_hat[i] - k_inv * xi_dot_f) / visc - k_inv * ip_hat
@@ -386,6 +397,8 @@ def _solve_slab(params: FluidParams, lam, mesh, d_hat, f_hat, rho_hat, u_hat, ro
         visc_u = visc * u[i]
         r_mom = visc_u + mesh[i] * q - f_hat[i]
         maxima += [np.max(np.abs(r_mom)), np.max(np.abs(visc_u))]
+    hat[0, rows] = rho
+    hat[1:, rows] = u
     return maxima
 
 
@@ -409,8 +422,9 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     raises ConfigurationError.  That bound also rejects a trace of transform
     rounding, so an f_N built by inverse transforms must have its boundary
     row f_N[..., 0] set to zero.  Returns (rho, u list, residual dict) on
-    the half grid: rho and u_1..u_{N-1} are cosine series, u_N a sine
-    series, so d_N rho and u_N vanish at x_N = 0.  The discrete residuals of both
+    the half grid in the tangential spectrum: rho and u_1..u_{N-1} are
+    cosine series in x_N, u_N a sine series, so d_N rho and u_N vanish at
+    x_N = 0 (the u_N row x_N = 0 is exactly zero).  The discrete residuals of both
     equations are checked to 1e-10 relative over kz >= 0, whose maximum is
     the maximum over the full spectrum by symmetry.
 
@@ -419,6 +433,14 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     whose temporaries the allocator reuses; each element gets the same
     operations as in one pass, so the result does not depend on the slabs
     or the CPU count.
+
+    The whole solve runs in one (N+1, *tangential, n_z+1) complex buffer:
+    the transforms write the data's spectra into it, the algebra overwrites
+    them with rho_hat, u_hat and the vertical inverse runs in place.  So rho
+    and u come back in the tangential spectrum (FFT bins, numpy's order) on
+    the half grid, as the views buffer[0, ..., :n_z] and
+    buffer[1 + i, ..., :n_z]; an inverse tangential FFT gives the grid
+    values.  The views' `base` is the buffer.
     """
     lam = complex(lam)
     if lam.real <= 0.0:
@@ -437,23 +459,20 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
             "f_N[..., 0] to zero"
         )
 
+    n = spec.n_vertical
     t_axes = tuple(range(N - 1))
-    parities = ["even"] * (N - 1) + ["odd"]
-    d_hat = _vertical_forward(d, "even", t_axes)
-    f_hat = np.empty((N,) + d_hat.shape, dtype=complex)
-    for i, parity in enumerate(parities):
-        f_hat[i] = _vertical_forward(f[i], parity, t_axes)
+    parities = ["even"] * N + ["odd"]  # rho (d), u_1..u_{N-1}, u_N
+    hat = np.empty((N + 1,) + spec.tangential_shape + (n + 1,), dtype=complex)
+    for row, values, parity in zip(hat, [d, *f], parities):
+        _store(row, tangential_fft(_vertical_forward(values, parity, row), t_axes,
+                                   overwrite_x=True))
     # The kz = pi n_z / L row is its own mirror image, so reflection symmetry
     # cannot cancel it; it is filtered, and for data resolved on the grid the
     # removed coefficient is alias-level anyway.
-    d_hat[..., -1] = 0.0
-    f_hat[..., -1] = 0.0
+    hat[..., -1] = 0.0
 
-    rho_hat = np.empty_like(d_hat)
-    u_hat = np.empty_like(f_hat)
-    solve = functools.partial(_solve_slab, params, lam, _wavenumber_mesh(spec),
-                              d_hat, f_hat, rho_hat, u_hat)
-    maxima = [solve(rows) for rows in _slices(len(d_hat), d_hat.nbytes)]
+    solve = functools.partial(_solve_slab, params, lam, _wavenumber_mesh(spec), hat)
+    maxima = [solve(rows) for rows in _slices(len(hat[0]), hat[0].nbytes)]
     d_max, f_max, mass, lam_rho, *momentum = np.max(maxima, axis=0)
     # Components that are identically zero only carry transform rounding,
     # so relative residuals are floored by the overall data magnitude.
@@ -464,8 +483,7 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     if max(residuals.values()) > 1e-10:
         raise ConfigurationError(f"whole-space residuals too large: {residuals}")
 
-    rho = _vertical_inverse(rho_hat, "even", t_axes)
-    u = [_vertical_inverse(u_hat[i], parities[i], t_axes) for i in range(N)]
+    rho, *u = (_vertical_inverse(row, parity) for row, parity in zip(hat, parities))
     return rho, u, residuals
 
 
@@ -483,14 +501,17 @@ def vertical_spectral_derivative(values, spec: GridSpec, order: int = 1, parity:
     """
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    hat = _vertical_forward(values, parity)
+    values = np.asarray(values)
+    hat = _vertical_forward(values, parity, np.empty(values.shape[:-1] + (spec.n_vertical + 1,),
+                                                     dtype=complex))
     if parity == "even":
         # a value c at the x_N = L node adds c (-1)^k to every cosine row k
         sign = (-1.0) ** np.arange(spec.n_vertical + 1)
         hat -= sign * (sign[-1] * hat[..., -1:])
     out_parity = {"even": "odd", "odd": "even"}[parity] if order % 2 else parity
     kz = spec.vertical_wavenumbers()
-    return _vertical_inverse(hat * (1j * kz) ** order, out_parity)
+    hat *= (1j * kz) ** order
+    return _vertical_inverse(hat, out_parity)
 
 
 # ---------------------------------------------------------------------------
@@ -501,29 +522,19 @@ def vertical_spectral_derivative(values, spec: GridSpec, order: int = 1, parity:
 def whole_space_reduction(params: FluidParams, d: GridField, f, g_trace, lam):
     """Whole-space solve of the reflected data and the corrected boundary traces.
 
-    Returns (rho_ws, u_ws, residuals, g_tilde, h_tilde), the whole-space
-    part on the half grid with g_tilde = g and h_tilde_j = -U_j|_{x_N=0}.
-    The density is a cosine series in x_N, so d_N R vanishes at x_N = 0 and
-    g needs no correction.
+    Returns (spectrum, residuals, g_hat, h_hat), all in the tangential
+    spectrum.  `spectrum` is the (N+1, *tangential, n_z+1) buffer of
+    `whole_space_solve`, whose first n_z columns hold the whole-space part
+    rho, u_1..u_N on the half grid.  g_hat is the FFT of g and
+    h_hat_j = -U_j(xi, 0).  The density is a cosine series in x_N, so d_N R
+    vanishes at x_N = 0 and g needs no correction.
     """
     spec = d.spec
-    rho_ws, u_ws, residuals = whole_space_solve(spec, params, d.values,
-                                                [c.values for c in f], lam)
-    h_tilde = [-u_ws[j][..., 0] for j in range(spec.dim - 1)]
-    return rho_ws, u_ws, residuals, np.asarray(g_trace, dtype=complex), h_tilde
-
-
-def reduce_boundary_data(params: FluidParams, d: GridField, f, g_trace, lam):
-    """Corrected boundary traces (g_tilde, h_tilde_1..h_tilde_{N-1}) and max|U_N(0)|.
-
-    See `whole_space_reduction`.  U_N is a sine series in x_N, so the
-    returned U_N trace is zero by construction; data that would break this
-    (a normal force with a nonzero boundary trace) is rejected by
-    `whole_space_solve` instead.
-    """
-    _, u_ws, _, g_tilde, h_tilde = whole_space_reduction(params, d, f, g_trace, lam)
-    un_trace = float(np.max(np.abs(u_ws[-1][..., 0])))
-    return g_tilde, h_tilde, un_trace
+    rho, _, residuals = whole_space_solve(spec, params, d.values, [c.values for c in f], lam)
+    spectrum = rho.base
+    g_hat = tangential_fft(np.asarray(g_trace, dtype=complex), tuple(range(spec.dim - 1)))
+    h_hat = [-spectrum[1 + j, ..., 0] for j in range(spec.dim - 1)]
+    return spectrum, residuals, g_hat, h_hat
 
 
 @dataclass
@@ -538,9 +549,11 @@ class FieldSolveReport:
     rounding: when every defect is rounding (about 1e-16, as on well-posed
     data), they locate last-bit noise and move with any reordering of the
     arithmetic.
-    `un_trace_ratio` is max|U_N(0)| of the whole-space part over max|U_1|.
-    It is zero by construction, because U_N is a sine series in x_N; the
-    input guard of `whole_space_solve` is what catches incompatible data.
+    `un_trace_ratio` is max|U_N(xi, 0)| of the whole-space part over
+    max|U_1(xi, x_N)|, both read off the tangential spectrum before the
+    correction is added.  It is exactly zero by construction, because U_N
+    is a sine series in x_N whose inverse zeroes the x_N = 0 row; the input
+    guard of `whole_space_solve` is what catches incompatible data.
     """
 
     whole_space_residuals: dict
@@ -553,38 +566,39 @@ class FieldSolveReport:
     norms: dict = field(default_factory=dict)
 
 
-def lattice_modes(params: FluidParams, spec: GridSpec, g_tilde, h_tilde, lam) -> ModeBatch:
+def lattice_modes(params: FluidParams, spec: GridSpec, g_hat, h_hat, lam) -> ModeBatch:
     """The reduced boundary problem of every tangential lattice mode, as one batch.
 
-    g_tilde, h_tilde are trace arrays over the tangential lattice; batch
-    mode k is the lattice index np.unravel_index(k, spec.tangential_shape).
+    g_hat, h_hat are the traces' spectra over the tangential lattice (FFT
+    bins in numpy's order); batch mode k is the lattice index
+    np.unravel_index(k, spec.tangential_shape).
     """
     ks = spec.tangential_wavenumbers()
     xi = np.stack([k.ravel() for k in np.meshgrid(*[ks] * (spec.dim - 1), indexing="ij")],
                   axis=-1)
-    t_axes = tuple(range(spec.dim - 1))
-    g_hat = tangential_fft(np.asarray(g_tilde, dtype=complex), t_axes).ravel()
-    h_hat = np.stack([tangential_fft(np.asarray(h, dtype=complex), t_axes).ravel()
-                      for h in h_tilde], axis=-1)
-    return solve_modes(params, xi, lam, g_hat, h_hat)
+    return solve_modes(params, xi, lam, np.ravel(g_hat),
+                       np.stack([np.ravel(h) for h in h_hat], axis=-1))
 
 
-def boundary_correction(params: FluidParams, spec: GridSpec, g_tilde, h_tilde, lam):
-    """The profile correction of every tangential mode, assembled onto the grid.
+def boundary_correction(params: FluidParams, spec: GridSpec, g_hat, h_hat, lam, out):
+    """Add the profile correction of every tangential mode into `out`.
 
-    g_tilde, h_tilde are trace arrays over the tangential lattice.  The
-    lattice modes are solved once, as the batch of `lattice_modes`, whose
-    rho and u profiles are sampled on the vertical grid in one pass and
-    synthesized by an inverse tangential FFT.  Returns (rho_corr, u_corr
-    list, batch): the correction on the half grid and the ModeBatch, from
-    whose coefficients callers take exact profile derivatives.
+    g_hat, h_hat are trace spectra over the tangential lattice.  The lattice
+    modes are solved once, as the batch of `lattice_modes`, and their rho
+    and u_1..u_N profiles are added into `out`, the tangential spectrum: a
+    C-contiguous (N+1, *tangential, W) array with W >= n_z, such as the
+    buffer of `whole_space_reduction`.  Each mode is added only at the
+    x_N where it has not decayed, through one flat index whose row stride
+    is W.  Returns the ModeBatch, from whose coefficients callers take exact
+    profile derivatives.
     """
     N = spec.dim
-    batch = lattice_modes(params, spec, g_tilde, h_tilde, lam)
-    values = batch.evaluate(spec.vertical_coords(), batch.coeffs[:N + 1])
-    corr = tangential_fft(values.reshape((N + 1,) + spec.shape), tuple(range(1, N)),
-                          inverse=True, overwrite_x=True)
-    return corr[0], list(corr[1:]), batch
+    if not out.flags.c_contiguous:
+        raise ValueError("the correction is scattered into a C-contiguous array only")
+    batch = lattice_modes(params, spec, g_hat, h_hat, lam)
+    batch.evaluate(spec.vertical_coords(), batch.coeffs[:N + 1],
+                   out=out.reshape(N + 1, len(batch), out.shape[-1]))
+    return batch
 
 
 def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
@@ -593,15 +607,23 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
 
     d is a GridField, f a list of N GridFields, g either a GridField (whose
     boundary row is used) or a trace array over the tangential lattice.
-    One pass: `whole_space_reduction`, then `boundary_correction`, whose
-    mode batch also gives the exact d_N rho_corr(0) trace and the
-    profile-identity spot-check of the report: `modes.batch_residuals` on
-    the modes whose lattice index sum is a multiple of n_tangential / 4,
-    on the ladder {0} + 2^k, k = -4..3.
-    Returns (rho GridField, u list of GridFields, FieldSolveReport).
+    One pass in one buffer: `whole_space_reduction`, then
+    `boundary_correction`, then one inverse tangential FFT per component.
+    The correction's mode batch also gives the exact d_N rho_corr(0) trace
+    and the profile-identity spot-check of the report:
+    `modes.batch_residuals` on the modes whose lattice index sum is a
+    multiple of n_tangential / 4, on the ladder {0} + 2^k, k = -4..3.
+    Every field of f, and g when it is a GridField, must be on d's grid;
+    otherwise GridError names it.
+    Returns (rho GridField, u list of GridFields, FieldSolveReport); their
+    values are views into the one buffer.
     """
     spec = d.spec
     lam = complex(lam)
+    N = spec.dim
+    for name, c in [(f"f[{i}]", c) for i, c in enumerate(f)] + [("g", g)]:
+        if isinstance(c, GridField) and c.spec != spec:
+            raise GridError(f"{name} is on the grid {c.spec}, not on d's grid {spec}")
     if validate:
         validate_edge_decay(d.values, spec, "d")
         for i, c in enumerate(f):
@@ -611,10 +633,11 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     if g_trace.shape != spec.tangential_shape:
         raise GridError(f"g trace shape {g_trace.shape} != {spec.tangential_shape}")
 
-    rho_ws, u_ws, ws_res, g_tilde, h_tilde = whole_space_reduction(params, d, f, g_trace, lam)
-    un_trace_ratio = float(np.max(np.abs(u_ws[-1][..., 0]))) \
-        / max(float(np.max(np.abs(u_ws[0]))), 1e-300)
-    rho_corr, u_corr, batch = boundary_correction(params, spec, g_tilde, h_tilde, lam)
+    spectrum, ws_res, g_hat, h_hat = whole_space_reduction(params, d, f, g_trace, lam)
+    n = spec.n_vertical
+    un_trace_ratio = float(np.max(np.abs(spectrum[N, ..., 0]))) \
+        / max(float(np.max(np.abs(spectrum[1, ..., :n]))), 1e-300)
+    batch = boundary_correction(params, spec, g_hat, h_hat, lam, spectrum)
 
     # d_N rho_corr(0) per mode: the power-0 coefficients of the derivative.
     dn_rho_corr_hat = batch.derivative(1)[0, :, :, 0].sum(axis=1).reshape(spec.tangential_shape)
@@ -637,20 +660,19 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
                                                         spec.tangential_shape))
     corr_equation = list(per_equation)[int(np.argmax(table[:, k]))]
 
-    # the whole-space arrays are this call's own: add the correction in place
-    rho_vals, u_vals = rho_ws, u_ws
-    rho_vals += rho_corr
-    for J in range(spec.dim):
-        u_vals[J] += u_corr[J]
+    t_axes = tuple(range(N - 1))
+    for component in spectrum:
+        _store(component, tangential_fft(component, t_axes, inverse=True, overwrite_x=True))
+    rho_vals, *u_vals = spectrum[..., :n]
 
     # Boundary defects of the assembled field.
     u_scale = max(max(float(np.max(np.abs(v))) for v in u_vals), 1e-300)
     boundary_u = max(float(np.max(np.abs(v[..., 0]))) for v in u_vals) / u_scale
     # d_N rho(0) must equal -g.  The whole-space part has d_N R(0) = 0, so
-    # the profile part carries it all: d_N rho_corr(0) = -g_tilde = -g.  The
-    # defect is relative to g; for g = 0 it is relative to the profile terms
-    # whose sum d_N rho_corr(0) is, which bound its rounding.
-    dn_rho0 = tangential_fft(dn_rho_corr_hat, tuple(range(spec.dim - 1)), inverse=True)
+    # the profile part carries it all: d_N rho_corr(0) = -g.  The defect is
+    # relative to g; for g = 0 it is relative to the profile terms whose sum
+    # d_N rho_corr(0) is, which bound its rounding.
+    dn_rho0 = tangential_fft(dn_rho_corr_hat, t_axes, inverse=True)
     g_scale = float(np.max(np.abs(g_trace))) \
         or max(dn_term_sum / len(batch), 1e-300)
     boundary_g = float(np.max(np.abs(dn_rho0 + g_trace))) / g_scale

@@ -237,12 +237,15 @@ class ModeBatch:
         return replace(self, coeffs=self.coeffs[:, modes],
                        **{k: getattr(self, k)[modes] for k in per_mode})
 
-    def evaluate(self, x, coeffs=None) -> np.ndarray:
+    def evaluate(self, x, coeffs=None, out=None) -> np.ndarray:
         """Profiles on x >= 0 for every leading index of `coeffs` and every mode.
 
         `coeffs` (..., M, R, P) defaults to `self.coeffs`; the result has
-        shape coeffs.shape[:-2] + (len(x),).  One e^{-rate x} per rate is
-        shared by every component and accumulated before the next rate.
+        shape coeffs.shape[:-2] + (len(x),).  With `out`, a C-contiguous
+        array of shape coeffs.shape[:-2] + (W,) with W >= len(x), the
+        profiles are added into out[..., :len(x)] instead and `out` is
+        returned.  One e^{-rate x} per rate is shared by every component and
+        accumulated before the next rate.
         Mode k is evaluated only on x <= DECAY_SUPPORT / Re t_min(k), in any
         order of x, and is zero beyond.  Past that point every term is below
         e^{-46} (power 0) or 46 e^{-45} < e^{-41} (power 1) of its own peak,
@@ -252,12 +255,18 @@ class ModeBatch:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise DomainError("profiles are defined for x >= 0 only")
+        if out is None:
+            out = np.zeros(coeffs.shape[:-2] + x.shape, dtype=complex)
+        elif (out.shape[:-1] != coeffs.shape[:-2] or out.shape[-1] < x.size
+              or not out.flags.c_contiguous):
+            raise DomainError(f"out must be C-contiguous of shape {coeffs.shape[:-2]} + (W,), "
+                              f"W >= {x.size}; got {out.shape}")
         n_rates, n_powers = coeffs.shape[-2:]
         reach = DECAY_SUPPORT / self.rates.real.min(axis=1, initial=np.inf)
         pairs = np.flatnonzero(x <= reach[:, None])  # (mode, x) pairs in support, flattened
         modes, xs = pairs // x.size, x[pairs % x.size]
+        pairs += modes * (out.shape[-1] - x.size)  # their flat index into rows of out
         flat_coeffs = coeffs.reshape((math.prod(coeffs.shape[:-3]),) + coeffs.shape[-3:])
-        out = np.zeros(coeffs.shape[:-2] + x.shape, dtype=complex)
         flat_out = out.reshape(flat_coeffs.shape[0], -1)
         for r in range(n_rates):
             basis = np.exp(-(self.rates[modes, r] * xs))

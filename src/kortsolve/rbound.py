@@ -423,26 +423,19 @@ class FullSolveFamily:
                 hat[(*k, slice(None))] = p.evaluate(x)
             return tangential_fft(hat, tuple(range(dim - 1)), inverse=True)
 
-        rho_ws, u_ws, _, g_tilde, h_tilde = whole_space_reduction(
+        spectrum, _, g_hat, h_hat = whole_space_reduction(
             self.params, GridField(synthesize(d), spec),
             [GridField(synthesize(c), spec) for c in f], synthesize(g)[..., 0], lam)
-        batch = lattice_modes(self.params, spec, g_tilde, h_tilde, lam)
-
-        t_axes = tuple(range(dim - 1))
+        batch = lattice_modes(self.params, spec, g_hat, h_hat, lam)
         kind_lift = "S0" if self.kind == "A" else "T"
 
-        # correction lift from exact profile derivatives, all modes in one pass
-        corr_hat = _lift_batch(batch, lam, spec, kind_lift)
-        corr = tangential_fft(corr_hat.reshape((len(corr_hat),) + spec.shape),
-                              tuple(a + 1 for a in t_axes), inverse=True)
-
-        # whole-space part lift: one parity derivative per vertical order,
-        # tangential derivatives as i*xi multipliers on the tangential FFT
+        # whole-space part lift, in the tangential spectrum the solve leaves
+        # it in: one parity derivative per vertical order (it acts along x_N
+        # only), tangential derivatives as i*xi multipliers
         k_t = _wavenumber_mesh(spec)[:dim - 1]
 
         def lift(values, parity):
-            v_hat = [tangential_fft(vertical_spectral_derivative(values, spec, v, parity)
-                                    if v else values, t_axes)
+            v_hat = [vertical_spectral_derivative(values, spec, v, parity) if v else values
                      for v in range(_lift_orders(kind_lift))]
 
             def derivative(axes_tuple):
@@ -450,16 +443,22 @@ class FullSolveFamily:
                 for ax in axes_tuple:
                     if ax < dim - 1:
                         factor = factor * (1j * k_t[ax])
-                return tangential_fft(factor * v_hat[axes_tuple.count(dim - 1)], t_axes,
-                                      inverse=True)
+                return factor * v_hat[axes_tuple.count(dim - 1)]
 
             return _lift_rows(derivative, lam, dim, kind_lift)
 
+        n = spec.n_vertical
         if self.kind == "A":
-            rows = lift(rho_ws, "even")
+            rows = lift(spectrum[0, ..., :n], "even")
         else:
-            rows = [r for J in range(dim) for r in lift(u_ws[J], "even" if J < dim - 1 else "odd")]
-        return LiftedDense(np.array(rows) + corr, spec)
+            rows = [r for J in range(dim)
+                    for r in lift(spectrum[1 + J, ..., :n], "even" if J < dim - 1 else "odd")]
+        # plus the correction lift from exact profile derivatives, all modes in
+        # one pass, then one inverse tangential FFT of the sum
+        hat = np.array(rows)
+        hat += _lift_batch(batch, lam, spec, kind_lift).reshape(hat.shape)
+        return LiftedDense(tangential_fft(hat, tuple(range(1, dim)), inverse=True,
+                                          overwrite_x=True), spec)
 
 
 class LogDerivativeFamily:

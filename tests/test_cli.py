@@ -231,6 +231,28 @@ class TestSolveField:
         assert "trace/peak = 3.68e-01" in err
         assert "set its boundary row f_N[..., 0] to zero" in err
 
+    @pytest.mark.parametrize("other", [{"box_half_length": 6.0, "vertical_cutoff": 16.0},
+                                       {"n_vertical": 64}], ids=["same-shape", "other-shape"])
+    def test_force_on_another_grid_fails(self, tmp_path, capsys, other):
+        import dataclasses
+        from kortsolve.fields import GridField, GridSpec, save_field
+        spec = GridSpec(dim=2, box_half_length=3.0, n_tangential=16,
+                        vertical_cutoff=8.0, n_vertical=128)
+        elsewhere = dataclasses.replace(spec, **other)
+        X, Z = np.meshgrid(spec.tangential_coords(), spec.vertical_coords(), indexing="ij")
+        bump = np.exp(-(X**2 + (Z - 2.0) ** 2) / 0.25)
+        prefix = str(tmp_path / "data")
+        save_field(prefix + ".d", GridField(bump, spec))
+        save_field(prefix + ".f0", GridField(bump, spec))
+        save_field(prefix + ".f1", GridField(np.zeros(elsewhere.shape), elsewhere))
+        save_field(prefix + ".g", GridField(np.zeros(spec.shape), spec))
+        code, _, err = run(["solve-field", "--mu", "1", "--nu", "1", "--kappa", "2",
+                            "--lam", "1+0.5j", "--data", prefix,
+                            "-o", str(tmp_path / "sol")], capsys)
+        assert code != 0
+        assert err.startswith("error: f[1] is on the grid")
+        assert not (tmp_path / "sol.rho.bin").exists()
+
     def test_data_help_names_the_boundary_row_requirement(self):
         from kortsolve.cli import build_parser
         subs = next(a for a in build_parser()._actions if a.choices and "solve-field" in a.choices)

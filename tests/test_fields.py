@@ -1,14 +1,15 @@
+import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kortsolve import fields
-from kortsolve import (BoundaryTrace, ConfigurationError, TangentialMode, classify,
+from kortsolve import (BoundaryTrace, ConfigurationError, GridError, TangentialMode, classify,
                        pde_residual, solve_mode)
-from kortsolve.fields import (GridField, GridSpec, _vertical_forward, boundary_correction,
-                              grid_norm, lattice_modes, load_field, manufactured_solution,
-                              reduce_boundary_data, save_field, solve_resolvent,
+from kortsolve.fields import (GridField, GridSpec, grid_norm, lattice_modes, load_field,
+                              manufactured_solution, save_field, solve_resolvent,
                               vertical_spectral_derivative, whole_space_reduction,
                               whole_space_solve)
 
@@ -22,6 +23,19 @@ def spec():
 @pytest.fixture(scope="module")
 def params():
     return classify(1, 1, 2)
+
+
+def _forward(values, parity):
+    """`fields._vertical_forward` into a new array."""
+    values = np.asarray(values, dtype=complex)
+    out = np.empty(values.shape[:-1] + (values.shape[-1] + 1,), dtype=complex)
+    return fields._vertical_forward(values, parity, out)
+
+
+def _grid(values):
+    """Grid values of a half-grid array given in the tangential spectrum."""
+    values = np.asarray(values)
+    return np.fft.ifftn(values, axes=tuple(range(values.ndim - 1)))
 
 
 def _gaussian_data(spec, width=0.5):
@@ -101,10 +115,9 @@ def _reference_one_pass_solve(spec, params, d, f, lam):
     N = spec.dim
     t_axes = tuple(range(N - 1))
     parities = ["even"] * (N - 1) + ["odd"]
-    d_hat = fields._vertical_forward(d, "even", t_axes)
-    f_hat = np.empty((N,) + d_hat.shape, dtype=complex)
-    for i, parity in enumerate(parities):
-        f_hat[i] = fields._vertical_forward(f[i], parity, t_axes)
+    d_hat = fields.tangential_fft(_forward(d, "even"), t_axes)
+    f_hat = np.stack([fields.tangential_fft(_forward(f[i], parity), t_axes)
+                      for i, parity in enumerate(parities)])
     d_hat[..., -1] = 0.0
     f_hat[..., -1] = 0.0
 
@@ -143,9 +156,53 @@ def _reference_one_pass_solve(spec, params, d, f, lam):
         worst = max(worst, float(np.max(np.abs(r_mom)) / scale))
     residuals["momentum"] = worst
 
-    rho = fields._vertical_inverse(rho_hat, "even", t_axes)
-    u = [fields._vertical_inverse(u_hat[i], parities[i], t_axes) for i in range(N)]
+    rho = fields._vertical_inverse(rho_hat, "even")
+    u = [fields._vertical_inverse(u_hat[i], parities[i]) for i in range(N)]
     return rho, u, residuals
+
+
+# ---------------------------------------------------------------------------
+# Test-only reference: the field solve in two steps, as it ran before it
+# stayed in the tangential spectrum.  The whole-space part goes to the grid,
+# its h traces are FFT'd again, the correction is synthesized as a dense
+# array by its own inverse FFT, and the two parts are added.  The sums run
+# in another order, so the two agree to rounding.
+# ---------------------------------------------------------------------------
+
+
+def _reference_two_step_solve(params, d, f, g_trace, lam):
+    spec = d.spec
+    N = spec.dim
+    rho_hat, u_hat, _ = whole_space_solve(spec, params, d.values, [c.values for c in f], lam)
+    rho_ws, u_ws = _grid(rho_hat), [_grid(c) for c in u_hat]
+    g_hat = np.fft.fftn(g_trace)
+    h_hat = [np.fft.fftn(-u_ws[j][..., 0]) for j in range(N - 1)]
+    batch = lattice_modes(params, spec, g_hat, h_hat, lam)
+    values = batch.evaluate(spec.vertical_coords(), batch.coeffs[:N + 1])
+    corr = np.fft.ifftn(values.reshape((N + 1,) + spec.shape), axes=tuple(range(1, N)))
+    return rho_ws + corr[0], [u + c for u, c in zip(u_ws, corr[1:])]
+
+
+def _assert_close_to_peak(got, want, tol):
+    peak = max(np.max(np.abs(w)) for w in want)
+    for a, b in zip(got, want, strict=True):
+        assert np.max(np.abs(a - b)) <= tol * peak
+
+
+def _bump_data(spec):
+    """Decayed Gaussian-bump d, f (f_N zero at x_N = 0) and g trace, in 2-D or 3-D."""
+    x = spec.tangential_coords()
+    z = spec.vertical_coords()
+    bump = np.exp(-(np.add.outer((x - 0.3) ** 2, x ** 2) if spec.dim == 3 else (x - 0.3) ** 2)
+                  / 0.25)
+
+    def profile(center, power=0):
+        return GridField(np.multiply.outer(bump, z ** power * np.exp(-((z - center) / 0.5) ** 2)),
+                         spec)
+
+    d = profile(3.0)
+    f = [GridField((0.5 - 1.0j) * profile(2.0).values, spec) for _ in range(spec.dim - 1)]
+    return d, f + [profile(2.5, power=1)], 0.3j * bump
 
 
 class TestGridSpec:
@@ -174,7 +231,7 @@ class TestExtensions:
         full = np.fft.fft(_extend(v, "even"), axis=-1)
         n = spec.n_vertical
         np.testing.assert_allclose(full[..., n + 1:], full[..., 1:n][..., ::-1], atol=1e-11)
-        np.testing.assert_allclose(_vertical_forward(v, "even"), full[..., :n + 1], atol=1e-11)
+        np.testing.assert_allclose(_forward(v, "even"), full[..., :n + 1], atol=1e-11)
 
     def test_odd_reflection_is_dst1(self, spec):
         v = np.random.default_rng(1).normal(size=spec.shape) + 0.5j
@@ -182,7 +239,7 @@ class TestExtensions:
         full = np.fft.fft(_extend(v, "odd"), axis=-1)
         n = spec.n_vertical
         np.testing.assert_allclose(full[..., n + 1:], -full[..., 1:n][..., ::-1], atol=1e-11)
-        np.testing.assert_allclose(_vertical_forward(v, "odd"), full[..., :n + 1], atol=1e-11)
+        np.testing.assert_allclose(_forward(v, "odd"), full[..., :n + 1], atol=1e-11)
 
     def test_gradient_commutation(self, spec):
         # tangential and vertical spectral derivatives commute; the normal
@@ -233,8 +290,8 @@ class TestWholeSpace:
         d = np.zeros(spec.shape, dtype=complex)
         rho, u, _ = whole_space_solve(spec, params, d, f, lam)
         for i in range(2):
-            np.testing.assert_allclose(u[i], u_exact[i], rtol=1e-12, atol=1e-14)
-        assert np.max(np.abs(rho)) <= 1e-14
+            np.testing.assert_allclose(_grid(u[i]), u_exact[i], rtol=1e-12, atol=1e-14)
+        assert np.max(np.abs(_grid(rho))) <= 1e-14
 
     def test_manufactured_round_trip(self, spec, params):
         # apply the forward operator spectrally to reflected smooth fields,
@@ -258,8 +315,8 @@ class TestWholeSpace:
             f.append(np.fft.ifftn(f_h)[..., :nz])
         f[1][..., 0] = 0.0  # zero in exact arithmetic; the FFTs leave rounding there
         rho, u, res = whole_space_solve(spec, params, d, f, lam)
-        assert np.max(np.abs(rho - rho_true)) <= 1e-8
-        assert max(np.max(np.abs(u[i] - u_true[i])) for i in range(2)) <= 1e-8
+        assert np.max(np.abs(_grid(rho) - rho_true)) <= 1e-8
+        assert max(np.max(np.abs(_grid(u[i]) - u_true[i])) for i in range(2)) <= 1e-8
         assert max(res.values()) <= 1e-10
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -269,13 +326,14 @@ class TestWholeSpace:
         lam = 0.7 + 1.3j
         d, f = _compatible_random_data(spec, np.random.default_rng(dim))
         rho, u, res = whole_space_solve(spec, params, d, f, lam)
+        assert np.max(np.abs(u[-1][..., 0])) == 0.0  # the sine inverse zeroes that row
+        rho, u = _grid(rho), [_grid(c) for c in u]
         rho2, u2 = _reference_whole_space_solve(spec, params, d, f, lam)
         nz = spec.n_vertical
         peak = max(np.max(np.abs(rho2)), max(np.max(np.abs(c)) for c in u2))
         assert np.max(np.abs(rho - rho2[..., :nz])) <= 1e-13 * peak
         for i in range(dim):
             assert np.max(np.abs(u[i] - u2[i][..., :nz])) <= 1e-13 * peak
-        assert np.max(np.abs(u[-1][..., 0])) == 0.0
         assert max(res.values()) <= 1e-10
         # the parity derivatives of the half-grid solution equal the doubled
         # grid's FFT derivatives, which see the solution's x = L node too
@@ -341,7 +399,8 @@ class TestSlabAlgebra:
             bump = np.exp(-sum(c ** 2 for c in np.meshgrid(*coords, indexing="ij")))
             d = (1.0 + 0.5j) * bump
             f = [(0.5 - 1.0j) * bump] * (dim - 1) + [np.zeros(spec.shape, dtype=complex)]
-            assert abs(fields._vertical_forward(d, "even", tuple(range(dim - 1))).flat[0]) > 1.0
+            assert abs(fields.tangential_fft(_forward(d, "even"), tuple(range(dim - 1))).flat[0]) \
+                > 1.0
         lam = 0.7 + 1.3j
         row_bytes = spec.n_tangential ** (dim - 2) * (spec.n_vertical + 1) * 16
         if slab_rows is None:
@@ -422,11 +481,12 @@ class TestWorkPool:
             out = [fields.tangential_fft(v, t_axes), fields.tangential_fft(v, t_axes, True),
                    fields.tangential_fft(v.copy(), t_axes, overwrite_x=True)]
             for parity in ("even", "odd"):
-                hat = fields._vertical_forward(v, parity, hat_axes)
-                kept = hat.copy()
-                out += [hat, fields._vertical_inverse(hat, parity, hat_axes),
-                        fields._vertical_inverse(hat, parity)]
-                assert np.array_equal(hat, kept)  # inverses leave their input alone
+                hat = _forward(v, parity)
+                out += [hat.copy(), fields.tangential_fft(hat.copy(), hat_axes, overwrite_x=True)]
+                half = fields._vertical_inverse(hat, parity)
+                assert np.shares_memory(half, hat)  # the inverse runs in place
+                np.testing.assert_allclose(half, v, rtol=0, atol=1e-13)
+                out.append(half.copy())
             return out
 
         kept = v.copy()
@@ -444,10 +504,11 @@ class TestBoundaryReduction:
     def test_zero_data_passthrough(self, spec, params):
         zero = GridField(np.zeros(spec.shape), spec)
         g = np.exp(-spec.tangential_coords() ** 2)
-        g_t, h_t, un = reduce_boundary_data(params, zero, [zero, zero], g, 1.0 + 0.5j)
-        np.testing.assert_allclose(g_t, g, atol=1e-15)
-        assert all(np.max(np.abs(h)) == 0.0 for h in h_t)
-        assert un == 0.0
+        spectrum, _, g_hat, h_hat = whole_space_reduction(params, zero, [zero, zero], g,
+                                                          1.0 + 0.5j)
+        assert np.array_equal(g_hat, np.fft.fft(g))
+        assert all(np.max(np.abs(h)) == 0.0 for h in h_hat)
+        assert np.max(np.abs(spectrum)) == 0.0
 
     def test_odd_normal_force_keeps_un_zero(self, spec, params):
         zero = GridField(np.zeros(spec.shape), spec)
@@ -455,8 +516,9 @@ class TestBoundaryReduction:
         fN = GridField(np.outer(np.exp(-spec.tangential_coords() ** 2),
                                 z * np.exp(-((z - 1.0) ** 2))), spec)
         g = np.zeros(spec.tangential_shape)
-        _, _, un = reduce_boundary_data(params, zero, [zero, fN], g, 1.0 + 0.5j)
-        assert un <= 1e-12
+        spectrum, *_ = whole_space_reduction(params, zero, [zero, fN], g, 1.0 + 0.5j)
+        assert np.max(np.abs(spectrum[-1, ..., 0])) == 0.0
+        assert np.max(np.abs(spectrum[-1])) > 0.0
 
     def test_random_smooth_data_un_trace(self, params):
         spec = GridSpec(dim=2, box_half_length=3.0, n_tangential=128,
@@ -475,9 +537,10 @@ class TestBoundaryReduction:
         # the normal force must vanish at x_N = 0 for its odd reflection
         f = [GridField(bump(), spec), GridField(Z * bump(), spec)]
         g = np.zeros(spec.tangential_shape)
-        _, u_ws, _, _, _ = whole_space_reduction(params, d, f, g, 1.0 + 0.5j)
-        un = np.max(np.abs(u_ws[-1][..., 0]))
-        scale = np.max(np.abs(u_ws[-1]))
+        spectrum, *_ = whole_space_reduction(params, d, f, g, 1.0 + 0.5j)
+        u_normal = _grid(spectrum[-1, ..., :spec.n_vertical])
+        un = np.max(np.abs(u_normal[..., 0]))
+        scale = np.max(np.abs(u_normal))
         assert un <= 1e-10 * max(scale, 1e-300)
 
 
@@ -546,8 +609,8 @@ class TestSolveResolvent:
         assert errs[2] <= 1e-6
 
     def test_assembly_is_the_sum_of_its_parts(self, params):
-        # the correction is added into the whole-space arrays in place: the
-        # fields equal the sum of the two parts bit for bit, the data is left
+        # the correction is scattered into the whole-space spectrum: the fields
+        # equal the two parts summed on the grid to rounding, the data is left
         # untouched, and the norms are grid_norm's
         spec = GridSpec(dim=2, box_half_length=3.0, n_tangential=32,
                         vertical_cutoff=8.0, n_vertical=64)
@@ -555,15 +618,69 @@ class TestSolveResolvent:
         mf = manufactured_solution(params, spec, lam)
         data = [mf["d"].values.copy()] + [c.values.copy() for c in mf["f"]]
         rho, u, rep = solve_resolvent(params, mf["d"], mf["f"], mf["g_trace"], lam)
-        rho_ws, u_ws, _, g_tilde, h_tilde = whole_space_reduction(params, mf["d"], mf["f"],
-                                                                  mf["g_trace"], lam)
-        rho_corr, u_corr, _ = boundary_correction(params, spec, g_tilde, h_tilde, lam)
-        assert np.array_equal(rho.values, rho_ws + rho_corr)
-        for J in range(2):
-            assert np.array_equal(u[J].values, u_ws[J] + u_corr[J])
+        rho_ref, u_ref = _reference_two_step_solve(params, mf["d"], mf["f"], mf["g_trace"], lam)
+        _assert_close_to_peak([rho.values] + [c.values for c in u], [rho_ref] + u_ref, 1e-14)
         for before, after in zip(data, [mf["d"]] + list(mf["f"])):
             assert np.array_equal(before, after.values)
         assert rep.norms == {f"l{q:g}": grid_norm(rho.values, spec, q) for q in (1.5, 2.0, 4.0)}
+
+    @pytest.mark.parametrize("slabs", ["one", "many"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("case", ["I", "II", "III", "IV", "V"])
+    def test_matches_two_step_reference(self, monkeypatch, params_by_case, case, dim, slabs):
+        params = params_by_case[case]
+        spec = GridSpec(dim=dim, box_half_length=3.0, n_tangential=16 if dim == 2 else 8,
+                        vertical_cutoff=8.0, n_vertical=64 if dim == 2 else 32)
+        d, f, g = _bump_data(spec)
+        lam = 0.7 + 1.3j
+        if slabs == "many":
+            monkeypatch.setattr(fields, "cpu_workers", lambda: 3)
+            monkeypatch.setattr(fields, "TASK_BYTES", 1)  # one row a slab, on threads
+        rho, u, rep = solve_resolvent(params, d, f, g, lam)
+        monkeypatch.undo()
+        rho_ref, u_ref = _reference_two_step_solve(params, d, f, g, lam)
+        _assert_close_to_peak([rho.values] + [c.values for c in u], [rho_ref] + u_ref, 1e-14)
+        assert rep.un_trace_ratio == 0.0
+        assert rep.boundary_u_max <= 1e-12 and rep.boundary_g_residual <= 1e-12
+
+    def test_peak_memory_of_one_solve(self, monkeypatch, params):
+        # the solve runs in one buffer of N+1 spectra: its peak traced
+        # allocation stays under 7 grid arrays (the two-step pipeline took 10)
+        spec = GridSpec(dim=2, box_half_length=3.0, n_tangential=64,
+                        vertical_cutoff=16.0, n_vertical=512)
+        lam = 1.0 + 0.5j
+        mf = manufactured_solution(params, spec, lam)
+        data = [mf["d"].values.copy()] + [c.values.copy() for c in mf["f"]]
+        monkeypatch.setattr(fields, "TASK_BYTES", 1 << 15)
+        assert len(fields._slices(spec.n_tangential,
+                                  spec.n_tangential * (spec.n_vertical + 1) * 16)) == 16
+        solve_resolvent(params, mf["d"], mf["f"], mf["g_trace"], lam)  # imports, caches, pool
+        tracemalloc.start()
+        try:
+            solve_resolvent(params, mf["d"], mf["f"], mf["g_trace"], lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid_array = 16 * np.prod(spec.shape)
+        assert peak <= 7 * grid_array
+        for before, after in zip(data, [mf["d"]] + list(mf["f"])):
+            assert np.array_equal(before, after.values)
+
+    @pytest.mark.parametrize("other", [{"box_half_length": 6.0, "vertical_cutoff": 32.0},
+                                       {"n_tangential": 32}],
+                             ids=["same-shape", "other-shape"])
+    def test_data_on_another_grid_rejected(self, params, other):
+        spec = GridSpec(dim=2, box_half_length=3.0, n_tangential=64,
+                        vertical_cutoff=16.0, n_vertical=512)
+        lam = 1.0 + 0.5j
+        mf = manufactured_solution(params, spec, lam)
+        elsewhere = dataclasses.replace(spec, **other)
+        moved = manufactured_solution(params, elsewhere, lam)
+        with pytest.raises(GridError, match=r"^f\[1\] is on the grid"):
+            solve_resolvent(params, mf["d"], [mf["f"][0], moved["f"][1]], mf["g_trace"], lam)
+        g = GridField(np.broadcast_to(moved["g_trace"][:, None], elsewhere.shape), elsewhere)
+        with pytest.raises(GridError, match=r"^g is on the grid"):
+            solve_resolvent(params, mf["d"], mf["f"], g, lam)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_one_mode_solve_per_lattice_mode(self, params, dim, mode_solves):
@@ -591,8 +708,9 @@ class TestSolveResolvent:
         # the spot-check: every (n_tangential/4)-th index sum, on its ladder
         stride = spec.n_tangential // 4
         ladder = np.concatenate([[0.0], 2.0 ** np.arange(-4, 4, dtype=float)])
-        _, _, _, g_tilde, h_tilde = whole_space_reduction(params, d, f, bump, lam)
-        batch = lattice_modes(params, spec, g_tilde, h_tilde, lam)
+        # the batch the pipeline solves: its spectral g and h traces
+        _, _, g_hat, h_hat = whole_space_reduction(params, d, f, bump, lam)
+        batch = lattice_modes(params, spec, g_hat, h_hat, lam)
         residuals, equations = {}, {}
         for k, index in enumerate(np.ndindex(*spec.tangential_shape)):
             if sum(index) % stride == 0:

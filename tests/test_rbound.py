@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from kortsolve.fields import (GridField, _wavenumber_mesh, lattice_modes, tangential_fft,
+                              vertical_spectral_derivative, whole_space_reduction)
 from kortsolve.modes import BoundaryTrace, solve_mode
 from kortsolve.profiles import VerticalProfile
 from kortsolve.rbound import (FullSolveFamily, IdentityFamily, LiftedTuple, ModeField,
-                              ProbeConfig, ReducedSolveFamily, _lift_modes, _lift_rows, _times,
+                              ProbeConfig, ReducedSolveFamily, _lift_batch, _lift_modes,
+                              _lift_orders, _lift_rows, _times,
                               derivative_tuples, estimate_rbound, lambda_log_derivative,
                               lift_arity, lift_boundary_data, lift_full_data, probe_grid,
                               sample_boundary_data, sample_full_data)
@@ -64,6 +67,56 @@ def _reference_lift_full_data(data, lam):
         rows += list(_reference_lift_profiles([g.modes.get(index, zero)], lam, spec, xi, "T"))
         out[index] = np.array(rows)
     return out
+
+
+def _reference_full_apply(family, lam, data):
+    """`FullSolveFamily.apply` on the grid: the whole-space part is taken to the
+    grid, each of its vertical derivatives FFT'd back and every lift row
+    inverse-FFT'd on its own; the correction lift is synthesized apart."""
+    d, f, g = data
+    spec = d.spec
+    lam = complex(lam)
+    dim = spec.dim
+    t_axes = tuple(range(dim - 1))
+
+    def synthesize(mode_field):
+        hat = np.zeros(spec.tangential_shape + (spec.n_vertical,), dtype=complex)
+        x = spec.vertical_coords()
+        for k, p in mode_field.modes.items():
+            hat[(*k, slice(None))] = p.evaluate(x)
+        return tangential_fft(hat, t_axes, inverse=True)
+
+    spectrum, _, g_hat, h_hat = whole_space_reduction(
+        family.params, GridField(synthesize(d), spec),
+        [GridField(synthesize(c), spec) for c in f], synthesize(g)[..., 0], lam)
+    rho_ws, *u_ws = np.fft.ifftn(spectrum[..., :spec.n_vertical], axes=tuple(range(1, dim)))
+    batch = lattice_modes(family.params, spec, g_hat, h_hat, lam)
+    kind_lift = "S0" if family.kind == "A" else "T"
+    corr_hat = _lift_batch(batch, lam, spec, kind_lift)
+    corr = tangential_fft(corr_hat.reshape((len(corr_hat),) + spec.shape),
+                          tuple(a + 1 for a in t_axes), inverse=True)
+    k_t = _wavenumber_mesh(spec)[:dim - 1]
+
+    def lift(values, parity):
+        v_hat = [tangential_fft(vertical_spectral_derivative(values, spec, v, parity)
+                                if v else values, t_axes)
+                 for v in range(_lift_orders(kind_lift))]
+
+        def derivative(axes_tuple):
+            factor = 1.0
+            for ax in axes_tuple:
+                if ax < dim - 1:
+                    factor = factor * (1j * k_t[ax])
+            return tangential_fft(factor * v_hat[axes_tuple.count(dim - 1)], t_axes,
+                                  inverse=True)
+
+        return _lift_rows(derivative, lam, dim, kind_lift)
+
+    if family.kind == "A":
+        rows = lift(rho_ws, "even")
+    else:
+        rows = [r for J in range(dim) for r in lift(u_ws[J], "even" if J < dim - 1 else "odd")]
+    return np.array(rows) + corr
 
 
 def _reference_lift_boundary_data(data, lam):
@@ -355,6 +408,20 @@ class TestFamilies:
             rep = estimate_rbound(fam, cfg, spec, sampler=sample_full_data)
             assert rep.global_max > 0
             assert math.isfinite(rep.decade_spread)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["A", "B"])
+    def test_full_family_matches_grid_route(self, params, kind, dim):
+        # the lift of the whole-space part stays in the tangential spectrum
+        # and the correction lift is added there, before one inverse FFT
+        spec = probe_grid(dim=dim, n_tangential=16 if dim == 2 else 8,
+                          n_vertical=96 if dim == 2 else 48)
+        data = sample_full_data(np.random.default_rng(5 + dim), spec, modes_per_field=3)
+        family = FullSolveFamily(params, kind)
+        for lam in (1.0 + 0.5j, 0.3 * np.exp(1.2j), 20.0):
+            got = family.apply(lam, data).values
+            want = _reference_full_apply(family, lam, data)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kind", ["A", "B"])
     def test_full_family_reduces_to_boundary_family(self, params, kind, mode_solves):
