@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GridError
-from .modes import ModeBatch, batch_residuals, solve_modes
+from .modes import ModeBatch, batch_residuals, evaluate_profiles, solve_modes
 from .modes import solve_mode  # noqa: F401  (perfbench/tests looks it up on this module)
 from .spectral import FluidParams
 
@@ -426,7 +426,8 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     cosine series in x_N, u_N a sine series, so d_N rho and u_N vanish at
     x_N = 0 (the u_N row x_N = 0 is exactly zero).  The discrete residuals of both
     equations are checked to 1e-10 relative over kz >= 0, whose maximum is
-    the maximum over the full spectrum by symmetry.
+    the maximum over the full spectrum by symmetry.  A NaN in the data fails
+    the trace guard or a residual check, which raise ConfigurationError.
 
     The transforms run on every CPU in the process's affinity mask.  The
     per-frequency algebra runs in row slabs of the leading tangential axis,
@@ -451,7 +452,7 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     f_normal = np.asarray(f[-1], dtype=complex)
     peak = float(np.max(np.abs(f_normal)))
     trace = float(np.max(np.abs(f_normal[..., 0])))
-    if trace > EDGE_DECAY_REQUIREMENT * peak:
+    if not trace <= EDGE_DECAY_REQUIREMENT * peak:  # NaN fails too
         raise ConfigurationError(
             f"normal force does not vanish at x_N = 0: trace/peak = {trace / peak:.2e} "
             f"(require <= {EDGE_DECAY_REQUIREMENT:.0e}); its odd reflection is discontinuous. "
@@ -478,9 +479,9 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     # so relative residuals are floored by the overall data magnitude.
     data_scale = max(d_max, f_max, 1e-300)
     residuals = {"mass": float(mass / max(lam_rho, data_scale)),
-                 "momentum": max(float(r_mom / max(visc_u, data_scale))
-                                 for r_mom, visc_u in zip(momentum[0::2], momentum[1::2]))}
-    if max(residuals.values()) > 1e-10:
+                 "momentum": float(np.max([r_mom / max(visc_u, data_scale) for r_mom, visc_u
+                                           in zip(momentum[0::2], momentum[1::2])]))}
+    if not all(r <= 1e-10 for r in residuals.values()):  # NaN fails too
         raise ConfigurationError(f"whole-space residuals too large: {residuals}")
 
     rho, *u = (_vertical_inverse(row, parity) for row, parity in zip(hat, parities))
@@ -596,8 +597,8 @@ def boundary_correction(params: FluidParams, spec: GridSpec, g_hat, h_hat, lam, 
     if not out.flags.c_contiguous:
         raise ValueError("the correction is scattered into a C-contiguous array only")
     batch = lattice_modes(params, spec, g_hat, h_hat, lam)
-    batch.evaluate(spec.vertical_coords(), batch.coeffs[:N + 1],
-                   out=out.reshape(N + 1, len(batch), out.shape[-1]))
+    evaluate_profiles(batch.rates, batch.coeffs[:N + 1], spec.vertical_coords(),
+                      out=out.reshape(N + 1, len(batch), out.shape[-1]))
     return batch
 
 

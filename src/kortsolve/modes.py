@@ -16,6 +16,8 @@ runs the same case formulas for one mode and returns VerticalProfile
 objects.  `batch_residuals` checks the interior identities and boundary
 conditions of selected batch modes in array passes; `pde_residual` is its
 one-mode form.
+`_derivative` and `evaluate_profiles` differentiate and evaluate any
+(rates, coefficients) arrays in this layout, for the field solve and probe.
 
 Two independent evaluation routes exist for every case: the coefficient path
 implemented here (numerically stabilized against the large-|xi| cancellations)
@@ -183,22 +185,80 @@ _CASES = {
 
 
 # A batch evaluates mode k only on x <= DECAY_SUPPORT / Re t_min(k); see
-# `ModeBatch.evaluate` for the margin.
+# `evaluate_profiles` for the margin.
 DECAY_SUPPORT = 46.0
+
+
+def _times(a, b):
+    """a * b on complex arrays, rounded as numpy's scalar complex product.
+
+    numpy's array kernel for complex products may fuse a multiply with an
+    add, so it rounds differently from a scalar product such as the `-c * t`
+    of `VerticalProfile.differentiate`.  Written out in float arithmetic,
+    (ar br - ai bi) + i (ar bi + ai br), the product rounds like the scalar.
+    """
+    a, b = np.broadcast_arrays(a, b)
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _derivative(coeffs, factor, order):
     """order-fold C_p -> factor C_p + (p + 1) C_{p+1} on (..., M, R, P) coefficients.
 
-    With factor = -rates (M, R) this differentiates; with |rates| on |C| it
-    sums |coefficient| over the unmerged terms of the derivative.
+    With factor = -rates (M, R) this differentiates, rounding like scalars
+    (`_times`); with |rates| on |C| it sums |coefficient| over the unmerged
+    terms of the derivative, in real arithmetic.
     """
     for _ in range(order):
-        out = factor[:, :, None] * coeffs
+        f = factor[:, :, None]
+        out = _times(f, coeffs) if np.iscomplexobj(coeffs) else f * coeffs
         for p in range(1, coeffs.shape[-1]):
             out[..., p - 1] += p * coeffs[..., p]
         coeffs = out
     return coeffs
+
+
+def evaluate_profiles(rates, coeffs, x, out=None) -> np.ndarray:
+    """Profiles sum_{r,p} C_{r,p} x^p e^{-rates_r x} on x >= 0, per mode.
+
+    `rates` (M, R) are the modes' decay rates and `coeffs` (..., M, R, P)
+    the coefficients of every leading index; the result has shape
+    coeffs.shape[:-2] + (len(x),).  With `out`, a C-contiguous array of
+    shape coeffs.shape[:-2] + (W,) with W >= len(x), the profiles are added
+    into out[..., :len(x)] instead and `out` is returned.  One e^{-rate x}
+    per rate is shared by every leading index and accumulated before the
+    next rate, so a power-0 profile is summed in rate order.
+    Mode k is evaluated only on x <= DECAY_SUPPORT / Re t_min(k), in any
+    order of x, and is zero beyond.  Past that point every term is below
+    e^{-46} (power 0) or 46 e^{-45} < e^{-41} (power 1) of its own peak,
+    |c| at x = 0 or |c| / (e Re t) at x = 1 / Re t.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise DomainError("profiles are defined for x >= 0 only")
+    if out is None:
+        out = np.zeros(coeffs.shape[:-2] + x.shape, dtype=complex)
+    elif (out.shape[:-1] != coeffs.shape[:-2] or out.shape[-1] < x.size
+          or not out.flags.c_contiguous):
+        raise DomainError(f"out must be C-contiguous of shape {coeffs.shape[:-2]} + (W,), "
+                          f"W >= {x.size}; got {out.shape}")
+    n_rates, n_powers = coeffs.shape[-2:]
+    reach = DECAY_SUPPORT / rates.real.min(axis=1, initial=np.inf)
+    pairs = np.flatnonzero(x <= reach[:, None])  # (mode, x) pairs in support, flattened
+    modes, xs = pairs // x.size, x[pairs % x.size]
+    pairs += modes * (out.shape[-1] - x.size)  # their flat index into rows of out
+    flat_coeffs = coeffs.reshape((math.prod(coeffs.shape[:-3]),) + coeffs.shape[-3:])
+    flat_out = out.reshape(flat_coeffs.shape[0], -1)
+    for r in range(n_rates):
+        basis = np.exp(-(rates[modes, r] * xs))
+        for p in range(n_powers):
+            if p:
+                basis = basis * xs
+            for c, o in zip(flat_coeffs, flat_out):
+                o[pairs] += c[modes, r, p] * basis
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,46 +296,6 @@ class ModeBatch:
         per_mode = ("xi", "rates", "alpha", "beta", "gamma", "sigma", "tau")
         return replace(self, coeffs=self.coeffs[:, modes],
                        **{k: getattr(self, k)[modes] for k in per_mode})
-
-    def evaluate(self, x, coeffs=None, out=None) -> np.ndarray:
-        """Profiles on x >= 0 for every leading index of `coeffs` and every mode.
-
-        `coeffs` (..., M, R, P) defaults to `self.coeffs`; the result has
-        shape coeffs.shape[:-2] + (len(x),).  With `out`, a C-contiguous
-        array of shape coeffs.shape[:-2] + (W,) with W >= len(x), the
-        profiles are added into out[..., :len(x)] instead and `out` is
-        returned.  One e^{-rate x} per rate is shared by every component and
-        accumulated before the next rate.
-        Mode k is evaluated only on x <= DECAY_SUPPORT / Re t_min(k), in any
-        order of x, and is zero beyond.  Past that point every term is below
-        e^{-46} (power 0) or 46 e^{-45} < e^{-41} (power 1) of its own peak,
-        |c| at x = 0 or |c| / (e Re t) at x = 1 / Re t.
-        """
-        coeffs = self.coeffs if coeffs is None else coeffs
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            raise DomainError("profiles are defined for x >= 0 only")
-        if out is None:
-            out = np.zeros(coeffs.shape[:-2] + x.shape, dtype=complex)
-        elif (out.shape[:-1] != coeffs.shape[:-2] or out.shape[-1] < x.size
-              or not out.flags.c_contiguous):
-            raise DomainError(f"out must be C-contiguous of shape {coeffs.shape[:-2]} + (W,), "
-                              f"W >= {x.size}; got {out.shape}")
-        n_rates, n_powers = coeffs.shape[-2:]
-        reach = DECAY_SUPPORT / self.rates.real.min(axis=1, initial=np.inf)
-        pairs = np.flatnonzero(x <= reach[:, None])  # (mode, x) pairs in support, flattened
-        modes, xs = pairs // x.size, x[pairs % x.size]
-        pairs += modes * (out.shape[-1] - x.size)  # their flat index into rows of out
-        flat_coeffs = coeffs.reshape((math.prod(coeffs.shape[:-3]),) + coeffs.shape[-3:])
-        flat_out = out.reshape(flat_coeffs.shape[0], -1)
-        for r in range(n_rates):
-            basis = np.exp(-(self.rates[modes, r] * xs))
-            for p in range(n_powers):
-                if p:
-                    basis = basis * xs
-                for c, o in zip(flat_coeffs, flat_out):
-                    o[pairs] += c[modes, r, p] * basis
-        return out
 
     def solution(self, k: int) -> ModeSolution:
         """Mode k as a ModeSolution of VerticalProfiles, with the terms of its case."""
@@ -444,7 +464,8 @@ def batch_residuals(batch: ModeBatch, x, modes=None, trace=None):
                   **{f"momentum_{j + 1}": (momentum[0][j], momentum[1][j]) for j in range(n - 1)},
                   "momentum_N": combine((lam, u_n), (-mu, lap(u_n)), (-nu, d(div, 1)),
                                         (-kappa, d(lap_rho, 1)))}
-    values = np.abs(b.evaluate(x, np.array([v for v, _ in identities.values()]))).max(axis=-1)
+    values = np.abs(evaluate_profiles(b.rates, np.array([v for v, _ in identities.values()]),
+                                      x)).max(axis=-1)
     scales = np.array([s for _, s in identities.values()]).sum(axis=(-2, -1))
     defects = np.divide(values, scales, out=np.zeros_like(values), where=scales != 0.0)
     per_equation = dict(zip(identities, defects))

@@ -18,8 +18,12 @@ the operators: the output of the density solver is measured as
 of the velocity solver as (grad^2 u, lam^(1/2) grad u, lam u), and boundary
 data (g, h') through the same second-order lift applied per component.  All
 derivatives are exact: tangential ones act as i*xi multipliers per lattice
-mode and vertical ones differentiate the exponential profiles.  A lift takes
-all active modes of a family member in one array pass (`_profile_verticals`).
+mode and vertical ones differentiate the exponential profiles.
+
+Sampled data (`ModeField`), mode solutions and boundary corrections are all
+coefficient arrays in the `ModeBatch` layout, and one engine lifts them:
+`modes._derivative` differentiates, and `modes.evaluate_profiles` evaluates
+every order of every active mode of a family member in one pass.
 """
 
 from __future__ import annotations
@@ -32,10 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridError
-from .fields import (GridField, GridSpec, _wavenumber_mesh, lattice_modes, tangential_fft,
+from .fields import (GridField, GridSpec, lattice_modes, tangential_fft,
                      vertical_spectral_derivative, whole_space_reduction)
-from .modes import BoundaryTrace, solve_mode
-from .profiles import VerticalProfile
+from .modes import BoundaryTrace, _derivative, _one_mode_batch, evaluate_profiles, solve_mode
 from .spectral import FluidParams, TangentialMode
 
 
@@ -58,12 +61,43 @@ def lift_arity(kind: str, dim: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModeField:
-    """Field supported on a few tangential lattice modes with profile verticals."""
+    """Field on a few tangential lattice modes, in `ModeBatch`'s profile layout.
 
-    modes: dict  # index tuple -> VerticalProfile
+    Mode k sits at the lattice index `index[k]` (`index` (M, N-1), distinct
+    rows) and has the vertical profile sum_{r,p} coeffs[k, r, p] x_N^p
+    e^{-rates[k, r] x_N} (`rates` (M, R), `coeffs` (M, R, P)).  A mode with
+    fewer than R terms carries zero coefficients on copies of one of its own
+    rates, so its decay support does not change.
+    """
+
+    index: np.ndarray
+    rates: np.ndarray
+    coeffs: np.ndarray
     spec: GridSpec
+
+    def indices(self) -> list:
+        """The lattice indices as tuples, in mode order."""
+        return [tuple(row) for row in self.index.tolist()]
+
+
+def _stacked(parts):
+    """Concatenate (rates (M_i, R_i), coeffs (..., M_i, R_i, P_i)) along the mode axis.
+
+    Every part is padded to the largest R and P with zero coefficients, on
+    copies of each mode's last rate.
+    """
+    n_rates = max(r.shape[1] for r, _ in parts)
+    n_powers = max(c.shape[-1] for _, c in parts)
+    rates = np.concatenate([np.concatenate([r] + [r[:, -1:]] * (n_rates - r.shape[1]), axis=1)
+                            for r, _ in parts])
+    coeffs = np.zeros(parts[0][1].shape[:-3] + (len(rates), n_rates, n_powers), dtype=complex)
+    start = 0
+    for _, c in parts:
+        coeffs[..., start:start + c.shape[-3], :c.shape[-2], :c.shape[-1]] = c
+        start += c.shape[-3]
+    return rates, coeffs
 
 
 class LiftedTuple:
@@ -134,6 +168,10 @@ def _tangential_derivative(vertical, axes_tuple, xi):
     return np.asarray(factor)[..., None] * vertical[v_order]
 
 
+# Number of vertical derivative orders a lift reads: 0..3 or 0..2.
+LIFT_ORDERS = {"S0": 4, "T": 3}
+
+
 def _lift_rows(derivative, lam, dim: int, kind: str):
     """Rows of one field's lift, given `derivative(axes_tuple)` of that field.
 
@@ -163,106 +201,50 @@ def _lift_vertical(verticals, lam, xi, dim: int, kind: str):
     return rows
 
 
-def _lift_orders(kind: str) -> int:
-    """Number of vertical derivative orders a lift reads: 0..3 or 0..2."""
-    return 4 if kind == "S0" else 3
+def _verticals(rates, coeffs, x, n_orders):
+    """d^v/dx^v, v < n_orders, of the profiles coeffs (C, M, R, P) on rates (M, R) at x.
 
-
-def _lift_batch(batch, lam, spec: GridSpec, kind: str):
-    """Lift rows (n_comp, M, n_z) of every mode of a ModeBatch.
-
-    Kind 'S0' lifts the density, kind 'T' the velocity components.  Each
-    vertical derivative is a coefficient transform, and all of them are
-    evaluated on one shared exponential basis.
+    Returns (C, n_orders, M, len(x)).  Each derivative is a coefficient
+    transform (`modes._derivative`), and all of them are evaluated in one
+    `evaluate_profiles` pass, inside each mode's decay support.
     """
-    n_orders = _lift_orders(kind)
-    components = [0] if kind == "S0" else range(1, spec.dim + 1)
-    coeffs = np.stack([batch.derivative(v)[c] for c in components for v in range(n_orders)])
-    values = batch.evaluate(spec.vertical_coords(), coeffs)
-    verticals = [values[i:i + n_orders] for i in range(0, len(values), n_orders)]
-    return np.array(_lift_vertical(verticals, complex(lam), batch.xi, spec.dim, kind))
+    orders = [coeffs]
+    for _ in range(1, n_orders):
+        orders.append(_derivative(orders[-1], -rates, 1))
+    return evaluate_profiles(rates, np.stack(orders, axis=1), x)
 
 
-def _times(a, b):
-    """a * b rounded as numpy's scalar complex product.
+def _active(fields):
+    """The union of a family member's lattice indices, as a list.
 
-    numpy's array kernel for complex products may fuse a multiply with an
-    add, so it rounds differently from the scalar `-c * t` of
-    `VerticalProfile.differentiate`.  Written out in float arithmetic,
-    (ar br - ai bi) + i (ar bi + ai br), the product rounds like the scalar.
+    Its order, that of set(first) | set().union(rest), is the order in which
+    `LiftedTuple.inner` sums over modes, so it fixes the probe's last bits.
     """
-    a, b = np.broadcast_arrays(a, b)
-    out = np.empty(a.shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    first, *rest = (set(f.indices()) for f in fields)
+    return list(first | set().union(*rest))
+
+
+def _on_active(fields, active, parts):
+    """(F, M, ...): parts[i] (M_i, ...) of field i placed at its modes among `active`.
+
+    Rows of modes a field does not carry are zero.
+    """
+    position = {index: k for k, index in enumerate(active)}
+    out = np.zeros((len(fields), len(active)) + parts[0].shape[1:], dtype=complex)
+    for o, f, part in zip(out, fields, parts):
+        o[[position[index] for index in f.indices()]] = part
     return out
 
 
-def _profile_verticals(fields, x, n_orders):
-    """d^v/dx^v of every field's profile at every mode on x, v < n_orders.
+def _field_values(fields, active, n_orders):
+    """(F, n_orders, M, n_z): d^v/dx_N^v, v < n_orders, of each ModeField on `active`.
 
-    fields[i][k] is field i's VerticalProfile at mode k.  Returns
-    (F, n_orders, M, len(x)), equal bit for bit to evaluating
-    `differentiate(v)` of each profile: the profiles are padded into
-    (F, M, T) coefficient, power and rate arrays (zero coefficient, power 0
-    and rate 0 in the padding, so x**0 stays finite at x = 0), order v holds
-    the terms of `differentiate(v)` in its order (each term's descendants in
-    place, with zero coefficients where a power would drop below 0), and
-    every order is summed term by term on the one basis e^{-rate x}.
+    All fields are evaluated in one `_verticals` pass over their own modes.
     """
-    x = np.asarray(x, dtype=float)
-    n_terms = max([len(p) for row in fields for p in row], default=0) or 1
-    shape = (len(fields), len(fields[0]), n_terms)
-    coeffs = np.zeros(shape, dtype=complex)
-    powers = np.zeros(shape, dtype=int)
-    rates = np.zeros(shape, dtype=complex)
-    lengths = np.zeros(shape[:2] + (1,), dtype=int)
-    for i, row in enumerate(fields):
-        for k, p in enumerate(row):
-            coeffs[i, k, :len(p)], powers[i, k, :len(p)], rates[i, k, :len(p)] = \
-                p.coeffs, p.powers, p.rates
-            lengths[i, k] = len(p)
-
-    top = int(powers.max(initial=0))
-    # rows x**m, m <= top, then x * x: `evaluate` takes x**m through pow, but
-    # numpy squares x for a one-term profile, and the two can differ in the last bit
-    x_powers = np.concatenate([x[None, :] ** np.arange(top + 1)[:, None], (x * x)[None]])
-    power_rows = np.where((lengths == 1) & (powers == 2), top + 1, powers)[..., None]
-    basis = np.ones(shape + (1, x.size), dtype=complex)  # (F, M, T, 1, n)
-    real = np.arange(n_terms) < lengths
-    basis[real] = np.exp(-rates[real][:, None, None] * x)
-    out = np.empty((shape[0], n_orders, shape[1], x.size), dtype=complex)
-    # c, p (F, M, T, S): the current order's terms, S slots per input term;
-    # slot s descends from its term through n_down[s] power-lowering steps
-    c, p, n_down = coeffs[..., None], powers[..., None], np.zeros(1, dtype=int)
-    for v in range(n_orders):
-        if v:
-            # c x^p e^{-tx} -> (-c t) x^p e^{-tx} + (c p) x^(p-1) e^{-tx}
-            c = np.stack([_times(-c, rates[..., None]), c * p], axis=-1).reshape(
-                c.shape[:-1] + (-1,))
-            p = np.stack([p, p - 1], axis=-1).reshape(c.shape)
-            n_down = np.stack([n_down, n_down + 1], axis=-1).ravel()
-            keep = n_down <= top
-            c, p, n_down = c[..., keep], p[..., keep], n_down[keep]
-            power_rows = np.maximum(p, 0)
-        terms = (c[..., None] * x_powers[power_rows] * basis).reshape(
-            shape[:2] + (-1, x.size))
-        acc = out[:, v]
-        acc[...] = terms[:, :, 0]
-        for j in range(1, terms.shape[2]):
-            acc += terms[:, :, j]
-    return out
-
-
-def _lift_modes(active, fields, lam, spec: GridSpec, kind: str) -> LiftedTuple:
-    """LiftedTuple of the lift of `fields` (fields[i][k] at mode active[k]).
-
-    Kind 'S0' lifts the one field to third order, kind 'T' concatenates the
-    second-order lift of each field.  All modes are lifted in one pass.
-    """
-    values = _profile_verticals(fields, spec.vertical_coords(), _lift_orders(kind))
-    rows = _lift_vertical(values, complex(lam), _frequencies(spec, active), spec.dim, kind)
-    return LiftedTuple(_per_mode(active, rows), spec, len(fields) * lift_arity(kind, spec.dim))
+    rates, coeffs = _stacked([(f.rates, f.coeffs) for f in fields])
+    values = _verticals(rates, coeffs[None], fields[0].spec.vertical_coords(), n_orders)[0]
+    parts = np.split(values.transpose(1, 0, 2), np.cumsum([len(f.index) for f in fields])[:-1])
+    return _on_active(fields, active, parts).transpose(0, 2, 1, 3)
 
 
 def _frequencies(spec: GridSpec, active):
@@ -272,18 +254,19 @@ def _frequencies(spec: GridSpec, active):
                     dtype=float).reshape(len(active), spec.dim - 1)
 
 
-def _per_mode(active, rows):
-    """{active[k]: (n_comp, n_z) block of mode k} from n_comp rows of shape (M, n_z)."""
-    return dict(zip(active, np.stack(rows, axis=1)))
+def _lifted(active, rows, spec: GridSpec) -> LiftedTuple:
+    """LiftedTuple of n_comp rows (M, n_z): the (n_comp, n_z) block of mode k at active[k]."""
+    return LiftedTuple(dict(zip(active, np.stack(rows, axis=1))), spec, len(rows))
 
 
 def lift_boundary_data(data, lam) -> LiftedTuple:
     """The trace lift (T_lam g, T_lam h_1, ..., T_lam h_{N-1})."""
     g, hs = data
-    active = list(set(g.modes) | set().union(*(set(h.modes) for h in hs)))
-    zero = VerticalProfile.zero()
-    fields = [[c.modes.get(index, zero) for index in active] for c in (g, *hs)]
-    return _lift_modes(active, fields, lam, g.spec, "T")
+    spec = g.spec
+    active = _active((g, *hs))
+    values = _field_values((g, *hs), active, LIFT_ORDERS["T"])
+    rows = _lift_vertical(values, complex(lam), _frequencies(spec, active), spec.dim, "T")
+    return _lifted(active, rows, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +302,27 @@ class ReducedSolveFamily:
         self.name = kind
 
     def apply(self, lam, data):
+        """One scalar `solve_mode` per active mode, stacked and lifted in one pass.
+
+        `solve_modes` rounds differently from the scalar solve, and the
+        central difference of dA2/dB2 amplifies that about 500-fold.
+        """
         g, hs = data
         spec = g.spec
-        active = list(set(g.modes) | set().union(*(set(h.modes) for h in hs)))
-        solutions = []
-        for index, xi in zip(active, _frequencies(spec, active)):
-            mode = TangentialMode(xi=xi, lam=lam, dim=spec.dim)
-            g_hat = g.modes[index].value_at_zero() if index in g.modes else 0.0
-            h_hat = np.array([h.modes[index].value_at_zero() if index in h.modes else 0.0
-                              for h in hs])
-            solutions.append(solve_mode(self.params, mode, BoundaryTrace(g_hat, h_hat)))
-        if self.kind == "A2":
-            return _lift_modes(active, [[s.rho for s in solutions]], lam, spec, "S0")
-        fields = [[s.u[J] for s in solutions] for J in range(spec.dim)]
-        return _lift_modes(active, fields, lam, spec, "T")
+        active = _active((g, *hs))
+        xi = _frequencies(spec, active)
+        # values at x_N = 0: each mode's power-0 coefficients, summed
+        traces = _on_active((g, *hs), active, [c.coeffs[:, :, 0].sum(axis=-1) for c in (g, *hs)])
+        solved = []
+        for k in range(len(active)):
+            mode = TangentialMode(xi=xi[k], lam=lam, dim=spec.dim)
+            solution = solve_mode(self.params, mode, BoundaryTrace(traces[0, k], traces[1:, k]))
+            solved.append(_one_mode_batch(self.params, mode, solution))
+        # modes whose rates round together carry fewer rate slots; padded here
+        rates, coeffs = _stacked([(b.rates, b.coeffs) for b in solved])
+        kind, components = ("S0", [0]) if self.kind == "A2" else ("T", range(1, spec.dim + 1))
+        values = _verticals(rates, coeffs[components], spec.vertical_coords(), LIFT_ORDERS[kind])
+        return _lifted(active, _lift_vertical(values, complex(lam), xi, spec.dim, kind), spec)
 
     def input_lift(self, lam, data):
         return lift_boundary_data(data, lam)
@@ -379,17 +369,14 @@ def lift_full_data(data, lam) -> LiftedTuple:
     spec = d.spec
     lam = complex(lam)
     dim = spec.dim
-    active = list(set(d.modes) | set(g.modes) | set().union(*(set(c.modes) for c in f)))
+    active = _active((d, g, *f))
     xi = _frequencies(spec, active)
-    zero = VerticalProfile.zero()
-    fields = [[c.modes.get(index, zero) for index in active] for c in (d, g, *f)]
-    vd, vg, *vf = _profile_verticals(fields, spec.vertical_coords(), 3)
+    vd, vg, *vf = _field_values((d, g, *f), active, 3)
     rows = [_tangential_derivative(vd, t, xi) for t in derivative_tuples(1, dim)]
     rows.append(np.sqrt(lam) * vd[0])
     rows += [v[0] for v in vf]
     rows += _lift_vertical([vg], lam, xi, dim, "T")
-    n_comp = dim + 1 + dim + dim * dim + dim + 1
-    return LiftedTuple(_per_mode(active, rows), spec, n_comp)
+    return _lifted(active, rows, spec)
 
 
 class FullSolveFamily:
@@ -416,49 +403,37 @@ class FullSolveFamily:
         lam = complex(lam)
         dim = spec.dim
 
-        def synthesize(mode_field):
-            hat = np.zeros(spec.tangential_shape + (spec.n_vertical,), dtype=complex)
-            x = spec.vertical_coords()
-            for k, p in mode_field.modes.items():
-                hat[(*k, slice(None))] = p.evaluate(x)
-            return tangential_fft(hat, tuple(range(dim - 1)), inverse=True)
-
+        # the data on the grid: one evaluation scattered into the tangential
+        # spectrum, one inverse FFT
+        active = _active((d, g, *f))
+        hat = np.zeros((dim + 2,) + spec.tangential_shape + (spec.n_vertical,), dtype=complex)
+        index = np.array(active, dtype=int).reshape(len(active), dim - 1)
+        hat[(slice(None), *index.T)] = _field_values((d, g, *f), active, 1)[:, 0]
+        d_grid, g_grid, *f_grid = tangential_fft(hat, tuple(range(1, dim)), inverse=True,
+                                                 overwrite_x=True)
         spectrum, _, g_hat, h_hat = whole_space_reduction(
-            self.params, GridField(synthesize(d), spec),
-            [GridField(synthesize(c), spec) for c in f], synthesize(g)[..., 0], lam)
+            self.params, GridField(d_grid, spec), [GridField(c, spec) for c in f_grid],
+            g_grid[..., 0], lam)
         batch = lattice_modes(self.params, spec, g_hat, h_hat, lam)
-        kind_lift = "S0" if self.kind == "A" else "T"
 
-        # whole-space part lift, in the tangential spectrum the solve leaves
-        # it in: one parity derivative per vertical order (it acts along x_N
-        # only), tangential derivatives as i*xi multipliers
-        k_t = _wavenumber_mesh(spec)[:dim - 1]
-
-        def lift(values, parity):
-            v_hat = [vertical_spectral_derivative(values, spec, v, parity) if v else values
-                     for v in range(_lift_orders(kind_lift))]
-
-            def derivative(axes_tuple):
-                factor = 1.0
-                for ax in axes_tuple:
-                    if ax < dim - 1:
-                        factor = factor * (1j * k_t[ax])
-                return factor * v_hat[axes_tuple.count(dim - 1)]
-
-            return _lift_rows(derivative, lam, dim, kind_lift)
-
+        # the solution's vertical derivatives per lattice mode: exact profile
+        # derivatives of the correction plus parity derivatives of the
+        # whole-space part, in the tangential spectrum the solve leaves it in
+        # (they act along x_N only); then one lift and one inverse FFT
+        kind, components = ("S0", [0]) if self.kind == "A" else ("T", range(1, dim + 1))
         n = spec.n_vertical
-        if self.kind == "A":
-            rows = lift(spectrum[0, ..., :n], "even")
-        else:
-            rows = [r for J in range(dim)
-                    for r in lift(spectrum[1 + J, ..., :n], "even" if J < dim - 1 else "odd")]
-        # plus the correction lift from exact profile derivatives, all modes in
-        # one pass, then one inverse tangential FFT of the sum
-        hat = np.array(rows)
-        hat += _lift_batch(batch, lam, spec, kind_lift).reshape(hat.shape)
-        return LiftedDense(tangential_fft(hat, tuple(range(1, dim)), inverse=True,
-                                          overwrite_x=True), spec)
+        verticals = _verticals(batch.rates, batch.coeffs[components], spec.vertical_coords(),
+                               LIFT_ORDERS[kind])
+        for vertical, c in zip(verticals, components):
+            whole_space = spectrum[c, ..., :n].reshape(len(batch), n)
+            parity = "odd" if c == dim else "even"
+            for v, out in enumerate(vertical):
+                out += vertical_spectral_derivative(whole_space, spec, v, parity) if v \
+                    else whole_space
+        rows = np.array(_lift_vertical(verticals, lam, batch.xi, dim, kind))
+        return LiftedDense(tangential_fft(rows.reshape((len(rows),) + spec.shape),
+                                          tuple(range(1, dim)), inverse=True, overwrite_x=True),
+                           spec)
 
 
 class LogDerivativeFamily:
@@ -541,20 +516,23 @@ def sample_boundary_data(rng, spec: GridSpec, modes_per_field: int = 4,
 
 def _draw_mode_field(rng, spec: GridSpec, modes_per_field: int, rate_scale: float,
                      power: int = 0) -> ModeField:
-    """Low lattice modes, each with two terms c x_N^power e^{-rate x_N}."""
+    """Low lattice modes, each draw adding two terms c x_N^power e^{-rate x_N}.
+
+    A redrawn index keeps the terms of every draw, in draw order.
+    """
     n = spec.n_tangential
     band = max(2, n // 4)
-    modes = {}
+    terms = {}
     for _ in range(modes_per_field):
         index = tuple(int(rng.integers(-band, band + 1)) % n for _ in range(spec.dim - 1))
-        terms = []
         for _ in range(2):
             c = complex(rng.normal(), rng.normal())
             rate = rate_scale * complex(rng.uniform(0.5, 2.5), rng.uniform(-0.5, 0.5))
-            terms.append((c, power, rate))
-        prof = VerticalProfile(terms)
-        modes[index] = modes[index] + prof if index in modes else prof
-    return ModeField(modes, spec)
+            terms.setdefault(index, []).append((c, rate))
+    rates, coeffs = _stacked([(np.array([[t for _, t in ts]]),
+                               np.array([[[0.0] * power + [c] for c, _ in ts]], dtype=complex))
+                              for ts in terms.values()])
+    return ModeField(np.array(list(terms), dtype=int), rates, coeffs, spec)
 
 
 @dataclass
@@ -635,9 +613,10 @@ def estimate_rbound(family, config: ProbeConfig, spec: GridSpec | None = None,
     """
     base = spec or probe_grid()
     lo, hi = config.decades
-    n_dec = int(round(math.log10(hi / lo)))
-    if n_dec < 1:
-        raise GridError("decades must span at least one factor of 10")
+    n_dec = round(math.log10(hi / lo)) if 0.0 < lo < hi < math.inf else 0
+    if n_dec < 1 or not abs(hi / lo / 10.0**n_dec - 1.0) <= 1e-9:
+        raise GridError(f"decades must be (lo, hi) with 0 < lo < hi and hi/lo a power of 10 "
+                        f">= 10, got {config.decades}")
     root = np.random.SeedSequence(config.rng_seed)
     decade_seeds = root.spawn(n_dec)
 

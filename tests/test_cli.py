@@ -154,6 +154,14 @@ class TestRbound:
         assert ja == jb
         assert set(ja) >= {"family", "global_max_ratio", "per_decade_max_ratio"}
 
+    @pytest.mark.parametrize("decades", ["1e-2,5e1", "0,1"])
+    def test_partial_or_empty_decades_rejected(self, tmp_path, capsys, decades):
+        code, _, err = run(["rbound", "--mu", "1", "--nu", "1", "--kappa", "2", "--family", "A2",
+                            "--decades", decades, "-o", str(tmp_path / "r.json")], capsys)
+        assert code == 1
+        assert err.startswith("error: decades must")
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestSolveField:
     def test_field_round_trip_with_files(self, tmp_path, capsys):

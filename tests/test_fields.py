@@ -12,6 +12,7 @@ from kortsolve.fields import (GridField, GridSpec, grid_norm, lattice_modes, loa
                               manufactured_solution, save_field, solve_resolvent,
                               vertical_spectral_derivative, whole_space_reduction,
                               whole_space_solve)
+from kortsolve.modes import evaluate_profiles
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +179,7 @@ def _reference_two_step_solve(params, d, f, g_trace, lam):
     g_hat = np.fft.fftn(g_trace)
     h_hat = [np.fft.fftn(-u_ws[j][..., 0]) for j in range(N - 1)]
     batch = lattice_modes(params, spec, g_hat, h_hat, lam)
-    values = batch.evaluate(spec.vertical_coords(), batch.coeffs[:N + 1])
+    values = evaluate_profiles(batch.rates, batch.coeffs[:N + 1], spec.vertical_coords())
     corr = np.fft.ifftn(values.reshape((N + 1,) + spec.shape), axes=tuple(range(1, N)))
     return rho_ws + corr[0], [u + c for u, c in zip(u_ws, corr[1:])]
 
@@ -361,6 +362,18 @@ class TestWholeSpace:
         with pytest.raises(ConfigurationError, match=r"set its boundary row f_N\[\.\.\., 0\] "
                                                      r"to zero"):
             whole_space_solve(spec, params, z, [z, f_normal], 1.0 + 0.5j)
+
+    @pytest.mark.parametrize("component", ["d", "f_N"])
+    def test_nan_data_rejected(self, params, component):
+        # NaN compares False with every bound, so the trace guard and the
+        # residual gates must fail on it rather than pass it through
+        spec = GridSpec(dim=2, box_half_length=3.0, n_tangential=16,
+                        vertical_cutoff=8.0, n_vertical=32)
+        d = _gaussian_data(spec).astype(complex)
+        f = [np.zeros(spec.shape, dtype=complex), np.zeros(spec.shape, dtype=complex)]
+        (d if component == "d" else f[-1])[3, 5] = np.nan
+        with pytest.raises(ConfigurationError):
+            whole_space_solve(spec, params, d, f, 1.0 + 0.5j)
 
     def test_requires_right_half_plane(self, spec, params):
         from kortsolve import DomainError

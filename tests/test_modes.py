@@ -9,7 +9,7 @@ from kortsolve import (BoundaryTrace, Case, ConsistencyError, DomainError, Tange
                        VerticalProfile, assembled_formula_check, boundary_residuals,
                        classify, compute_roots, pde_residual, solve_mode)
 from kortsolve.modes import (DECAY_SUPPORT, _batch, batch_residuals, default_sample_points,
-                             solve_modes)
+                             evaluate_profiles, solve_modes)
 
 from tests.conftest import CASE_PARAMS, random_mode_values, random_trace
 
@@ -373,7 +373,7 @@ class TestModeBatch:
         batch = solve_modes(p, xi, lam, g, h)
         x = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 30)])
         for order in (0, 1, 2, 3):
-            values = batch.evaluate(x, batch.derivative(order))
+            values = evaluate_profiles(batch.rates, batch.derivative(order), x)
             for k in range(len(xi)):
                 view = batch.solution(k)
                 for c, prof in enumerate([view.rho, *view.u, view.phi]):
@@ -428,7 +428,7 @@ class TestTruncatedEvaluate:
         for order in (0, 1, 2):
             coeffs = batch.derivative(order)
             for points in (x, shuffled):
-                got = batch.evaluate(points, coeffs)
+                got = evaluate_profiles(batch.rates, coeffs, points)
                 want = _reference_evaluate(batch, points, coeffs)
                 peak = np.abs(want).max(axis=(-2, -1), keepdims=True)
                 assert np.all(np.abs(got - want) <= 1e-15 * peak)
@@ -437,7 +437,7 @@ class TestTruncatedEvaluate:
         p = classify(*CASE_PARAMS["IV"])
         batch = solve_modes(p, *_batch_inputs(3, 2, n_modes=4)[:1], 1.0, [1.0] * 4, [[0.5]] * 4)
         with pytest.raises(DomainError):
-            batch.evaluate(np.array([0.0, 1.0, -1e-3]))
+            evaluate_profiles(batch.rates, batch.coeffs, np.array([0.0, 1.0, -1e-3]))
 
 
 class TestBatchResiduals:
