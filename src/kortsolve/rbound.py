@@ -214,14 +214,26 @@ def _verticals(rates, coeffs, x, n_orders):
     return evaluate_profiles(rates, np.stack(orders, axis=1), x)
 
 
-def _active(fields):
+def _active(lead, rest):
     """The union of a family member's lattice indices, as a list.
 
-    Its order, that of set(first) | set().union(rest), is the order in which
-    `LiftedTuple.inner` sums over modes, so it fixes the probe's last bits.
+    Its order, that of set(lead[0]) | set(lead[1]) | ... | set().union(rest),
+    is the order in which `LiftedTuple.inner` sums over modes, so it fixes
+    the probe's last bits.
     """
-    first, *rest = (set(f.indices()) for f in fields)
-    return list(first | set().union(*rest))
+    first, *more = (_index_set(f) for f in lead)
+    for indices in more:
+        first = first | indices
+    return list(first | set().union(*(_index_set(f) for f in rest)))
+
+
+def _index_set(f):
+    """The set of a ModeField's lattice indices.
+
+    It is built from a dict, for which set() presizes its table; the table
+    size fixes the set's iteration order and so `_active`'s mode order.
+    """
+    return set(dict.fromkeys(f.indices()))
 
 
 def _on_active(fields, active, parts):
@@ -263,7 +275,7 @@ def lift_boundary_data(data, lam) -> LiftedTuple:
     """The trace lift (T_lam g, T_lam h_1, ..., T_lam h_{N-1})."""
     g, hs = data
     spec = g.spec
-    active = _active((g, *hs))
+    active = _active((g,), hs)
     values = _field_values((g, *hs), active, LIFT_ORDERS["T"])
     rows = _lift_vertical(values, complex(lam), _frequencies(spec, active), spec.dim, "T")
     return _lifted(active, rows, spec)
@@ -309,7 +321,7 @@ class ReducedSolveFamily:
         """
         g, hs = data
         spec = g.spec
-        active = _active((g, *hs))
+        active = _active((g,), hs)
         xi = _frequencies(spec, active)
         # values at x_N = 0: each mode's power-0 coefficients, summed
         traces = _on_active((g, *hs), active, [c.coeffs[:, :, 0].sum(axis=-1) for c in (g, *hs)])
@@ -369,7 +381,7 @@ def lift_full_data(data, lam) -> LiftedTuple:
     spec = d.spec
     lam = complex(lam)
     dim = spec.dim
-    active = _active((d, g, *f))
+    active = _active((d, g), f)
     xi = _frequencies(spec, active)
     vd, vg, *vf = _field_values((d, g, *f), active, 3)
     rows = [_tangential_derivative(vd, t, xi) for t in derivative_tuples(1, dim)]
@@ -405,7 +417,7 @@ class FullSolveFamily:
 
         # the data on the grid: one evaluation scattered into the tangential
         # spectrum, one inverse FFT
-        active = _active((d, g, *f))
+        active = _active((d, g), f)
         hat = np.zeros((dim + 2,) + spec.tangential_shape + (spec.n_vertical,), dtype=complex)
         index = np.array(active, dtype=int).reshape(len(active), dim - 1)
         hat[(slice(None), *index.T)] = _field_values((d, g, *f), active, 1)[:, 0]
@@ -613,7 +625,7 @@ def estimate_rbound(family, config: ProbeConfig, spec: GridSpec | None = None,
     """
     base = spec or probe_grid()
     lo, hi = config.decades
-    n_dec = round(math.log10(hi / lo)) if 0.0 < lo < hi < math.inf else 0
+    n_dec = round(math.log10(hi / lo)) if 0.0 < lo < hi and math.isfinite(hi / lo) else 0
     if n_dec < 1 or not abs(hi / lo / 10.0**n_dec - 1.0) <= 1e-9:
         raise GridError(f"decades must be (lo, hi) with 0 < lo < hi and hi/lo a power of 10 "
                         f">= 10, got {config.decades}")

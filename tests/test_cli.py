@@ -154,7 +154,7 @@ class TestRbound:
         assert ja == jb
         assert set(ja) >= {"family", "global_max_ratio", "per_decade_max_ratio"}
 
-    @pytest.mark.parametrize("decades", ["1e-2,5e1", "0,1"])
+    @pytest.mark.parametrize("decades", ["1e-2,5e1", "0,1", "1e-300,1e300"])
     def test_partial_or_empty_decades_rejected(self, tmp_path, capsys, decades):
         code, _, err = run(["rbound", "--mu", "1", "--nu", "1", "--kappa", "2", "--family", "A2",
                             "--decades", decades, "-o", str(tmp_path / "r.json")], capsys)
