@@ -217,23 +217,16 @@ def _verticals(rates, coeffs, x, n_orders):
 def _active(lead, rest):
     """The union of a family member's lattice indices, as a list.
 
-    Its order, that of set(lead[0]) | set(lead[1]) | ... | set().union(rest),
-    is the order in which `LiftedTuple.inner` sums over modes, so it fixes
-    the probe's last bits.
+    Its order, that of set(lead[0]) | ... | set(lead[-1]) | set().union(*rest)
+    on sets built from dicts (for which set() presizes its table), is the
+    order in which `LiftedTuple.inner` sums over modes, so it fixes the
+    probe's last bits.
     """
-    first, *more = (_index_set(f) for f in lead)
-    for indices in more:
-        first = first | indices
-    return list(first | set().union(*(_index_set(f) for f in rest)))
-
-
-def _index_set(f):
-    """The set of a ModeField's lattice indices.
-
-    It is built from a dict, for which set() presizes its table; the table
-    size fixes the set's iteration order and so `_active`'s mode order.
-    """
-    return set(dict.fromkeys(f.indices()))
+    sets = [set(dict.fromkeys(f.indices())) for f in (*lead, *rest)]
+    union = sets[0]
+    for indices in sets[1:len(lead)]:
+        union = union | indices
+    return list(union | set().union(*sets[len(lead):]))
 
 
 def _on_active(fields, active, parts):
