@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, GridError
-from .modes import ModeBatch, batch_residuals, evaluate_profiles, solve_modes
+from .modes import ModeBatch, _derivative, batch_residuals, evaluate_profiles, solve_modes
 from .modes import solve_mode  # noqa: F401  (perfbench/tests looks it up on this module)
 from .spectral import FluidParams
 
@@ -641,7 +641,8 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     batch = boundary_correction(params, spec, g_hat, h_hat, lam, spectrum)
 
     # d_N rho_corr(0) per mode: the power-0 coefficients of the derivative.
-    dn_rho_corr_hat = batch.derivative(1)[0, :, :, 0].sum(axis=1).reshape(spec.tangential_shape)
+    dn_rho_corr_hat = _derivative(batch.coeffs[:1], -batch.rates, 1)[0, :, :, 0].sum(axis=1) \
+        .reshape(spec.tangential_shape)
     # The terms that sum holds: -t c for each x^0 term, c for each x^1 term.
     rho_c = batch.coeffs[0]
     dn_term_sum = float(np.sum(np.abs(batch.rates * rho_c[..., 0]))

@@ -197,10 +197,12 @@ def _times(a, b):
     of `VerticalProfile.differentiate`.  Written out in float arithmetic,
     (ar br - ai bi) + i (ar bi + ai br), the product rounds like the scalar.
     """
-    a, b = np.broadcast_arrays(a, b)
-    out = np.empty(a.shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    re = a.real * b.real
+    re -= a.imag * b.imag
+    im = a.real * b.imag
+    im += a.imag * b.real
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
     return out
 
 
