@@ -289,10 +289,6 @@ class ModeBatch:
     def __len__(self):
         return self.rates.shape[0]
 
-    def derivative(self, order: int) -> np.ndarray:
-        """Coefficients of d^order/dx^order: C'_p = -t C_p + (p + 1) C_{p+1}."""
-        return _derivative(self.coeffs, -self.rates, order)
-
     def take(self, modes) -> "ModeBatch":
         """The batch of the selected modes (an index array or a boolean mask)."""
         per_mode = ("xi", "rates", "alpha", "beta", "gamma", "sigma", "tau")
