@@ -12,10 +12,10 @@ t1, t2, omega degenerate (cases I-V), and each case has a fixed term layout.
 ModeBatch: the rates and profile coefficients of rho, u_1..u_N and the
 divergence phi = i xi . u' + d_N u_N (which satisfies lambda rho + phi = 0),
 with exact vertical derivatives as coefficient transforms.  `solve_mode`
-runs the same case formulas for one mode and returns VerticalProfile
-objects.  `batch_residuals` checks the interior identities and boundary
-conditions of selected batch modes in array passes; `pde_residual` is its
-one-mode form.
+runs the same case formulas on one mode's scalars and returns its batch of
+one as a ModeSolution, with VerticalProfile views.  `batch_residuals` checks
+the interior identities and boundary conditions of selected batch modes in
+array passes; `pde_residual` runs it on a ModeSolution's batch.
 `_derivative` and `evaluate_profiles` differentiate and evaluate any
 (rates, coefficients) arrays in this layout, for the field solve and probe.
 
@@ -66,16 +66,6 @@ class ModeCoefficients:
     sigma: complex
     tau: complex
     case: Case
-
-
-@dataclass(frozen=True)
-class ModeSolution:
-    """Profiles for rho, u_1..u_N, phi plus the raw coefficients."""
-
-    rho: VerticalProfile
-    u: tuple
-    phi: VerticalProfile
-    coeffs: ModeCoefficients
 
 
 # Each case formula below is written once and runs on either scalars or
@@ -295,22 +285,46 @@ class ModeBatch:
         return replace(self, coeffs=self.coeffs[:, modes],
                        **{k: getattr(self, k)[modes] for k in per_mode})
 
-    def solution(self, k: int) -> ModeSolution:
-        """Mode k as a ModeSolution of VerticalProfiles, with the terms of its case."""
-        _, b_slot, c_slot, s_slot, t_slot = _CASES[self.params.case]
-        u_terms = [(0, 0)] + [s for s in (b_slot, c_slot) if s is not None]
-        n = self.xi.shape[1] + 1
 
-        def profile(component, terms):
-            r, p = (np.array(a) for a in zip(*terms))
-            return VerticalProfile(_raw=(self.coeffs[component, k, r, p], p, self.rates[k, r]))
+@dataclass(frozen=True)
+class ModeSolution:
+    """One solved mode as its batch of one; `rho`, `u`, `phi` and `coeffs` are views.
 
-        coeffs = ModeCoefficients(alpha=self.alpha[k], beta=self.beta[k], gamma=self.gamma[k],
-                                  sigma=complex(self.sigma[k]), tau=complex(self.tau[k]),
-                                  case=self.params.case)
-        return ModeSolution(rho=profile(0, [s_slot, t_slot]),
-                            u=tuple(profile(J, u_terms) for J in range(1, n + 1)),
-                            phi=profile(n + 1, [s_slot, t_slot]), coeffs=coeffs)
+    The views are VerticalProfiles on the term slots of the batch's case and
+    the raw ansatz coefficients, built from `batch` on access.
+    """
+
+    batch: ModeBatch
+
+    def _profile(self, component: int) -> VerticalProfile:
+        """Component 0 (rho), 1..N (u) or N + 1 (phi) on the term slots of its case."""
+        _, b_slot, c_slot, s_slot, t_slot = _CASES[self.batch.params.case]
+        if 0 < component < len(self.batch.coeffs) - 1:
+            slots = [s for s in ((0, 0), b_slot, c_slot) if s is not None]
+        else:
+            slots = [s_slot, t_slot]
+        r, p = (np.array(a) for a in zip(*slots))
+        return VerticalProfile(_raw=(self.batch.coeffs[component, 0, r, p], p,
+                                     self.batch.rates[0, r]))
+
+    @property
+    def rho(self) -> VerticalProfile:
+        return self._profile(0)
+
+    @property
+    def u(self) -> tuple:
+        return tuple(self._profile(J) for J in range(1, len(self.batch.coeffs) - 1))
+
+    @property
+    def phi(self) -> VerticalProfile:
+        return self._profile(len(self.batch.coeffs) - 1)
+
+    @property
+    def coeffs(self) -> ModeCoefficients:
+        b = self.batch
+        return ModeCoefficients(alpha=b.alpha[0], beta=b.beta[0], gamma=b.gamma[0],
+                                sigma=complex(b.sigma[0]), tau=complex(b.tau[0]),
+                                case=b.params.case)
 
 
 def _batch(params, lam, xi, h, rates, beta, gamma, sigma, tau) -> ModeBatch:
@@ -383,7 +397,7 @@ def solve_mode(params: FluidParams, mode: TangentialMode, trace: BoundaryTrace) 
         roots.t1, roots.t2, roots.omega)
     batch = _batch(params, mode.lam, mode.xi[None], trace.h_hat[None], np.array([rates]),
                    beta[None], gamma[None], np.array([sigma]), np.array([tau]))
-    return batch.solution(0)
+    return ModeSolution(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -488,37 +502,17 @@ def batch_residuals(batch: ModeBatch, x, modes=None, trace=None):
     return per_equation, per_boundary
 
 
-def _one_mode_batch(params: FluidParams, mode: TangentialMode, solution: ModeSolution):
-    """A ModeSolution as a batch of one, on the distinct rates of its profiles.
-
-    Rates are taken in order of first use over u, phi, rho: the batch order
-    for the view of a batch mode.
-    """
-    profiles = [solution.rho, *solution.u, solution.phi]
-    rates = list(dict.fromkeys(t for prof in profiles[1:] + profiles[:1] for t in prof.rates))
-    n_powers = 1 + max((int(prof.powers.max()) for prof in profiles if len(prof)), default=0)
-    coeffs = np.zeros((len(profiles), 1, len(rates), n_powers), dtype=complex)
-    for i, prof in enumerate(profiles):
-        for c, m, t in prof.terms():
-            coeffs[i, 0, rates.index(t), m] += c
-    raw = solution.coeffs
-    return ModeBatch(params=params, lam=complex(mode.lam), xi=np.asarray(mode.xi)[None],
-                     rates=np.array(rates, dtype=complex).reshape(1, -1), coeffs=coeffs,
-                     alpha=raw.alpha[None], beta=raw.beta[None], gamma=raw.gamma[None],
-                     sigma=np.array([raw.sigma]), tau=np.array([raw.tau]))
-
-
 def pde_residual(params: FluidParams, mode: TangentialMode, solution: ModeSolution,
                  sample_points=None) -> ResidualReport:
     """Evaluate the interior equations and boundary conditions on sample points.
 
-    `batch_residuals` on the solution laid out as a batch of one.
+    `batch_residuals` on the solution's batch of one.
     """
     if sample_points is None:
         sample_points = default_sample_points(params, mode)
     per_equation, per_boundary = (
         {k: float(v[0]) for k, v in table.items()}
-        for table in batch_residuals(_one_mode_batch(params, mode, solution), sample_points))
+        for table in batch_residuals(solution.batch, sample_points))
     return ResidualReport(pde_max=max(per_equation.values()),
                           boundary_max=max(per_boundary.values()),
                           per_equation=per_equation, per_boundary=per_boundary)
@@ -528,11 +522,10 @@ def boundary_residuals(params: FluidParams, mode: TangentialMode, solution: Mode
                        trace: BoundaryTrace) -> dict:
     """Boundary defects against explicitly supplied trace data, floored by its scale.
 
-    The boundary part of `batch_residuals` on the solution laid out as a
-    batch of one.
+    The boundary part of `batch_residuals` on the solution's batch of one.
     """
-    batch = _one_mode_batch(params, mode, solution)
-    per_boundary = batch_residuals(batch, [0.0], trace=([trace.g_hat], trace.h_hat[None]))[1]
+    per_boundary = batch_residuals(solution.batch, [0.0],
+                                   trace=([trace.g_hat], trace.h_hat[None]))[1]
     return {k: float(v[0]) for k, v in per_boundary.items()}
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError, GridError
 from .fields import (GridField, GridSpec, lattice_modes, tangential_fft,
                      vertical_spectral_derivative, whole_space_reduction)
-from .modes import BoundaryTrace, _derivative, _one_mode_batch, evaluate_profiles, solve_mode
+from .modes import BoundaryTrace, _derivative, evaluate_profiles, solve_mode
 from .spectral import FluidParams, TangentialMode
 
 
@@ -307,10 +307,11 @@ class ReducedSolveFamily:
         self.name = kind
 
     def apply(self, lam, data):
-        """One scalar `solve_mode` per active mode, stacked and lifted in one pass.
+        """One scalar `solve_mode` per active mode, their batches lifted in one pass.
 
-        `solve_modes` rounds differently from the scalar solve, and the
-        central difference of dA2/dB2 amplifies that about 500-fold.
+        A case's modes share its (rate, power) layout, so the batches of one
+        concatenate as they are.  `solve_modes` rounds differently from the
+        scalar solve, and the central difference of dA2/dB2 amplifies that about 500-fold.
         """
         g, hs = data
         spec = g.spec
@@ -318,13 +319,11 @@ class ReducedSolveFamily:
         xi = _frequencies(spec, active)
         # values at x_N = 0: each mode's power-0 coefficients, summed
         traces = _on_active((g, *hs), active, [c.coeffs[:, :, 0].sum(axis=-1) for c in (g, *hs)])
-        solved = []
-        for k in range(len(active)):
-            mode = TangentialMode(xi=xi[k], lam=lam, dim=spec.dim)
-            solution = solve_mode(self.params, mode, BoundaryTrace(traces[0, k], traces[1:, k]))
-            solved.append(_one_mode_batch(self.params, mode, solution))
-        # modes whose rates round together carry fewer rate slots; padded here
-        rates, coeffs = _stacked([(b.rates, b.coeffs) for b in solved])
+        solved = [solve_mode(self.params, TangentialMode(xi=xi[k], lam=lam, dim=spec.dim),
+                             BoundaryTrace(traces[0, k], traces[1:, k])).batch
+                  for k in range(len(active))]
+        rates = np.concatenate([b.rates for b in solved])
+        coeffs = np.concatenate([b.coeffs for b in solved], axis=1)
         kind, components = ("S0", [0]) if self.kind == "A2" else ("T", range(1, spec.dim + 1))
         values = _verticals(rates, coeffs[components], spec.vertical_coords(), LIFT_ORDERS[kind])
         return _lifted(active, _lift_vertical(values, complex(lam), xi, spec.dim, kind), spec)
@@ -376,10 +375,10 @@ def lift_full_data(data, lam) -> LiftedTuple:
     dim = spec.dim
     active = _active((d, g), f)
     xi = _frequencies(spec, active)
-    vd, vg, *vf = _field_values((d, g, *f), active, 3)
+    vd, vg = _field_values((d, g), active, 3)
     rows = [_tangential_derivative(vd, t, xi) for t in derivative_tuples(1, dim)]
     rows.append(np.sqrt(lam) * vd[0])
-    rows += [v[0] for v in vf]
+    rows += list(_field_values(f, active, 1)[:, 0])
     rows += _lift_vertical([vg], lam, xi, dim, "T")
     return _lifted(active, rows, spec)
 
@@ -481,8 +480,8 @@ class ProbeConfig:
 
     m family members and `trials` Rademacher draws per ratio; lambda is
     sampled per decade of |lambda| within `decades` at arguments drawn from
-    `lambda_args`.  q is the spatial grid-norm exponent (2 uses the exact
-    Hilbert-space path).
+    `lambda_args`.  q is the spatial grid-norm exponent, finite and >= 1 so
+    that it is a norm (2 uses the exact Hilbert-space path).
     """
 
     m: int = 8
@@ -495,8 +494,10 @@ class ProbeConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1 or self.trials < 50:
-            raise DomainError("need m >= 1 and trials >= 50")
+        if self.m < 1 or self.trials < 50 or min(self.draws_per_decade, self.modes_per_field) < 1:
+            raise DomainError("need m, draws_per_decade, modes_per_field >= 1 and trials >= 50")
+        if not (self.lambda_args and math.isfinite(self.q) and self.q >= 1.0):
+            raise DomainError(f"need a non-empty lambda_args and a finite q >= 1, got q = {self.q}")
 
 
 def probe_grid(dim: int = 2, n_tangential: int = 32, vertical_cutoff: float = 40.0,

@@ -162,6 +162,14 @@ class TestRbound:
         assert err.startswith("error: decades must")
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("control", [["--draws", "0"], ["--q", "0"]])
+    def test_degenerate_probe_controls_rejected(self, tmp_path, capsys, control):
+        code, _, err = run(["rbound", "--mu", "1", "--nu", "1", "--kappa", "2", "--family", "A2",
+                            *control, "-o", str(tmp_path / "r.json")], capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestSolveField:
     def test_field_round_trip_with_files(self, tmp_path, capsys):

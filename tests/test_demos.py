@@ -33,3 +33,19 @@ def test_oracle_crosscheck_demo():
     assert len(errors) == 5
     # criterion 3's bound at the same n = 4096, 40-decay-length configuration
     assert max(errors) <= 1e-4, errors
+
+
+def test_mode_solutions_demo():
+    proc = run_demo("04_mode_solutions.py")
+    assert proc.returncode == 0, proc.stderr
+    cases = [line for line in proc.stdout.splitlines() if line.startswith("case ")]
+    assert len(cases) == 5, proc.stdout
+    checks = re.findall(r"interior residual (\S+), boundary (\S+), dual-route agreement (\S+)$",
+                        proc.stdout, re.M)
+    assert len(checks) == 5, proc.stdout
+    for interior, boundary, agreement in checks:
+        assert float(interior) <= 1e-12 and float(boundary) <= 1e-12, checks
+        assert float(agreement) <= 1e-8, checks
+    # linearity: the solve of the combined data and the combined solves
+    lhs, rhs = re.search(r"^  beta_N: (\S+) vs (\S+)$", proc.stdout, re.M).groups()
+    assert lhs == rhs, (lhs, rhs)

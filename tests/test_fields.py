@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from kortsolve import fields
-from kortsolve import (BoundaryTrace, ConfigurationError, GridError, TangentialMode, classify,
-                       pde_residual, solve_mode)
+from kortsolve import (BoundaryTrace, ConfigurationError, GridError, ModeSolution,
+                       TangentialMode, classify, pde_residual, solve_mode)
 from kortsolve.fields import (GridField, GridSpec, grid_norm, lattice_modes, load_field,
                               manufactured_solution, save_field, solve_resolvent,
                               vertical_spectral_derivative, whole_space_reduction,
@@ -728,7 +728,8 @@ class TestSolveResolvent:
         for k, index in enumerate(np.ndindex(*spec.tangential_shape)):
             if sum(index) % stride == 0:
                 mode = TangentialMode(xi=batch.xi[k], lam=lam, dim=dim)
-                r = pde_residual(params, mode, batch.solution(k), sample_points=ladder)
+                r = pde_residual(params, mode, ModeSolution(batch.take([k])),
+                                 sample_points=ladder)
                 residuals[index], equations[index] = r.pde_max, r.worst_equation()
         assert rep.correction_residual_index == max(residuals, key=residuals.get)
         assert rep.correction_residual_max == max(residuals.values())

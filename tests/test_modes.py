@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kortsolve import (BoundaryTrace, Case, ConsistencyError, DomainError, TangentialMode,
-                       VerticalProfile, assembled_formula_check, boundary_residuals,
-                       classify, compute_roots, pde_residual, solve_mode)
+from kortsolve import (BoundaryTrace, Case, ConsistencyError, DomainError, ModeSolution,
+                       TangentialMode, VerticalProfile, assembled_formula_check,
+                       boundary_residuals, classify, compute_roots, pde_residual, solve_mode)
 from kortsolve.modes import (DECAY_SUPPORT, _batch, _derivative, batch_residuals,
                              default_sample_points, evaluate_profiles, solve_modes)
 
@@ -288,9 +288,8 @@ class TestResiduals:
     def test_zero_solution_nonzero_trace_flags_boundary(self, params_by_case):
         p = params_by_case["I"]
         mode = TangentialMode(xi=[1.0], lam=1.0)
-        zero = VerticalProfile.zero()
         sol = solve_mode(p, mode, BoundaryTrace(0.0, [0.0]))
-        sol = dataclasses.replace(sol, rho=zero, u=(zero, zero), phi=zero)
+        sol = ModeSolution(dataclasses.replace(sol.batch, coeffs=np.zeros_like(sol.batch.coeffs)))
         bres = boundary_residuals(p, mode, sol, BoundaryTrace(2.0, [3.0]))
         # defects equal the trace magnitudes, normalized by the trace scale 3
         assert bres["u_1(0)-h_1"] == pytest.approx(3.0 / 3.0)
@@ -300,13 +299,14 @@ class TestResiduals:
         p = params_by_case["I"]
         mode = TangentialMode(xi=[1.0], lam=1.0)
         sol = solve_mode(p, mode, BoundaryTrace(1.0, [0.5]))
-        r = compute_roots(p, mode)
-        a = sol.coeffs.alpha[-1]
-        b = sol.coeffs.beta[-1] * 1.01
-        c = sol.coeffs.gamma[-1]
-        u_bad = list(sol.u)
-        u_bad[-1] = VerticalProfile([(a - b - c, 0, r.omega), (b, 0, r.t1), (c, 0, r.t2)])
-        bad = dataclasses.replace(sol, u=tuple(u_bad))
+        # u_N's beta_N slot by 1.01, its omega slot adjusted so that
+        # u_N(0) = alpha_N still holds
+        coeffs = sol.batch.coeffs.copy()
+        u_n = coeffs[mode.dim, 0, :, 0]  # the omega, t1 (beta_N) and t2 (gamma_N) slots
+        beta_n = u_n[1] * 1.01
+        u_n[0] -= beta_n - u_n[1]
+        u_n[1] = beta_n
+        bad = ModeSolution(dataclasses.replace(sol.batch, coeffs=coeffs))
         rep = pde_residual(p, mode, bad)
         assert rep.pde_max > 1e-6
         assert rep.worst_equation() in ("momentum_N", "mass", "divergence")
@@ -359,7 +359,7 @@ class TestModeBatch:
             # which rounds products differently from numpy's array kernels
             sol = solve_mode(p, TangentialMode(xi=xi[k], lam=lam, dim=dim),
                              BoundaryTrace(g[k], h[k]))
-            view = batch.solution(k)
+            view = ModeSolution(batch.take([k]))
             for a, b in [(view.rho, sol.rho), (view.phi, sol.phi), *zip(view.u, sol.u)]:
                 np.testing.assert_array_equal(a.powers, b.powers)
                 np.testing.assert_allclose(a.rates, b.rates, rtol=1e-15)
@@ -376,7 +376,7 @@ class TestModeBatch:
             coeffs = _derivative(batch.coeffs, -batch.rates, order)
             values = evaluate_profiles(batch.rates, coeffs, x)
             for k in range(len(xi)):
-                view = batch.solution(k)
+                view = ModeSolution(batch.take([k]))
                 for c, prof in enumerate([view.rho, *view.u, view.phi]):
                     ref = prof.differentiate(order) if order else prof
                     scale = max(ref.magnitude_scale(), 1e-300)
@@ -455,18 +455,19 @@ class TestBatchResiduals:
         per_equation, per_boundary = batch_residuals(batch, self.LADDER, spot)
         for i, k in enumerate(np.flatnonzero(spot)):
             mode = TangentialMode(xi=xi[k], lam=lam, dim=dim)
-            ref_eq, ref_bd = _reference_pde_residual(p, mode, batch.solution(k), self.LADDER)
+            one = ModeSolution(batch.take([k]))
+            ref_eq, ref_bd = _reference_pde_residual(p, mode, one, self.LADDER)
             for got, ref in ((per_equation, ref_eq), (per_boundary, ref_bd)):
                 assert list(got) == list(ref)
                 for key, value in ref.items():
                     assert abs(got[key][i] - value) <= 1e-14, (k, key)
             # pde_residual is the same routine on a batch of one
-            rep = pde_residual(p, mode, batch.solution(k), sample_points=self.LADDER)
+            rep = pde_residual(p, mode, one, sample_points=self.LADDER)
             assert rep.per_equation == {key: v[i] for key, v in per_equation.items()}
             # and so is boundary_residuals, against a supplied trace
             trace = BoundaryTrace(g[k] * 1.001, h[k] * 0.999)
-            got = boundary_residuals(p, mode, batch.solution(k), trace)
-            ref = _reference_boundary_residuals(mode, batch.solution(k), trace)
+            got = boundary_residuals(p, mode, one, trace)
+            ref = _reference_boundary_residuals(mode, one, trace)
             assert list(got) == list(ref)
             assert all(abs(got[key] - ref[key]) <= 1e-14 for key in ref)
 

@@ -7,7 +7,7 @@ import pytest
 
 from kortsolve.fields import (GridField, _wavenumber_mesh, lattice_modes, tangential_fft,
                               vertical_spectral_derivative, whole_space_reduction)
-from kortsolve.modes import DECAY_SUPPORT, BoundaryTrace, _derivative, _one_mode_batch, solve_mode
+from kortsolve.modes import DECAY_SUPPORT, BoundaryTrace, _derivative, solve_mode
 from kortsolve.profiles import VerticalProfile
 from kortsolve.rbound import (LIFT_ORDERS, FullSolveFamily, IdentityFamily, LiftedTuple,
                               ModeField, ProbeConfig, ReducedSolveFamily, _frequencies,
@@ -336,10 +336,9 @@ class TestLifts:
     def test_rates_rounding_together_are_stacked_with_ordinary_modes(self, params_by_case,
                                                                      rng, dim):
         # case II at lam = 1, |xi| = 1e9: t1, t2 and omega round to one
-        # double, so the mode's batch has 1 rate slot, padded to the 3 slots
-        # of the xi = 0 mode it is lifted with.  That mode stays bit-identical;
-        # the merged one sums its coefficients before differentiating, so it
-        # agrees with the per-term reference to rounding of the terms' scale.
+        # double, yet the mode's batch keeps the case's 3 rate slots, so it
+        # is lifted with the xi = 0 mode as it is, term by term; both are
+        # bit-identical to the per-term reference
         params = params_by_case["II"]
         spec = probe_grid(dim=dim, n_tangential=8, n_vertical=48,
                           box_half_length=math.pi * 1e-9)
@@ -349,23 +348,17 @@ class TestLifts:
         h = rng.normal(size=(2, dim - 1)) + 0j
         data = _boundary_data_with_traces(spec, [ordinary, merged], g, h)
         xi = _frequencies(spec, [ordinary, merged])
-        solutions = [solve_mode(params, TangentialMode(xi=xi[k], lam=1.0, dim=dim),
-                                BoundaryTrace(g[k], h[k])) for k in range(2)]
-        assert [_one_mode_batch(params, TangentialMode(xi=xi[k], lam=1.0, dim=dim),
-                                solutions[k]).rates.shape[1] for k in range(2)] == [3, 1]
-        for kind, lift in (("A2", "S0"), ("B2", "T")):
+        batches = [solve_mode(params, TangentialMode(xi=xi[k], lam=1.0, dim=dim),
+                              BoundaryTrace(g[k], h[k])).batch for k in range(2)]
+        assert [b.rates.shape[1] for b in batches] == [3, 3]
+        assert np.all(batches[1].rates == batches[1].rates[0, 0])
+        for kind in ("A2", "B2"):
             got = ReducedSolveFamily(params, kind).apply(1.0, data).modes
             want = _ReferenceReducedFamily(params, kind).apply(1.0, data).modes
-            reach = DECAY_SUPPORT / solutions[0].u[0].rates.real.min()
-            _assert_rows_match(got[ordinary], want[ordinary], x, [reach] * len(got[ordinary]),
-                               [True] * len(got[ordinary]))
-            profiles = [solutions[1].rho] if lift == "S0" else list(solutions[1].u)
-            absolute = [VerticalProfile(_raw=(np.abs(p.coeffs), p.powers, np.abs(p.rates)))
-                        for p in profiles]
-            scale = np.abs(_reference_lift_profiles(absolute[0] if lift == "S0" else absolute,
-                                                    1.0, spec, xi[1], lift))
-            assert np.all(np.abs(got[merged] - want[merged]) <= 1e-15 * scale)
-            assert not np.any(got[merged][:, x > DECAY_SUPPORT / solutions[1].u[0].rates[0].real])
+            for index, b in zip((ordinary, merged), batches):
+                reach = DECAY_SUPPORT / b.rates.real.min()
+                _assert_rows_match(got[index], want[index], x, [reach] * len(got[index]),
+                                   [True] * len(got[index]))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_full_data_lift_bit_identical(self, rng, dim):
@@ -398,9 +391,11 @@ class TestLifts:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_no_profile_calculus_per_component(self, params, rng, dim, monkeypatch):
-        # structural: the lifts and both reduced families never evaluate or
-        # differentiate a VerticalProfile; traces are coefficient sums
-        counts = {"evaluate": 0, "differentiate": 0}
+        # structural: the lifts and both reduced families never build,
+        # evaluate or differentiate a VerticalProfile (traces are coefficient
+        # sums), and the reduced families solve each active mode once
+        import kortsolve.rbound
+        counts = {"__init__": 0, "evaluate": 0, "differentiate": 0}
         for name in counts:
             original = getattr(VerticalProfile, name)
 
@@ -409,13 +404,22 @@ class TestLifts:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(VerticalProfile, name, counted)
+        solves = []
+
+        def counted_solve(*args, **kwargs):
+            solves.append(args)
+            return solve_mode(*args, **kwargs)
+
+        monkeypatch.setattr(kortsolve.rbound, "solve_mode", counted_solve)
         spec = probe_grid(dim=dim, n_tangential=16, n_vertical=64)
         data = sample_boundary_data(rng, spec, 4)
         lift_boundary_data(data, 1.0 + 0.5j)
         lift_full_data(sample_full_data(rng, spec, 4), 1.0 + 0.5j)
         for kind in ("A2", "B2"):
-            ReducedSolveFamily(params, kind).apply(1.0 + 0.5j, data)
-        assert counts == {"evaluate": 0, "differentiate": 0}
+            solves.clear()
+            active = ReducedSolveFamily(params, kind).apply(1.0 + 0.5j, data).modes
+            assert len(solves) == len(active)
+        assert counts == {"__init__": 0, "evaluate": 0, "differentiate": 0}
 
     def test_arities(self):
         assert lift_arity("S0", 2) == 8 + 4 + 2 + 1
@@ -500,6 +504,14 @@ class TestFamilies:
         from kortsolve import GridError
         with pytest.raises(GridError, match="decades must be"):
             estimate_rbound(IdentityFamily(), ProbeConfig(decades=decades))
+
+    @pytest.mark.parametrize("controls", [{"draws_per_decade": 0}, {"modes_per_field": 0},
+                                          {"lambda_args": ()}, {"q": 0.0}, {"q": 0.5},
+                                          {"q": -1.0}, {"q": math.inf}, {"q": math.nan}])
+    def test_probe_controls_validated(self, controls):
+        from kortsolve import DomainError
+        with pytest.raises(DomainError):
+            ProbeConfig(**controls)
 
     def test_decades_rounding_tolerated(self):
         rep = estimate_rbound(IdentityFamily(), ProbeConfig(m=2, trials=50, draws_per_decade=1,
