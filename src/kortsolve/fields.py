@@ -174,17 +174,21 @@ def validate_edge_decay(values, spec: GridSpec, what: str = "data"):
 # about 0.15 s to the package import, which commands that never solve a field
 # should not pay.
 #
-# The transforms run on every CPU in the process's affinity mask.  Each is
-# cut into slabs of independent lines, about TASK_BYTES each; the calling
-# thread and cpu_workers() - 1 helper threads take the next slab as they come
-# free, each slab in one pocketfft call.  So a CPU that the host is slow to
-# give back holds up one slab, not a fixed share of the work.  The helpers
-# start once per process and wait idle between calls.  Work of fewer than two
-# slabs stays on the calling thread.  The whole-space algebra runs in slabs of
-# the same size on the calling thread: it is many short numpy calls, each
-# taking the GIL, and on threads its wall time followed the host's load on
-# the other CPUs.  Lines are independent, so results do not depend on the
-# slabs or the CPU count.
+# The transforms and the whole-space algebra run on every CPU in the
+# process's affinity mask.  Each is cut into slabs of independent lines,
+# about TASK_BYTES each; the calling thread and cpu_workers() - 1 helper
+# threads take the next slab as they come free, each transform slab in one
+# pocketfft call.  So a CPU that the host is slow to give back holds up one
+# slab, not a fixed share of the work.  The helpers start once per process
+# and wait idle between calls.  Work of fewer than two slabs stays on the
+# calling thread.  The algebra is many short numpy calls, each taking the
+# GIL.  Under an earlier split into one fixed share per thread its wall time
+# followed the host's load on the other CPUs, so it ran on the calling
+# thread alone.  Taken a slab at a time, a slow CPU holds up one slab only,
+# so each row slab's algebra and vertical inverse now run as one pool task:
+# on 2 vCPUs that took field2d_tall (256 x 4096) from 0.39 to 0.32 s per op
+# in the median and from 0.40 to 0.33 s in the tail.  Lines are
+# independent, so results do not depend on the slabs or the CPU count.
 TASK_BYTES = 1 << 21
 
 
@@ -315,29 +319,34 @@ def _vertical_forward(values, parity: str, out):
     return out
 
 
-def _vertical_inverse(hat, parity: str):
-    """Inverse of `_vertical_forward`, in place on the C-contiguous `hat`.
+def _invert_lines(lines, parity: str):
+    """Inverse of `_vertical_forward` on the lines of the 2-D array `lines`, in place.
 
-    Returns the view hat[..., :n_z], the half-grid samples x_N = 0..L - h.
-    An odd inverse writes rows 1..n_z - 1 of its lines and zeroes row 0,
-    where its sine series vanishes.
+    Each line holds the rows kz = pi k / L, k = 0..n_z, and gets its first
+    n_z samples x_N = 0..L - h.  An odd inverse writes samples 1..n_z - 1
+    and zeroes sample 0, where its sine series vanishes.
     """
     from scipy import fft
 
+    n = lines.shape[-1] - 1
+    if parity == "even":
+        _store(lines, fft.idct(lines, type=1, axis=-1, overwrite_x=True, workers=1))
+    else:
+        sine = lines[:, 1:n]
+        sine *= 1j
+        _store(sine, fft.idst(sine, type=1, axis=-1, overwrite_x=True, workers=1))
+        lines[:, 0] = 0.0
+
+
+def _vertical_inverse(hat, parity: str):
+    """Inverse of `_vertical_forward`, in place on the C-contiguous `hat`.
+
+    Returns the view hat[..., :n_z], the half-grid samples x_N = 0..L - h;
+    see `_invert_lines`.
+    """
     n = hat.shape[-1] - 1
     lines = hat.reshape(-1, n + 1)
-
-    def task(rows):
-        if parity == "even":
-            _store(lines[rows], fft.idct(lines[rows], type=1, axis=-1, overwrite_x=True,
-                                         workers=1))
-        else:
-            sine = lines[rows, 1:n]
-            sine *= 1j
-            _store(sine, fft.idst(sine, type=1, axis=-1, overwrite_x=True, workers=1))
-            lines[rows, 0] = 0.0
-
-    _run_slabs(task, _slices(len(lines), hat.nbytes))
+    _run_slabs(lambda rows: _invert_lines(lines[rows], parity), _slices(len(lines), hat.nbytes))
     return hat[..., :n]
 
 
@@ -429,15 +438,19 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     the maximum over the full spectrum by symmetry.  A NaN in the data fails
     the trace guard or a residual check, which raise ConfigurationError.
 
-    The transforms run on every CPU in the process's affinity mask.  The
-    per-frequency algebra runs in row slabs of the leading tangential axis,
-    whose temporaries the allocator reuses; each element gets the same
-    operations as in one pass, so the result does not depend on the slabs
-    or the CPU count.
+    The transforms and the algebra run on every CPU in the process's
+    affinity mask.  After the forward transforms, one pass over row slabs of
+    the leading tangential axis, sized from the whole buffer, runs each
+    slab's per-frequency algebra and then the vertical inverse of every
+    component on the same lines; the residual check runs on the slabs'
+    combined maxima after the pass.  Each element and each line gets the
+    same operations as in one pass, so the result does not depend on the
+    slabs or the CPU count.
 
     The whole solve runs in one (N+1, *tangential, n_z+1) complex buffer:
-    the transforms write the data's spectra into it, the algebra overwrites
-    them with rho_hat, u_hat and the vertical inverse runs in place.  So rho
+    the transforms write the data's spectra into it, each slab's algebra
+    overwrites them with rho_hat, u_hat and its vertical inverse runs in
+    place on those rows.  So rho
     and u come back in the tangential spectrum (FFT bins, numpy's order) on
     the half grid, as the views buffer[0, ..., :n_z] and
     buffer[1 + i, ..., :n_z]; an inverse tangential FFT gives the grid
@@ -472,8 +485,15 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     # removed coefficient is alias-level anyway.
     hat[..., -1] = 0.0
 
-    solve = functools.partial(_solve_slab, params, lam, _wavenumber_mesh(spec), hat)
-    maxima = [solve(rows) for rows in _slices(len(hat[0]), hat[0].nbytes)]
+    mesh = _wavenumber_mesh(spec)
+
+    def solve(rows):
+        maxima = _solve_slab(params, lam, mesh, hat, rows)
+        for component, parity in zip(hat[:, rows], parities):
+            _invert_lines(component.reshape(-1, n + 1), parity)
+        return maxima
+
+    maxima = _run_slabs(solve, _slices(len(hat[0]), hat.nbytes))
     d_max, f_max, mass, lam_rho, *momentum = np.max(maxima, axis=0)
     # Components that are identically zero only carry transform rounding,
     # so relative residuals are floored by the overall data magnitude.
@@ -484,7 +504,7 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     if not all(r <= 1e-10 for r in residuals.values()):  # NaN fails too
         raise ConfigurationError(f"whole-space residuals too large: {residuals}")
 
-    rho, *u = (_vertical_inverse(row, parity) for row, parity in zip(hat, parities))
+    rho, *u = hat[..., :n]
     return rho, u, residuals
 
 
@@ -554,7 +574,9 @@ class FieldSolveReport:
     max|U_1(xi, x_N)|, both read off the tangential spectrum before the
     correction is added.  It is exactly zero by construction, because U_N
     is a sine series in x_N whose inverse zeroes the x_N = 0 row; the input
-    guard of `whole_space_solve` is what catches incompatible data.
+    guard of `whole_space_solve` is what catches incompatible data.  The
+    denominator is taken only when the trace is not zero, so the ratio
+    costs no full-spectrum pass.
     """
 
     whole_space_residuals: dict
@@ -636,7 +658,8 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
 
     spectrum, ws_res, g_hat, h_hat = whole_space_reduction(params, d, f, g_trace, lam)
     n = spec.n_vertical
-    un_trace_ratio = float(np.max(np.abs(spectrum[N, ..., 0]))) \
+    un_trace = float(np.max(np.abs(spectrum[N, ..., 0])))
+    un_trace_ratio = un_trace and un_trace \
         / max(float(np.max(np.abs(spectrum[1, ..., :n]))), 1e-300)
     batch = boundary_correction(params, spec, g_hat, h_hat, lam, spectrum)
 

@@ -502,17 +502,34 @@ def batch_residuals(batch: ModeBatch, x, modes=None, trace=None):
     return per_equation, per_boundary
 
 
+def _solved_batch(params: FluidParams, mode: TangentialMode, solution: ModeSolution):
+    """The solution's batch of one, if it was solved for `params` and `mode`.
+
+    Raises DomainError otherwise: the defects are computed from the batch
+    alone, so a mismatch would check another mode without saying so.
+    """
+    batch = solution.batch
+    if params != batch.params:
+        raise DomainError(f"solution was solved for {batch.params}, not {params}")
+    if mode.lam != batch.lam or not np.array_equal(mode.xi, batch.xi[0]):
+        raise DomainError(f"solution was solved for xi = {batch.xi[0]}, lambda = {batch.lam}, "
+                          f"not xi = {mode.xi}, lambda = {mode.lam}")
+    return batch
+
+
 def pde_residual(params: FluidParams, mode: TangentialMode, solution: ModeSolution,
                  sample_points=None) -> ResidualReport:
     """Evaluate the interior equations and boundary conditions on sample points.
 
-    `batch_residuals` on the solution's batch of one.
+    `batch_residuals` on the solution's batch of one, which must have been
+    solved for `params` and `mode`; DomainError otherwise.
     """
+    batch = _solved_batch(params, mode, solution)
     if sample_points is None:
         sample_points = default_sample_points(params, mode)
     per_equation, per_boundary = (
         {k: float(v[0]) for k, v in table.items()}
-        for table in batch_residuals(solution.batch, sample_points))
+        for table in batch_residuals(batch, sample_points))
     return ResidualReport(pde_max=max(per_equation.values()),
                           boundary_max=max(per_boundary.values()),
                           per_equation=per_equation, per_boundary=per_boundary)
@@ -522,9 +539,11 @@ def boundary_residuals(params: FluidParams, mode: TangentialMode, solution: Mode
                        trace: BoundaryTrace) -> dict:
     """Boundary defects against explicitly supplied trace data, floored by its scale.
 
-    The boundary part of `batch_residuals` on the solution's batch of one.
+    The boundary part of `batch_residuals` on the solution's batch of one,
+    which must have been solved for `params` and `mode`; DomainError
+    otherwise.
     """
-    per_boundary = batch_residuals(solution.batch, [0.0],
+    per_boundary = batch_residuals(_solved_batch(params, mode, solution), [0.0],
                                    trace=([trace.g_hat], trace.h_hat[None]))[1]
     return {k: float(v[0]) for k, v in per_boundary.items()}
 

@@ -49,3 +49,20 @@ def test_mode_solutions_demo():
     # linearity: the solve of the combined data and the combined solves
     lhs, rhs = re.search(r"^  beta_N: (\S+) vs (\S+)$", proc.stdout, re.M).groups()
     assert lhs == rhs, (lhs, rhs)
+
+
+def test_field_pipeline_demo():
+    proc = run_demo("06_field_pipeline.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = re.findall(r"^ +(\d+) +(\S+) +(\S+) +(\S+) +\S+s$", proc.stdout, re.M)
+    assert [int(n) for n, *_ in rows] == [64, 128, 256], proc.stdout
+    recovery = [float(r) for _, r, _, _ in rows]
+    # the error falls with n_tan, to criterion 9's bound at 256
+    assert recovery[0] > recovery[1] > recovery[2] and recovery[2] <= 1e-6, recovery
+    for _, _, u0, un_trace in rows:
+        assert float(u0) <= 1e-12 and float(un_trace) == 0.0, rows
+    residuals = re.findall(r"^  (mass|momentum): (\S+)$", proc.stdout, re.M)
+    assert len(residuals) == 2 and all(float(v) <= 1e-10 for _, v in residuals), residuals
+    defect = re.search(r"boundary-condition defect of the assembled field: (\S+)$", proc.stdout,
+                       re.M).group(1)
+    assert float(defect) <= 1e-12, defect

@@ -415,7 +415,8 @@ class TestSlabAlgebra:
             assert abs(fields.tangential_fft(_forward(d, "even"), tuple(range(dim - 1))).flat[0]) \
                 > 1.0
         lam = 0.7 + 1.3j
-        row_bytes = spec.n_tangential ** (dim - 2) * (spec.n_vertical + 1) * 16
+        # a row of the (N+1)-component buffer the slabs are cut from
+        row_bytes = (dim + 1) * spec.n_tangential ** (dim - 2) * (spec.n_vertical + 1) * 16
         if slab_rows is None:
             slab_rows = max(1, n_tangential // workers)
         monkeypatch.setattr(fields, "cpu_workers", lambda: workers)
@@ -460,6 +461,27 @@ class TestWorkPool:
         slabs = fields._slices(8, 2 * fields.TASK_BYTES - 1)
         assert len(slabs) == 1
         assert fields._run_slabs(lambda s: threading.get_ident(), slabs) == [caller]
+
+    def test_whole_space_pass_uses_helper_threads(self, monkeypatch, spec, params):
+        import threading
+        seen = []
+        solve_slab = fields._solve_slab
+
+        def recording(*args):
+            seen.append(threading.get_ident())
+            return solve_slab(*args)
+
+        self._threads(monkeypatch)
+        monkeypatch.setattr(fields, "_solve_slab", recording)
+        d, f = _compatible_random_data(spec, np.random.default_rng(3))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the helpers take the GIL as soon as they wake
+        try:
+            whole_space_solve(spec, params, d, f, 0.7 + 1.3j)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == spec.n_tangential
+        assert len(set(seen)) > 1
 
     def test_error_raised_after_every_slab_is_done(self, monkeypatch):
         import threading

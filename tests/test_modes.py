@@ -311,6 +311,19 @@ class TestResiduals:
         assert rep.pde_max > 1e-6
         assert rep.worst_equation() in ("momentum_N", "mass", "divergence")
 
+    def test_solution_of_another_mode_rejected(self, params_by_case):
+        p = params_by_case["I"]
+        mode = TangentialMode(xi=[1.0], lam=1.0)
+        trace = BoundaryTrace(1.0, [0.5])
+        sol = solve_mode(p, mode, trace)
+        for other_params, other_mode in [(params_by_case["II"], mode),
+                                         (p, TangentialMode(xi=[1.0], lam=1.0 + 0.5j)),
+                                         (p, TangentialMode(xi=[2.0], lam=1.0))]:
+            with pytest.raises(DomainError, match="solution was solved for"):
+                pde_residual(other_params, other_mode, sol)
+            with pytest.raises(DomainError, match="solution was solved for"):
+                boundary_residuals(other_params, other_mode, sol, trace)
+
     def test_sample_ladder_shape(self, params_by_case):
         p = params_by_case["I"]
         mode = TangentialMode(xi=[1.0], lam=1.0)
