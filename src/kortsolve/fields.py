@@ -18,7 +18,8 @@ reduced to the boundary-data-only problem in three steps, all in one
    one `modes.solve_modes` batch, add the exact profile correction into the
    buffer, spot-check the profile identities of a selection of modes with
    `modes.batch_residuals`, all on the batch's coefficient arrays, and
-   finish with one inverse tangential FFT per component.
+   finish with one inverse tangential FFT pass over all components, which
+   also takes the report's maxima and norms.
 
 Steps 1 and 2 are `whole_space_reduction`, the one path shared by
 `solve_resolvent` and the full-data rbound family.  Step 3 is
@@ -124,34 +125,66 @@ class GridField:
         if not np.all(np.isfinite(self.values)):
             raise GridError("grid field contains non-finite values")
 
+    @classmethod
+    def _of_finite(cls, values, spec: GridSpec, role: str):
+        """A field of complex values on the grid already known finite, without a rescan."""
+        field = object.__new__(cls)
+        field.values, field.spec, field.role = values, spec, role
+        return field
+
     def trace(self):
         """Boundary row x_N = 0."""
         return self.values[..., 0]
 
 
 def grid_norm(values, spec: GridSpec, q: float = 2.0) -> float:
-    """Discrete l_q norm with uniform cell-volume quadrature weights."""
-    return _lq_norm(np.abs(values), spec, q)
+    """Discrete l_q norm, 0 < q < inf, with uniform cell-volume quadrature weights.
+
+    The sum runs as `solve_resolvent` takes it for its report: each line
+    along axis 0 is summed on its own, and the line sums are added in C
+    order, so the two agree bit for bit.
+    """
+    if not 0.0 < q < math.inf:  # NaN fails too
+        raise DomainError(f"need 0 < q < inf, got q = {q}")
+    return _norm(np.sum(_line_powers(values, (q,))[1][0]), spec, q)
 
 
-def _lq_norm(magnitude, spec: GridSpec, q: float) -> float:
-    """`grid_norm` of values whose absolute values `magnitude` are given."""
-    if q <= 0:
-        raise DomainError("q must be positive")
-    return float((np.sum(magnitude ** q) * spec.cell_volume()) ** (1.0 / q))
+def _line_powers(values, orders):
+    """max|values| and, per q in `orders`, the sums of |values|^q along each line of axis 0.
+
+    The sums have shape values.shape[1:].  Each line is laid out contiguous
+    and summed on its own, so its sum does not depend on the other lines in
+    `values`: a grid taken in slabs of lines gives the bits of the whole.
+    """
+    magnitude = np.empty(np.shape(values)[1:] + np.shape(values)[:1])
+    np.abs(np.moveaxis(values, 0, -1), out=magnitude)
+    return magnitude.max(initial=0.0), [(magnitude ** q).sum(axis=-1) for q in orders]
+
+
+def _norm(power_sum, spec: GridSpec, q: float) -> float:
+    """The l_q norm whose sum of |values|^q is `power_sum`."""
+    return float((power_sum * spec.cell_volume()) ** (1.0 / q))
 
 
 def validate_edge_decay(values, spec: GridSpec, what: str = "data"):
-    """Require the data to have decayed at the tangential box edge and at x_N ~ L."""
-    peak = float(np.max(np.abs(values)))
+    """Require finite data that has decayed at the tangential box edge and at x_N ~ L."""
+    magnitude = np.abs(values)
+    _require_edge_decay(values, spec, what, float(np.max(magnitude)),
+                        float(np.max(magnitude[..., -1])))
+
+
+def _require_edge_decay(values, spec: GridSpec, what: str, peak: float, top: float):
+    """`validate_edge_decay` given max|values| and the maximum `top` of its x_N = L - h row.
+
+    Only the tangential box-edge lines are read here.
+    """
+    if not math.isfinite(peak):
+        raise ConfigurationError(f"{what} contains non-finite values")
     if peak == 0.0:
         return
-    worst = 0.0
-    for axis in range(spec.dim - 1):
-        edge = np.take(values, 0, axis=axis)
-        worst = max(worst, float(np.max(np.abs(edge))))
-    worst = max(worst, float(np.max(np.abs(values[..., -1]))))
-    if worst > EDGE_DECAY_REQUIREMENT * peak:
+    worst = max([top] + [float(np.max(np.abs(np.take(values, 0, axis=axis))))
+                         for axis in range(spec.dim - 1)])
+    if not worst <= EDGE_DECAY_REQUIREMENT * peak:
         raise ConfigurationError(
             f"{what} has not decayed at the grid edge: edge/peak = {worst / peak:.2e} "
             f"(require <= {EDGE_DECAY_REQUIREMENT:.0e}); enlarge the box"
@@ -174,21 +207,23 @@ def validate_edge_decay(values, spec: GridSpec, what: str = "data"):
 # about 0.15 s to the package import, which commands that never solve a field
 # should not pay.
 #
-# The transforms and the whole-space algebra run on every CPU in the
-# process's affinity mask.  Each is cut into slabs of independent lines,
-# about TASK_BYTES each; the calling thread and cpu_workers() - 1 helper
-# threads take the next slab as they come free, each transform slab in one
-# pocketfft call.  So a CPU that the host is slow to give back holds up one
-# slab, not a fixed share of the work.  The helpers start once per process
-# and wait idle between calls.  Work of fewer than two slabs stays on the
-# calling thread.  The algebra is many short numpy calls, each taking the
-# GIL.  Under an earlier split into one fixed share per thread its wall time
-# followed the host's load on the other CPUs, so it ran on the calling
-# thread alone.  Taken a slab at a time, a slow CPU holds up one slab only,
-# so each row slab's algebra and vertical inverse now run as one pool task:
-# on 2 vCPUs that took field2d_tall (256 x 4096) from 0.39 to 0.32 s per op
-# in the median and from 0.40 to 0.33 s in the tail.  Lines are
-# independent, so results do not depend on the slabs or the CPU count.
+# Every full-grid pass of a field solve runs on every CPU in the process's
+# affinity mask.  Each is cut into slabs of independent lines, about
+# TASK_BYTES each; the calling thread and cpu_workers() - 1 helper threads
+# take the next slab as they come free, each transform slab in one pocketfft
+# call.  So a CPU that the host is slow to give back holds up one slab, not a
+# fixed share of the work.  The helpers start once per process and wait idle
+# between calls.  Work of fewer than two slabs stays on the calling thread.
+# A field solve makes five passes over its (N+1)-component buffer: the
+# forward pass copies and transforms the data in x_N and takes the maxima its
+# guards judge; the tangential pass; the algebra and vertical inverse, one
+# task per row slab; the boundary correction, in slabs of modes; and the
+# inverse tangential pass, whose tasks also take the report's maxima and line
+# sums.  So no datum or output is read again on the calling thread alone.  The
+# algebra is many short numpy calls, each taking the GIL; taken a slab at a
+# time, a slow CPU holds up one slab only.  Lines are independent and every
+# reduction is taken per line and combined in a fixed order, so results do
+# not depend on the slabs or the CPU count.
 TASK_BYTES = 1 << 21
 
 
@@ -250,47 +285,66 @@ def _store(dst, result):
         dst[...] = result
 
 
-def _along(transform, values, axis: int, overwrite_x: bool):
-    """transform(values, axis=axis) in slabs of lines cut across the largest other axis.
-
-    Returns a new array, or with `overwrite_x` a complex `values` transformed
-    in place.  Each slab is copied into the output and transformed there, so
-    no slab allocates: fresh pages cost a fault each.
-    """
-    split = max((a for a in range(values.ndim) if a != axis), key=lambda a: values.shape[a],
-                default=None)
-    slabs = [slice(None)] if split is None else _slices(values.shape[split], values.nbytes)
-    if len(slabs) == 1:
-        return transform(values, axis=axis, overwrite_x=overwrite_x, workers=1)
-    out = values if overwrite_x and values.dtype == complex \
-        else np.empty(values.shape, dtype=complex)
-
-    def task(part):
-        index = (slice(None),) * split + (part,)
-        if out is not values:
-            out[index] = values[index]
-        _store(out[index], transform(out[index], axis=axis, overwrite_x=True, workers=1))
-
-    _run_slabs(task, slabs)
-    return out
-
-
 def tangential_fft(values, axes, inverse: bool = False, overwrite_x: bool = False):
     """FFT (or inverse FFT) of `values` along the tangential `axes`.
 
     The axes are transformed one at a time, last first, as numpy.fft.fftn
     does, so the result is bit-identical to numpy's.  The result is a new
     array (`values` itself when there are no axes); with `overwrite_x` a
-    complex input may be used for it instead.
+    complex input may be used for it instead.  The work is cut into slabs
+    across the largest other axis; see `_fft_slabs`.
+    """
+    values = np.asarray(values)
+    if not axes:
+        return values
+    out = values if overwrite_x and values.dtype == complex \
+        else np.empty(values.shape, dtype=complex)
+    split = max((a for a in range(values.ndim) if a not in axes), key=lambda a: values.shape[a],
+                default=None)
+    _fft_slabs(out, axes, inverse, split, source=None if out is values else values)
+    return out
+
+
+def _fft_slabs(out, axes, inverse: bool, split, source=None, after=None):
+    """FFT (or inverse FFT) in place of the complex `out` along `axes`, in slabs across `split`.
+
+    Each slab of axis `split` (the whole array when it is None) is one task
+    on the work pool: it copies its part of `source`, if given, into `out`,
+    so no slab allocates (fresh pages cost a fault each), and transforms it
+    along every axis, last first, in one pocketfft call per axis.  With
+    `after`, the task then returns after(part), part being the slab's slice
+    of `split`; the results come back in slab order.  `out` may be a view.
+    Lines are transformed independently, so the bits do not depend on the
+    slabs.
     """
     from scipy import fft
 
     transform = fft.ifft if inverse else fft.fft
-    values = np.asarray(values)
-    for axis in reversed(axes):
-        values = _along(transform, values, axis, overwrite_x)
-        overwrite_x = True
-    return values
+    slabs = [slice(None)] if split is None else _slices(out.shape[split], out.nbytes)
+
+    def task(part):
+        index = () if split is None else (slice(None),) * split + (part,)
+        if source is not None:
+            out[index] = source[index]
+        for axis in reversed(axes):
+            _store(out[index], transform(out[index], axis=axis, overwrite_x=True, workers=1))
+        return None if after is None else after(part)
+
+    return _run_slabs(task, slabs)
+
+
+def _forward_lines(lines, data, parity: str):
+    """`_vertical_forward` of the 2-D half-grid lines `data` into the 2-D `lines`."""
+    from scipy import fft
+
+    n = data.shape[-1]
+    if parity == "even":
+        lines[:, :n] = data
+        lines[:, n] = 0.0
+        _store(lines, fft.dct(lines, type=1, axis=-1, overwrite_x=True, workers=1))
+    else:
+        lines[:, 0] = lines[:, n] = 0.0
+        lines[:, 1:n] = -1j * fft.dst(data[:, 1:], type=1, axis=-1, workers=1)
 
 
 def _vertical_forward(values, parity: str, out):
@@ -299,23 +353,11 @@ def _vertical_forward(values, parity: str, out):
     Written into `out`, a C-contiguous array of shape values.shape[:-1] +
     (n_z + 1,), which is returned.
     """
-    from scipy import fft
-
     values = np.asarray(values, dtype=complex)
     n = values.shape[-1]
     lines, data = out.reshape(-1, n + 1), values.reshape(-1, n)
-
-    def task(rows):
-        if parity == "even":
-            lines[rows, :n] = data[rows]
-            lines[rows, n] = 0.0
-            _store(lines[rows], fft.dct(lines[rows], type=1, axis=-1, overwrite_x=True,
-                                        workers=1))
-        else:
-            lines[rows, 0] = lines[rows, n] = 0.0
-            lines[rows, 1:n] = -1j * fft.dst(data[rows, 1:], type=1, axis=-1, workers=1)
-
-    _run_slabs(task, _slices(len(lines), out.nbytes))
+    _run_slabs(lambda rows: _forward_lines(lines[rows], data[rows], parity),
+               _slices(len(lines), out.nbytes))
     return out
 
 
@@ -411,7 +453,8 @@ def _solve_slab(params: FluidParams, lam, mesh, hat, rows):
     return maxima
 
 
-def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
+def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam,
+                      validate: bool = False):
     """Solve the whole-space resolvent problem for reflected half-grid data.
 
     d is a half-grid scalar, f a list of N half-grid components.  d and the
@@ -430,7 +473,9 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     vanishes at x_N = 0; a trace above EDGE_DECAY_REQUIREMENT times its peak
     raises ConfigurationError.  That bound also rejects a trace of transform
     rounding, so an f_N built by inverse transforms must have its boundary
-    row f_N[..., 0] set to zero.  Returns (rho, u list, residual dict) on
+    row f_N[..., 0] set to zero.  With `validate`, each datum must first
+    pass `validate_edge_decay`, in the order d, f[0], .., f[N-1], judged on
+    the forward pass's maxima.  Returns (rho, u list, residual dict) on
     the half grid in the tangential spectrum: rho and u_1..u_{N-1} are
     cosine series in x_N, u_N a sine series, so d_N rho and u_N vanish at
     x_N = 0 (the u_N row x_N = 0 is exactly zero).  The discrete residuals of both
@@ -439,13 +484,18 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     the trace guard or a residual check, which raise ConfigurationError.
 
     The transforms and the algebra run on every CPU in the process's
-    affinity mask.  After the forward transforms, one pass over row slabs of
-    the leading tangential axis, sized from the whole buffer, runs each
-    slab's per-frequency algebra and then the vertical inverse of every
-    component on the same lines; the residual check runs on the slabs'
-    combined maxima after the pass.  Each element and each line gets the
-    same operations as in one pass, so the result does not depend on the
-    slabs or the CPU count.
+    affinity mask, in three passes, each over slabs sized from the whole
+    buffer.  The forward pass takes row slabs of the leading tangential
+    axis: it copies every datum's lines into the buffer, transforms them in
+    x_N and takes the data's maxima that the guards judge (per datum its
+    peak, its x_N = L - h row and its x_N = 0 row), so the guards read no
+    datum again.  The tangential pass transforms all components in slabs of
+    x_N columns.  The last pass, over row slabs again, runs each slab's
+    per-frequency algebra and then the vertical inverse of every component
+    on the same lines; the residual check runs on the slabs' combined
+    maxima after the pass.  Each element and each line gets the same
+    operations as in one pass, so the result does not depend on the slabs
+    or the CPU count.
 
     The whole solve runs in one (N+1, *tangential, n_z+1) complex buffer:
     the transforms write the data's spectra into it, each slab's algebra
@@ -462,9 +512,33 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
     N = spec.dim
     if len(f) != N:
         raise DomainError(f"need {N} force components")
-    f_normal = np.asarray(f[-1], dtype=complex)
-    peak = float(np.max(np.abs(f_normal)))
-    trace = float(np.max(np.abs(f_normal[..., 0])))
+
+    n = spec.n_vertical
+    data = [np.asarray(v, dtype=complex) for v in (d, *f)]
+    parities = ["even"] * N + ["odd"]  # rho (d), u_1..u_{N-1}, u_N
+    hat = np.empty((N + 1,) + spec.tangential_shape + (n + 1,), dtype=complex)
+    lines = [(row.reshape(-1, n + 1), values.reshape(-1, n)) for row, values in zip(hat, data)]
+
+    def forward(rows):
+        maxima = []
+        for (out, values), parity in zip(lines, parities):
+            _forward_lines(out[rows], values[rows], parity)
+            # The kz = pi n_z / L row is its own mirror image, so reflection
+            # symmetry cannot cancel it; it is filtered, and for data
+            # resolved on the grid the removed coefficient is alias-level.
+            out[rows, n] = 0.0
+            magnitude = np.abs(values[rows])
+            maxima.append([magnitude.max(), magnitude[:, -1].max(), magnitude[:, 0].max()])
+        return maxima
+
+    # per datum: max|.| over the grid, on the x_N = L - h row and on x_N = 0
+    lines_per_datum = math.prod(spec.tangential_shape)
+    peak, top, bottom = np.max(_run_slabs(forward, _slices(lines_per_datum, hat.nbytes)),
+                               axis=0).T
+    if validate:
+        for values, what, p, t in zip(data, ["d"] + [f"f[{i}]" for i in range(N)], peak, top):
+            _require_edge_decay(values, spec, what, float(p), float(t))
+    peak, trace = float(peak[-1]), float(bottom[-1])
     if not trace <= EDGE_DECAY_REQUIREMENT * peak:  # NaN fails too
         raise ConfigurationError(
             f"normal force does not vanish at x_N = 0: trace/peak = {trace / peak:.2e} "
@@ -472,18 +546,7 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam):
             "An f_N built by inverse transforms keeps rounding there: set its boundary row "
             "f_N[..., 0] to zero"
         )
-
-    n = spec.n_vertical
-    t_axes = tuple(range(N - 1))
-    parities = ["even"] * N + ["odd"]  # rho (d), u_1..u_{N-1}, u_N
-    hat = np.empty((N + 1,) + spec.tangential_shape + (n + 1,), dtype=complex)
-    for row, values, parity in zip(hat, [d, *f], parities):
-        _store(row, tangential_fft(_vertical_forward(values, parity, row), t_axes,
-                                   overwrite_x=True))
-    # The kz = pi n_z / L row is its own mirror image, so reflection symmetry
-    # cannot cancel it; it is filtered, and for data resolved on the grid the
-    # removed coefficient is alias-level anyway.
-    hat[..., -1] = 0.0
+    _fft_slabs(hat[..., :n], range(1, N), inverse=False, split=N)
 
     mesh = _wavenumber_mesh(spec)
 
@@ -540,7 +603,8 @@ def vertical_spectral_derivative(values, spec: GridSpec, order: int = 1, parity:
 # ---------------------------------------------------------------------------
 
 
-def whole_space_reduction(params: FluidParams, d: GridField, f, g_trace, lam):
+def whole_space_reduction(params: FluidParams, d: GridField, f, g_trace, lam,
+                          validate: bool = False):
     """Whole-space solve of the reflected data and the corrected boundary traces.
 
     Returns (spectrum, residuals, g_hat, h_hat), all in the tangential
@@ -548,10 +612,12 @@ def whole_space_reduction(params: FluidParams, d: GridField, f, g_trace, lam):
     `whole_space_solve`, whose first n_z columns hold the whole-space part
     rho, u_1..u_N on the half grid.  g_hat is the FFT of g and
     h_hat_j = -U_j(xi, 0).  The density is a cosine series in x_N, so d_N R
-    vanishes at x_N = 0 and g needs no correction.
+    vanishes at x_N = 0 and g needs no correction.  `validate` is
+    `whole_space_solve`'s.
     """
     spec = d.spec
-    rho, _, residuals = whole_space_solve(spec, params, d.values, [c.values for c in f], lam)
+    rho, _, residuals = whole_space_solve(spec, params, d.values, [c.values for c in f], lam,
+                                          validate=validate)
     spectrum = rho.base
     g_hat = tangential_fft(np.asarray(g_trace, dtype=complex), tuple(range(spec.dim - 1)))
     h_hat = [-spectrum[1 + j, ..., 0] for j in range(spec.dim - 1)]
@@ -612,15 +678,22 @@ def boundary_correction(params: FluidParams, spec: GridSpec, g_hat, h_hat, lam, 
     C-contiguous (N+1, *tangential, W) array with W >= n_z, such as the
     buffer of `whole_space_reduction`.  Each mode is added only at the
     x_N where it has not decayed, through one flat index whose row stride
-    is W.  Returns the ModeBatch, from whose coefficients callers take exact
-    profile derivatives.
+    is W.  The modes are evaluated on the work pool in slabs of modes, each
+    `evaluate_profiles` call finding its slab's support pairs; a mode writes
+    only its own rows, so the bits do not depend on the slabs.  Returns the
+    ModeBatch, from whose coefficients callers take exact profile
+    derivatives.
     """
     N = spec.dim
     if not out.flags.c_contiguous:
         raise ValueError("the correction is scattered into a C-contiguous array only")
     batch = lattice_modes(params, spec, g_hat, h_hat, lam)
-    evaluate_profiles(batch.rates, batch.coeffs[:N + 1], spec.vertical_coords(),
-                      out=out.reshape(N + 1, len(batch), out.shape[-1]))
+    x = spec.vertical_coords()
+    rows = out.reshape(N + 1, len(batch), out.shape[-1])
+    coeffs = batch.coeffs[:N + 1]
+    _run_slabs(lambda modes: evaluate_profiles(batch.rates[modes], coeffs[:, modes], x,
+                                               out=rows[:, modes]),
+               _slices(len(batch), out.nbytes))
     return batch
 
 
@@ -631,11 +704,21 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     d is a GridField, f a list of N GridFields, g either a GridField (whose
     boundary row is used) or a trace array over the tangential lattice.
     One pass in one buffer: `whole_space_reduction`, then
-    `boundary_correction`, then one inverse tangential FFT per component.
+    `boundary_correction`, then the inverse tangential FFT of all
+    components.  With `validate` (the default) every datum must pass
+    `validate_edge_decay`, in the order d, f[0], .., f[N-1], which
+    `whole_space_solve` judges on its forward pass's maxima.
     The correction's mode batch also gives the exact d_N rho_corr(0) trace
     and the profile-identity spot-check of the report:
     `modes.batch_residuals` on the modes whose lattice index sum is a
     multiple of n_tangential / 4, on the ladder {0} + 2^k, k = -4..3.
+    Every full-grid pass runs on the work pool.  The inverse FFT's tasks
+    also take max|rho|, max|u_i| and, per line of the first tangential
+    axis, the sums of |rho|^q for the report's norms; the line sums are
+    added in a fixed order, so the norms equal `grid_norm`'s bit for bit
+    whatever the slabs or the CPU count.  A finite maximum proves a field
+    finite, so the outputs are not scanned again; a non-finite one raises
+    GridError.
     Every field of f, and g when it is a GridField, must be on d's grid;
     otherwise GridError names it.
     Returns (rho GridField, u list of GridFields, FieldSolveReport); their
@@ -647,16 +730,13 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
     for name, c in [(f"f[{i}]", c) for i, c in enumerate(f)] + [("g", g)]:
         if isinstance(c, GridField) and c.spec != spec:
             raise GridError(f"{name} is on the grid {c.spec}, not on d's grid {spec}")
-    if validate:
-        validate_edge_decay(d.values, spec, "d")
-        for i, c in enumerate(f):
-            validate_edge_decay(c.values, spec, f"f[{i}]")
 
     g_trace = g.trace() if isinstance(g, GridField) else np.asarray(g, dtype=complex)
     if g_trace.shape != spec.tangential_shape:
         raise GridError(f"g trace shape {g_trace.shape} != {spec.tangential_shape}")
 
-    spectrum, ws_res, g_hat, h_hat = whole_space_reduction(params, d, f, g_trace, lam)
+    spectrum, ws_res, g_hat, h_hat = whole_space_reduction(params, d, f, g_trace, lam,
+                                                           validate=validate)
     n = spec.n_vertical
     un_trace = float(np.max(np.abs(spectrum[N, ..., 0])))
     un_trace_ratio = un_trace and un_trace \
@@ -685,24 +765,35 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
                                                         spec.tangential_shape))
     corr_equation = list(per_equation)[int(np.argmax(table[:, k]))]
 
-    t_axes = tuple(range(N - 1))
-    for component in spectrum:
-        _store(component, tangential_fft(component, t_axes, inverse=True, overwrite_x=True))
-    rho_vals, *u_vals = spectrum[..., :n]
+    # The inverse transform's tasks also take the report's reductions of
+    # their columns: max|rho|, max|u_i| and the line sums of |rho|^q.
+    orders = (1.5, 2.0, 4.0)
+    half = spectrum[..., :n]
+
+    def reductions(columns):
+        rho_max, sums = _line_powers(half[0, ..., columns], orders)
+        return rho_max, [np.max(np.abs(v)) for v in half[1:, ..., columns]], sums
+
+    rho_max, u_max, sums = zip(*_fft_slabs(half, range(1, N), inverse=True, split=N,
+                                           after=reductions))
+    maxima = np.max(np.column_stack([rho_max, u_max]), axis=0)  # NaN propagates
+    # a finite maximum proves a field finite, so the fields are not scanned again
+    if not np.all(np.isfinite(maxima)):
+        raise GridError("grid field contains non-finite values")
+    rho_vals, *u_vals = half
 
     # Boundary defects of the assembled field.
-    u_scale = max(max(float(np.max(np.abs(v))) for v in u_vals), 1e-300)
+    u_scale = max(float(np.max(maxima[1:])), 1e-300)
     boundary_u = max(float(np.max(np.abs(v[..., 0]))) for v in u_vals) / u_scale
     # d_N rho(0) must equal -g.  The whole-space part has d_N R(0) = 0, so
     # the profile part carries it all: d_N rho_corr(0) = -g.  The defect is
     # relative to g; for g = 0 it is relative to the profile terms whose sum
     # d_N rho_corr(0) is, which bound its rounding.
-    dn_rho0 = tangential_fft(dn_rho_corr_hat, t_axes, inverse=True)
+    dn_rho0 = tangential_fft(dn_rho_corr_hat, tuple(range(N - 1)), inverse=True)
     g_scale = float(np.max(np.abs(g_trace))) \
         or max(dn_term_sum / len(batch), 1e-300)
     boundary_g = float(np.max(np.abs(dn_rho0 + g_trace))) / g_scale
 
-    rho_abs = np.abs(rho_vals)
     report = FieldSolveReport(
         whole_space_residuals=ws_res,
         correction_residual_max=float(worst[k]),
@@ -711,10 +802,11 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
         boundary_u_max=boundary_u,
         boundary_g_residual=boundary_g,
         un_trace_ratio=un_trace_ratio,
-        norms={f"l{q:g}": _lq_norm(rho_abs, spec, q) for q in (1.5, 2.0, 4.0)},
+        norms={f"l{q:g}": _norm(np.sum(np.concatenate(line_sums, axis=-1)), spec, q)
+               for q, line_sums in zip(orders, zip(*sums))},
     )
-    rho_field = GridField(rho_vals, spec, role="density")
-    u_fields = [GridField(v, spec, role="velocity_component") for v in u_vals]
+    rho_field = GridField._of_finite(rho_vals, spec, "density")
+    u_fields = [GridField._of_finite(v, spec, "velocity_component") for v in u_vals]
     return rho_field, u_fields, report
 
 

@@ -217,15 +217,20 @@ def evaluate_profiles(rates, coeffs, x, out=None) -> np.ndarray:
 
     `rates` (M, R) are the modes' decay rates and `coeffs` (..., M, R, P)
     the coefficients of every leading index; the result has shape
-    coeffs.shape[:-2] + (len(x),).  With `out`, a C-contiguous array of
-    shape coeffs.shape[:-2] + (W,) with W >= len(x), the profiles are added
-    into out[..., :len(x)] instead and `out` is returned.  One e^{-rate x}
-    per rate is shared by every leading index and accumulated before the
-    next rate, so a power-0 profile is summed in rate order.
+    coeffs.shape[:-2] + (len(x),).  With `out`, a complex array of shape
+    coeffs.shape[:-2] + (W,) with W >= len(x) whose (M, W) blocks are
+    C-contiguous, the profiles are added into out[..., :len(x)] instead
+    and `out` is returned.  Such a block may be a slab of modes of a larger
+    array, as `fields.boundary_correction` passes it: each mode is written
+    in its own row only, so modes evaluated in slabs give the bits of one
+    call.  One e^{-rate x} per rate is shared by every leading index and
+    accumulated before the next rate, so a power-0 profile is summed in
+    rate order.
     Mode k is evaluated only on x <= DECAY_SUPPORT / Re t_min(k), in any
     order of x, and is zero beyond.  Past that point every term is below
     e^{-46} (power 0) or 46 e^{-45} < e^{-41} (power 1) of its own peak,
-    |c| at x = 0 or |c| / (e Re t) at x = 1 / Re t.
+    |c| at x = 0 or |c| / (e Re t) at x = 1 / Re t.  The (mode, x) pairs in
+    support are found once per call.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
@@ -233,22 +238,23 @@ def evaluate_profiles(rates, coeffs, x, out=None) -> np.ndarray:
     if out is None:
         out = np.zeros(coeffs.shape[:-2] + x.shape, dtype=complex)
     elif (out.shape[:-1] != coeffs.shape[:-2] or out.shape[-1] < x.size
-          or not out.flags.c_contiguous):
-        raise DomainError(f"out must be C-contiguous of shape {coeffs.shape[:-2]} + (W,), "
-                          f"W >= {x.size}; got {out.shape}")
+          or out.dtype != complex or out.strides[-2:] != (out.shape[-1] * out.itemsize,
+                                                          out.itemsize)):
+        raise DomainError(f"out must be complex of shape {coeffs.shape[:-2]} + (W,), "
+                          f"W >= {x.size}, with C-contiguous (M, W) blocks; got {out.shape}")
     n_rates, n_powers = coeffs.shape[-2:]
     reach = DECAY_SUPPORT / rates.real.min(axis=1, initial=np.inf)
     pairs = np.flatnonzero(x <= reach[:, None])  # (mode, x) pairs in support, flattened
     modes, xs = pairs // x.size, x[pairs % x.size]
-    pairs += modes * (out.shape[-1] - x.size)  # their flat index into rows of out
-    flat_coeffs = coeffs.reshape((math.prod(coeffs.shape[:-3]),) + coeffs.shape[-3:])
-    flat_out = out.reshape(flat_coeffs.shape[0], -1)
+    pairs += modes * (out.shape[-1] - x.size)  # their flat index into an (M, W) block
+    # each out block flattens to a view, by the strides checked above
+    blocks = [(coeffs[i], out[i].reshape(-1)) for i in np.ndindex(coeffs.shape[:-3])]
     for r in range(n_rates):
         basis = np.exp(-(rates[modes, r] * xs))
         for p in range(n_powers):
             if p:
                 basis = basis * xs
-            for c, o in zip(flat_coeffs, flat_out):
+            for c, o in blocks:
                 o[pairs] += c[modes, r, p] * basis
     return out
 

@@ -228,6 +228,10 @@ class TestSolveField:
             a = (tmp_path / f"a.{part}.bin").read_bytes()
             assert a == (tmp_path / f"b.{part}.bin").read_bytes(), part
             assert len(a) == 16 * 16 * 16 * 64
+        # the report too, norms included: they are summed line by line
+        a = (tmp_path / "a.residuals.json").read_bytes()
+        assert a == (tmp_path / "b.residuals.json").read_bytes()
+        assert b'"norms"' in a
 
     def test_normal_force_with_boundary_trace_fails(self, tmp_path, capsys):
         from kortsolve.fields import GridField, GridSpec, save_field

@@ -790,6 +790,87 @@ class TestSolveResolvent:
         with pytest.raises(ConfigurationError):
             solve_resolvent(params, wide, [wide, wide], g, 1.0)
 
+    def test_edge_decay_judged_before_the_trace_guard(self, spec, params):
+        # data that has not decayed and an f_N with a trace: the edge-decay
+        # message comes first, in the order d, f[0], .., and the trace guard
+        # speaks only when the edge is not judged
+        decayed = GridField(_gaussian_data(spec), spec)
+        wide = GridField(np.ones(spec.shape), spec)
+        X, Z = np.meshgrid(spec.tangential_coords(), spec.vertical_coords(), indexing="ij")
+        fN = GridField(np.exp(-(X**2 + (Z - 0.5) ** 2) / 0.25), spec)  # trace/peak 0.368
+        g = np.zeros(spec.tangential_shape)
+        with pytest.raises(ConfigurationError, match=r"^d has not decayed at the grid edge"):
+            solve_resolvent(params, wide, [wide, fN], g, 1.0)
+        with pytest.raises(ConfigurationError, match=r"^f\[0\] has not decayed at the grid edge"):
+            solve_resolvent(params, decayed, [wide, fN], g, 1.0)
+        with pytest.raises(ConfigurationError, match=r"^normal force does not vanish"):
+            solve_resolvent(params, wide, [wide, fN], g, 1.0, validate=False)
+
+    @pytest.mark.parametrize("case", ["I", "II", "III", "IV", "V"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_correction_on_the_pool_is_bit_equal(self, monkeypatch, params_by_case, case, dim):
+        # slabs of one mode on three threads add the bits of one call on the
+        # calling thread; cases IV and V carry x e^{-t x} terms
+        params = params_by_case[case]
+        spec = GridSpec(dim=dim, box_half_length=3.0, n_tangential=16 if dim == 2 else 8,
+                        vertical_cutoff=8.0, n_vertical=64 if dim == 2 else 32)
+        d, f, g = _bump_data(spec)
+        lam = 0.7 + 1.3j
+        spectrum, _, g_hat, h_hat = whole_space_reduction(params, d, f, g, lam)
+        one = spectrum.copy()
+        batch = fields.boundary_correction(params, spec, g_hat, h_hat, lam, one)
+        assert batch.coeffs.shape[-1] == (2 if case in ("IV", "V") else 1)
+        monkeypatch.setattr(fields, "cpu_workers", lambda: 3)
+        monkeypatch.setattr(fields, "TASK_BYTES", 1)  # one mode a slab, on threads
+        assert len(fields._slices(len(batch), spectrum.nbytes)) == len(batch)
+        pooled = spectrum.copy()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the slab threads as finely as possible
+        try:
+            fields.boundary_correction(params, spec, g_hat, h_hat, lam, pooled)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(pooled, one)
+        assert not np.array_equal(one, spectrum)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_report_on_the_pool_is_bit_equal(self, monkeypatch, params, dim):
+        # one row, one mode and one column a slab on three threads: the same
+        # fields and report, and the norms are grid_norm's.  Lines of 256
+        # points tell a pairwise line sum from a running one.
+        spec = GridSpec(dim=dim, box_half_length=3.0, n_tangential=256 if dim == 2 else 8,
+                        vertical_cutoff=8.0, n_vertical=32)
+        d, f, g = _bump_data(spec)
+        lam = 0.7 + 1.3j
+        rho, u, rep = solve_resolvent(params, d, f, g, lam)
+        monkeypatch.setattr(fields, "cpu_workers", lambda: 3)
+        monkeypatch.setattr(fields, "TASK_BYTES", 1)
+        rho2, u2, rep2 = solve_resolvent(params, d, f, g, lam)
+        assert np.array_equal(rho.values, rho2.values)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(u, u2, strict=True))
+        assert rep == rep2
+        assert rep.norms == {f"l{q:g}": grid_norm(rho.values, spec, q) for q in (1.5, 2.0, 4.0)}
+        for q, norm in zip((1.5, 2.0, 4.0), rep.norms.values()):
+            flat = np.sum(np.abs(rho.values) ** q) * spec.cell_volume()
+            assert norm == pytest.approx(flat ** (1.0 / q), rel=1e-14)
+
+    @pytest.mark.parametrize("component", ["rho", "u_N"])
+    def test_nan_in_correction_raises_grid_error(self, monkeypatch, params, component):
+        # the outputs are not scanned again: their maxima must catch a NaN
+        spec = GridSpec(dim=2, box_half_length=3.0, n_tangential=16,
+                        vertical_cutoff=8.0, n_vertical=64)
+        d, f, g = _bump_data(spec)
+        solve = fields.lattice_modes
+
+        def planted(*args):
+            batch = solve(*args)
+            batch.coeffs[0 if component == "rho" else spec.dim, 5, 0, 0] = np.nan
+            return batch
+
+        monkeypatch.setattr(fields, "lattice_modes", planted)
+        with pytest.raises(GridError, match="non-finite"):
+            solve_resolvent(params, d, f, g, 0.7 + 1.3j)
+
 
 class TestFieldIO:
     def test_round_trip(self, tmp_path, spec):
@@ -806,3 +887,27 @@ class TestFieldIO:
         vol = spec.cell_volume() * vals.size
         for q in (1.5, 2.0, 4.0):
             assert grid_norm(vals, spec, q) == pytest.approx(vol ** (1.0 / q), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [np.inf, np.nan, 0.0, -1.0])
+    def test_grid_norm_needs_finite_positive_q(self, spec, q):
+        # at q = inf the root of the power sum reads 1.0 for any data
+        from kortsolve import DomainError
+        with pytest.raises(DomainError, match="0 < q < inf"):
+            grid_norm(2.0 * np.ones(spec.shape), spec, q)
+
+
+class TestEdgeDecay:
+    def test_decayed_data_passes(self, spec):
+        fields.validate_edge_decay(_gaussian_data(spec), spec)
+        fields.validate_edge_decay(np.zeros(spec.shape), spec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(3, 5), (0, 5), (3, -1)], ids=["interior", "box", "top"])
+    def test_non_finite_data_rejected(self, bad, where):
+        # a NaN or inf peak makes every edge bound hold, so it is refused first
+        spec = GridSpec(dim=2, box_half_length=3.0, n_tangential=8,
+                        vertical_cutoff=8.0, n_vertical=8)
+        values = _gaussian_data(spec).astype(complex)
+        values[where] = bad
+        with pytest.raises(ConfigurationError, match=r"^d contains non-finite values"):
+            fields.validate_edge_decay(values, spec, "d")

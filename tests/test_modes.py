@@ -453,6 +453,22 @@ class TestTruncatedEvaluate:
         with pytest.raises(DomainError):
             evaluate_profiles(batch.rates, batch.coeffs, np.array([0.0, 1.0, -1e-3]))
 
+    def test_out_in_slabs_of_modes(self):
+        # a mode slab of a wider array is a valid out, and slabs add what one
+        # call adds; blocks whose rows are not contiguous are refused
+        p = classify(*CASE_PARAMS["IV"])
+        batch = solve_modes(p, *_batch_inputs(5, 2, n_modes=6)[:1], 1.0, [1.0] * 6, [[0.5]] * 6)
+        x = np.linspace(0.0, 4.0, 9)
+        whole = evaluate_profiles(batch.rates, batch.coeffs, x, out=np.ones((4, 6, 11), complex))
+        slabs = np.ones((4, 6, 11), dtype=complex)
+        for modes in (slice(0, 1), slice(1, 4), slice(4, 6)):
+            evaluate_profiles(batch.rates[modes], batch.coeffs[:, modes], x, out=slabs[:, modes])
+        assert np.array_equal(slabs, whole)
+        assert np.all(whole[..., x.size:] == 1.0)
+        with pytest.raises(DomainError, match="C-contiguous"):
+            evaluate_profiles(batch.rates, batch.coeffs, x,
+                              out=np.ones((4, 6, 22), dtype=complex)[..., ::2])
+
 
 class TestBatchResiduals:
     LADDER = np.concatenate([[0.0], 2.0 ** np.arange(-4, 4, dtype=float)])
