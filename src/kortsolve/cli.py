@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, GridError
+from .errors import ConsistencyError, DomainError, GridError
 from .fields import GridSpec, load_field, manufactured_solution, save_field, solve_resolvent
 from .lopatinski import lower_bound_scan
 from .modes import BoundaryTrace, boundary_residuals, pde_residual, solve_mode
@@ -428,7 +428,7 @@ def dispatch(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, GridError, ValueError) as exc:
+    except (ConsistencyError, DomainError, GridError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return TOLERANCE_ERROR
 

@@ -457,7 +457,8 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam,
                       validate: bool = False):
     """Solve the whole-space resolvent problem for reflected half-grid data.
 
-    d is a half-grid scalar, f a list of N half-grid components.  d and the
+    d is a half-grid scalar, f a list of N half-grid components, each of
+    shape `spec.shape` (else GridError names that shape).  d and the
     tangential components of f are reflected evenly about x_N = 0, f_N
     oddly.  In x_N the solve runs on the cosine (DCT-I) and sine (DST-I)
     spectra of those reflections, kz = pi k / L for k = 0..n_z, and
@@ -515,6 +516,9 @@ def whole_space_solve(spec: GridSpec, params: FluidParams, d, f, lam,
 
     n = spec.n_vertical
     data = [np.asarray(v, dtype=complex) for v in (d, *f)]
+    for name, values in zip(["d"] + [f"f[{i}]" for i in range(N)], data):
+        if values.shape != spec.shape:
+            raise GridError(f"{name} must have the grid shape {spec.shape}, got {values.shape}")
     parities = ["even"] * N + ["odd"]  # rho (d), u_1..u_{N-1}, u_N
     hat = np.empty((N + 1,) + spec.tangential_shape + (n + 1,), dtype=complex)
     lines = [(row.reshape(-1, n + 1), values.reshape(-1, n)) for row, values in zip(hat, data)]

@@ -23,7 +23,10 @@ mode and vertical ones differentiate the exponential profiles.
 Sampled data (`ModeField`), mode solutions and boundary corrections are all
 coefficient arrays in the `ModeBatch` layout, and one engine lifts them:
 `modes._derivative` differentiates, and `modes.evaluate_profiles` evaluates
-every order of every active mode of a family member in one pass.
+every order of every active mode of a draw in one pass.  A family takes a
+draw of m members: `input_lift(lams, datas)` and `apply(lams, datas)` lift
+every member's modes, each at its member's lambda, into one buffer and
+return one lifted tuple per member, in member order.
 """
 
 from __future__ import annotations
@@ -124,6 +127,13 @@ class LiftedTuple:
                 out[k] = v.copy()
         return LiftedTuple(out, self.spec, self.n_comp)
 
+    def difference_in_place(self, other, c):
+        """self <- c (self - other), for a tuple `other` of the same modes."""
+        for k, v in self.modes.items():
+            np.subtract(v, other.modes[k], out=v)
+            v *= c
+        return self
+
     def inner(self, other) -> complex:
         """Hilbert inner product matching the q = 2 grid norm."""
         w = self.spec.cell_volume() / self.spec.n_tangential ** (self.spec.dim - 1)
@@ -172,33 +182,37 @@ def _tangential_derivative(vertical, axes_tuple, xi):
 LIFT_ORDERS = {"S0": 4, "T": 3}
 
 
-def _lift_rows(derivative, lam, dim: int, kind: str):
-    """Rows of one field's lift, given `derivative(axes_tuple)` of that field.
+def _lift_weights(lams, counts, kind: str):
+    """(derivative order, weight) of each block of a lift, for a draw's modes.
 
     Kind 'S0' is the third-order lift (grad^3, lam^(1/2) grad^2, lam grad,
     lam^(3/2)), kind 'T' the second-order lift (grad^2, lam^(1/2) grad, lam).
+    Member i's scalar weights fill its counts[i] rows of (M, 1) columns.
     """
-    sqrt_lam = np.sqrt(lam)
-    if kind == "S0":
-        weights = ((3, 1.0), (2, sqrt_lam), (1, lam), (0, lam * sqrt_lam))
-    elif kind == "T":
-        weights = ((2, 1.0), (1, sqrt_lam), (0, lam))
-    else:
-        raise DomainError(f"unknown lift kind {kind!r}")
-    return [w * derivative(t) for order, w in weights for t in derivative_tuples(order, dim)]
+    n = LIFT_ORDERS[kind]
+    lams = [complex(lam) for lam in lams]
+    scalars = [(1.0, s, lam, lam * s)[:n] for lam, s in zip(lams, map(np.sqrt, lams))]
+    columns = np.repeat(np.array(scalars, dtype=complex).reshape(len(scalars), n), counts, axis=0)
+    return [(n - 1 - j, columns[:, j:j + 1]) for j in range(n)]
 
 
-def _lift_vertical(verticals, lam, xi, dim: int, kind: str):
-    """Lift rows of fields given by their vertical derivatives, concatenated.
+def _lift_vertical(verticals, weights, xi, dim: int, out=None):
+    """Lift rows of fields given by their vertical derivatives, in out (M, rows, n_z).
 
-    verticals[i][k] is d^k/dx_N^k of field i for k up to the lift's order
-    (3 for kind 'S0', 2 for kind 'T'); `_tangential_derivative` gives the
-    shapes for one mode and for many.
+    verticals[i][k] (M, n_z) is d^k/dx_N^k of field i at the modes of
+    frequencies xi (M, N-1), for k up to the lift's order; `weights` come
+    from `_lift_weights`.  Field i's rows follow field i-1's.
     """
-    rows = []
+    if out is None:
+        n_rows = len(verticals) * sum(dim**order for order, _ in weights)
+        out = np.empty((len(xi), n_rows, verticals[0].shape[-1]), dtype=complex)
+    r = 0
     for vertical in verticals:
-        rows += _lift_rows(lambda t: _tangential_derivative(vertical, t, xi), lam, dim, kind)
-    return rows
+        for order, w in weights:
+            for t in derivative_tuples(order, dim):
+                np.multiply(w, _tangential_derivative(vertical, t, xi), out=out[:, r])
+                r += 1
+    return out
 
 
 def _verticals(rates, coeffs, x, n_orders):
@@ -229,27 +243,32 @@ def _active(lead, rest):
     return list(union | set().union(*sets[len(lead):]))
 
 
-def _on_active(fields, active, parts):
-    """(F, M, ...): parts[i] (M_i, ...) of field i placed at its modes among `active`.
+def _on_draw(members, actives, parts):
+    """(F, M, ...): parts (one per field, in member order) placed at their modes in a draw.
 
-    Rows of modes a field does not carry are zero.
+    Member i has F ModeFields and the active modes actives[i]; the draw's M
+    modes are those lists one after the other.  Rows of modes a field does
+    not carry are zero.
     """
-    position = {index: k for k, index in enumerate(active)}
-    out = np.zeros((len(fields), len(active)) + parts[0].shape[1:], dtype=complex)
-    for o, f, part in zip(out, fields, parts):
-        o[[position[index] for index in f.indices()]] = part
+    out = np.zeros((len(members[0]), sum(map(len, actives))) + parts[0].shape[1:], dtype=complex)
+    rows, starts = iter(parts), np.cumsum([0] + [len(active) for active in actives]).tolist()
+    for fields, active, start in zip(members, actives, starts):
+        for o, f in zip(out, fields):
+            o[[start + active.index(index) for index in f.indices()]] = next(rows)
     return out
 
 
-def _field_values(fields, active, n_orders):
-    """(F, n_orders, M, n_z): d^v/dx_N^v, v < n_orders, of each ModeField on `active`.
+def _field_values(members, actives, n_orders):
+    """(F, n_orders, M, n_z): d^v/dx_N^v, v < n_orders, of each member's fields in a draw.
 
-    All fields are evaluated in one `_verticals` pass over their own modes.
+    The fields of all members are evaluated in one `_verticals` pass over
+    their own modes and placed by `_on_draw`.
     """
+    fields = [f for member in members for f in member]
     rates, coeffs = _stacked([(f.rates, f.coeffs) for f in fields])
     values = _verticals(rates, coeffs[None], fields[0].spec.vertical_coords(), n_orders)[0]
     parts = np.split(values.transpose(1, 0, 2), np.cumsum([len(f.index) for f in fields])[:-1])
-    return _on_active(fields, active, parts).transpose(0, 2, 1, 3)
+    return _on_draw(members, actives, parts).transpose(0, 2, 1, 3)
 
 
 def _frequencies(spec: GridSpec, active):
@@ -259,19 +278,21 @@ def _frequencies(spec: GridSpec, active):
                     dtype=float).reshape(len(active), spec.dim - 1)
 
 
-def _lifted(active, rows, spec: GridSpec) -> LiftedTuple:
-    """LiftedTuple of n_comp rows (M, n_z): the (n_comp, n_z) block of mode k at active[k]."""
-    return LiftedTuple(dict(zip(active, np.stack(rows, axis=1))), spec, len(rows))
+def _lifted(actives, rows, spec: GridSpec) -> list:
+    """One LiftedTuple per member, holding its modes' blocks of rows (M, n_comp, n_z)."""
+    blocks = np.split(rows, np.cumsum([len(active) for active in actives])[:-1])
+    return [LiftedTuple(dict(zip(a, b)), spec, rows.shape[1]) for a, b in zip(actives, blocks)]
 
 
-def lift_boundary_data(data, lam) -> LiftedTuple:
-    """The trace lift (T_lam g, T_lam h_1, ..., T_lam h_{N-1})."""
-    g, hs = data
-    spec = g.spec
-    active = _active((g,), hs)
-    values = _field_values((g, *hs), active, LIFT_ORDERS["T"])
-    rows = _lift_vertical(values, complex(lam), _frequencies(spec, active), spec.dim, "T")
-    return _lifted(active, rows, spec)
+def lift_boundary_data(lams, datas) -> list:
+    """The trace lift (T_lam g, T_lam h_1, ..., T_lam h_{N-1}) of each member of a draw."""
+    spec = datas[0][0].spec
+    members = [(g, *hs) for g, hs in datas]
+    actives = [_active(member[:1], member[1:]) for member in members]
+    values = _field_values(members, actives, LIFT_ORDERS["T"])
+    rows = _lift_vertical(values, _lift_weights(lams, list(map(len, actives)), "T"),
+                          _frequencies(spec, sum(actives, [])), spec.dim)
+    return _lifted(actives, rows, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +305,11 @@ class IdentityFamily:
 
     name = "identity"
 
-    def apply(self, lam, data):
-        return lift_boundary_data(data, lam)
+    def apply(self, lams, datas):
+        return lift_boundary_data(lams, datas)
 
-    def input_lift(self, lam, data):
-        return lift_boundary_data(data, lam)
+    def input_lift(self, lams, datas):
+        return lift_boundary_data(lams, datas)
 
 
 class ReducedSolveFamily:
@@ -306,30 +327,33 @@ class ReducedSolveFamily:
         self.kind = kind
         self.name = kind
 
-    def apply(self, lam, data):
-        """One scalar `solve_mode` per active mode, their batches lifted in one pass.
+    def apply(self, lams, datas):
+        """One scalar `solve_mode` per active mode of a draw, their batches lifted in one pass.
 
         A case's modes share its (rate, power) layout, so the batches of one
         concatenate as they are.  `solve_modes` rounds differently from the
         scalar solve, and the central difference of dA2/dB2 amplifies that about 500-fold.
         """
-        g, hs = data
-        spec = g.spec
-        active = _active((g,), hs)
-        xi = _frequencies(spec, active)
+        spec = datas[0][0].spec
+        members = [(g, *hs) for g, hs in datas]
+        actives = [_active(member[:1], member[1:]) for member in members]
+        xi = _frequencies(spec, sum(actives, []))
         # values at x_N = 0: each mode's power-0 coefficients, summed
-        traces = _on_active((g, *hs), active, [c.coeffs[:, :, 0].sum(axis=-1) for c in (g, *hs)])
+        traces = _on_draw(members, actives,
+                          [f.coeffs[:, :, 0].sum(axis=-1) for member in members for f in member])
+        mode_lams = [lam for lam, active in zip(lams, actives) for _ in active]
         solved = [solve_mode(self.params, TangentialMode(xi=xi[k], lam=lam, dim=spec.dim),
                              BoundaryTrace(traces[0, k], traces[1:, k])).batch
-                  for k in range(len(active))]
+                  for k, lam in enumerate(mode_lams)]
         rates = np.concatenate([b.rates for b in solved])
         coeffs = np.concatenate([b.coeffs for b in solved], axis=1)
         kind, components = ("S0", [0]) if self.kind == "A2" else ("T", range(1, spec.dim + 1))
         values = _verticals(rates, coeffs[components], spec.vertical_coords(), LIFT_ORDERS[kind])
-        return _lifted(active, _lift_vertical(values, complex(lam), xi, spec.dim, kind), spec)
+        weights = _lift_weights(lams, list(map(len, actives)), kind)
+        return _lifted(actives, _lift_vertical(values, weights, xi, spec.dim), spec)
 
-    def input_lift(self, lam, data):
-        return lift_boundary_data(data, lam)
+    def input_lift(self, lams, datas):
+        return lift_boundary_data(lams, datas)
 
 
 class LiftedDense:
@@ -344,6 +368,11 @@ class LiftedDense:
 
     def __add__(self, other):
         return LiftedDense(self.values + other.values, self.spec)
+
+    def difference_in_place(self, other, c):
+        np.subtract(self.values, other.values, out=self.values)
+        self.values *= c
+        return self
 
     def inner(self, other) -> complex:
         return complex(np.vdot(other.values, self.values) * self.spec.cell_volume())
@@ -367,20 +396,22 @@ def sample_full_data(rng, spec: GridSpec, modes_per_field: int = 4, rate_scale: 
     return (d, f, g)
 
 
-def lift_full_data(data, lam) -> LiftedTuple:
-    """The data lift (grad d, lam^(1/2) d, f, grad^2 g, lam^(1/2) grad g, lam g)."""
-    d, f, g = data
-    spec = d.spec
-    lam = complex(lam)
+def lift_full_data(lams, datas) -> list:
+    """The data lift (grad d, lam^(1/2) d, f, grad^2 g, lam^(1/2) grad g, lam g) of a draw."""
+    spec = datas[0][0].spec
     dim = spec.dim
-    active = _active((d, g), f)
-    xi = _frequencies(spec, active)
-    vd, vg = _field_values((d, g), active, 3)
-    rows = [_tangential_derivative(vd, t, xi) for t in derivative_tuples(1, dim)]
-    rows.append(np.sqrt(lam) * vd[0])
-    rows += list(_field_values(f, active, 1)[:, 0])
-    rows += _lift_vertical([vg], lam, xi, dim, "T")
-    return _lifted(active, rows, spec)
+    actives = [_active((d, g), f) for d, f, g in datas]
+    xi = _frequencies(spec, sum(actives, []))
+    vd, vg = _field_values([(d, g) for d, _, g in datas], actives, 3)
+    weights = _lift_weights(lams, list(map(len, actives)), "T")
+    rows = np.empty((len(xi), 2 * dim + 1 + lift_arity("T", dim), spec.n_vertical), dtype=complex)
+    for r, t in enumerate(derivative_tuples(1, dim)):
+        rows[:, r] = _tangential_derivative(vd, t, xi)
+    np.multiply(weights[1][1], vd[0], out=rows[:, dim])  # lam^(1/2) d
+    forces = _field_values([f for _, f, _ in datas], actives, 1)[:, 0]
+    rows[:, dim + 1:2 * dim + 1] = forces.transpose(1, 0, 2)
+    _lift_vertical([vg], weights, xi, dim, rows[:, 2 * dim + 1:])
+    return _lifted(actives, rows, spec)
 
 
 class FullSolveFamily:
@@ -398,10 +429,13 @@ class FullSolveFamily:
         self.kind = kind
         self.name = kind
 
-    def input_lift(self, lam, data):
-        return lift_full_data(data, lam)
+    def input_lift(self, lams, datas):
+        return lift_full_data(lams, datas)
 
-    def apply(self, lam, data):
+    def apply(self, lams, datas):
+        return [self._apply(lam, data) for lam, data in zip(lams, datas)]
+
+    def _apply(self, lam, data):
         d, f, g = data
         spec = d.spec
         lam = complex(lam)
@@ -412,7 +446,7 @@ class FullSolveFamily:
         active = _active((d, g), f)
         hat = np.zeros((dim + 2,) + spec.tangential_shape + (spec.n_vertical,), dtype=complex)
         index = np.array(active, dtype=int).reshape(len(active), dim - 1)
-        hat[(slice(None), *index.T)] = _field_values((d, g, *f), active, 1)[:, 0]
+        hat[(slice(None), *index.T)] = _field_values([(d, g, *f)], [active], 1)[:, 0]
         d_grid, g_grid, *f_grid = tangential_fft(hat, tuple(range(1, dim)), inverse=True,
                                                  overwrite_x=True)
         spectrum, _, g_hat, h_hat = whole_space_reduction(
@@ -434,7 +468,9 @@ class FullSolveFamily:
             for v, out in enumerate(vertical):
                 out += vertical_spectral_derivative(whole_space, spec, v, parity) if v \
                     else whole_space
-        rows = np.array(_lift_vertical(verticals, lam, batch.xi, dim, kind))
+        rows = np.empty((len(components) * lift_arity(kind, dim), len(batch), n), dtype=complex)
+        _lift_vertical(verticals, _lift_weights([lam], [len(batch)], kind), batch.xi, dim,
+                       rows.transpose(1, 0, 2))
         return LiftedDense(tangential_fft(rows.reshape((len(rows),) + spec.shape),
                                           tuple(range(1, dim)), inverse=True, overwrite_x=True),
                            spec)
@@ -444,7 +480,7 @@ class LogDerivativeFamily:
     """Central-difference realization of lambda d/dlambda of a family.
 
     Member at lambda maps data to (T((1+h)lam) - T((1-h)lam)) / (2h); the
-    input lift stays at the base lambda.
+    input lift stays at the base lambda.  The difference is taken in place.
     """
 
     def __init__(self, base, rel_step: float = 1e-3):
@@ -454,15 +490,15 @@ class LogDerivativeFamily:
         self.rel_step = rel_step
         self.name = f"d_{getattr(base, 'name', 'family')}"
 
-    def apply(self, lam, data):
+    def apply(self, lams, datas):
         h = self.rel_step
-        lam = complex(lam)
-        plus = self.base.apply((1.0 + h) * lam, data)
-        minus = self.base.apply((1.0 - h) * lam, data)
-        return (plus + minus.scaled(-1.0)).scaled(1.0 / (2.0 * h))
+        lams = [complex(lam) for lam in lams]
+        plus = self.base.apply([(1.0 + h) * lam for lam in lams], datas)
+        minus = self.base.apply([(1.0 - h) * lam for lam in lams], datas)
+        return [p.difference_in_place(q, 1.0 / (2.0 * h)) for p, q in zip(plus, minus)]
 
-    def input_lift(self, lam, data):
-        return self.base.input_lift(lam, data)
+    def input_lift(self, lams, datas):
+        return self.base.input_lift(lams, datas)
 
 
 def lambda_log_derivative(family, rel_step: float = 1e-3) -> LogDerivativeFamily:
@@ -606,6 +642,30 @@ def _ratio_from_tuples(ys, xs, signs, q):
     return math.sqrt(float(np.mean(num)) / den_mean)
 
 
+def _draw_ratio(family, config: ProbeConfig, rng, spec: GridSpec, d_lo, sigma, sampler):
+    """The ratio of one draw of m members in the decade [d_lo, 10 d_lo), and its redraws.
+
+    Members are drawn in stream order and lifted in one call; those with a
+    zero-norm lift are redraws, and only they are drawn again, so the stream
+    is that of drawing members one at a time.
+    """
+    members, redraws = [], 0
+    while len(members) < config.m:
+        lams, datas = [], []
+        for _ in range(config.m - len(members)):
+            mag = d_lo * 10.0 ** rng.uniform(0.0, 1.0)
+            arg = rng.choice(config.lambda_args)
+            lams.append(mag * complex(math.cos(arg), math.sin(arg)))
+            datas.append(sampler(rng, spec, config.modes_per_field, rate_scale=sigma))
+        drawn = zip(lams, datas, family.input_lift(lams, datas))
+        kept = [member for member in drawn if member[2].norm(config.q) != 0.0]
+        redraws += len(lams) - len(kept)
+        members += kept
+    lams, datas, xs = zip(*members)
+    signs = rng.integers(0, 2, size=(config.trials, config.m)) * 2.0 - 1.0
+    return _ratio_from_tuples(family.apply(lams, datas), xs, signs, config.q), redraws
+
+
 def estimate_rbound(family, config: ProbeConfig, spec: GridSpec | None = None,
                     sampler=sample_boundary_data) -> ProbeReport:
     """Estimate randomized-sum ratios of `family` across lambda decades.
@@ -615,7 +675,8 @@ def estimate_rbound(family, config: ProbeConfig, spec: GridSpec | None = None,
     decade's |lambda|^(1/2): box and cutoff shrink by that factor and the
     sampled vertical rates grow with it.  Per-decade ratios of a uniformly
     bounded family are then comparable by construction, and systematic
-    growth across decades is the probe's falsification signal.
+    growth across decades is the probe's falsification signal.  `family`
+    takes whole draws (see the module docstring and `_draw_ratio`).
     """
     base = spec or probe_grid()
     lo, hi = config.decades
@@ -641,20 +702,8 @@ def estimate_rbound(family, config: ProbeConfig, spec: GridSpec | None = None,
         rng = np.random.default_rng(decade_seeds[k])
         best = 0.0
         for _ in range(config.draws_per_decade):
-            ys, xs = [], []
-            while len(ys) < config.m:
-                mag = d_lo * 10.0 ** rng.uniform(0.0, 1.0)
-                arg = rng.choice(config.lambda_args)
-                lam = mag * complex(math.cos(arg), math.sin(arg))
-                data = sampler(rng, dspec, config.modes_per_field, rate_scale=sigma)
-                x = family.input_lift(lam, data)
-                if x.norm(config.q) == 0.0:
-                    redraws += 1
-                    continue
-                ys.append(family.apply(lam, data))
-                xs.append(x)
-            signs = rng.integers(0, 2, size=(config.trials, config.m)) * 2.0 - 1.0
-            ratio = _ratio_from_tuples(ys, xs, signs, config.q)
+            ratio, n = _draw_ratio(family, config, rng, dspec, d_lo, sigma, sampler)
+            redraws += n
             all_ratios.append(ratio)
             best = max(best, ratio)
         decade_ratios[label] = best

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kortsolve
-from kortsolve.cli import dispatch
+from kortsolve.cli import TOLERANCE_ERROR, dispatch
 
 
 def run(argv, capsys):
@@ -122,6 +122,16 @@ class TestScans:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "band,inf,argmin_xi,argmin_lam_re,argmin_lam_im"
         assert lines[-1].startswith("all,")
+
+    def test_consistency_error_is_one_error_line(self, capsys):
+        # det L vanishes like lam^2 as |lam|/|xi|^2 -> 0, so the default grid
+        # reports a potential zero, which the scan raises as ConsistencyError
+        code, out, err = run(["lopatinski-scan", "--name", "detL", "--mu", "1", "--nu", "1",
+                              "--kappa", "2"], capsys)
+        assert code == TOLERANCE_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "potential zero" in err
 
     def test_symbol_check_runs(self, tmp_path, capsys):
         code, _, _ = run(["symbol-check", "--mu", "3", "--nu", "1", "--kappa", "1",

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import tracemalloc
 
@@ -380,6 +381,22 @@ class TestWholeSpace:
         z = np.zeros(spec.shape, dtype=complex)
         with pytest.raises(DomainError):
             whole_space_solve(spec, params, z, [z, z], -1.0)
+
+    @pytest.mark.parametrize("component", ["d", "f[0]", "f[1]"])
+    @pytest.mark.parametrize("shape", [(32, 32), (32, 16)])
+    def test_mis_shaped_data_rejected(self, params, component, shape):
+        # extra tangential rows (the only nonzero sits in row 20) or swapped
+        # axes used to be read through reshape(-1, n_z) without an error
+        spec = GridSpec(dim=2, box_half_length=3.0, n_tangential=16,
+                        vertical_cutoff=8.0, n_vertical=32)
+        data = {"d": np.zeros(spec.shape, dtype=complex),
+                "f[0]": np.zeros(spec.shape, dtype=complex),
+                "f[1]": np.zeros(spec.shape, dtype=complex)}
+        data[component] = np.zeros(shape, dtype=complex)
+        data[component][20 % shape[0], 5] = 1.0
+        with pytest.raises(GridError, match=rf"{re.escape(component)} must have the grid shape "
+                                            r"\(16, 32\), got"):
+            whole_space_solve(spec, params, data["d"], [data["f[0]"], data["f[1]"]], 1.0 + 0.5j)
 
 
 class TestSlabAlgebra:

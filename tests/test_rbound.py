@@ -5,16 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kortsolve.fields import (GridField, _wavenumber_mesh, lattice_modes, tangential_fft,
+from kortsolve.fields import (GridField, GridSpec, _wavenumber_mesh, lattice_modes, tangential_fft,
                               vertical_spectral_derivative, whole_space_reduction)
 from kortsolve.modes import DECAY_SUPPORT, BoundaryTrace, _derivative, solve_mode
 from kortsolve.profiles import VerticalProfile
 from kortsolve.rbound import (LIFT_ORDERS, FullSolveFamily, IdentityFamily, LiftedTuple,
                               ModeField, ProbeConfig, ReducedSolveFamily, _frequencies,
-                              _lift_rows, _lift_vertical, _stacked, _verticals, derivative_tuples,
-                              estimate_rbound, lambda_log_derivative, lift_arity,
-                              lift_boundary_data, lift_full_data, probe_grid,
-                              sample_boundary_data, sample_full_data)
+                              _lift_vertical, _lift_weights, _ratio_from_tuples, _stacked,
+                              _tangential_derivative, _verticals, derivative_tuples, estimate_rbound,
+                              lambda_log_derivative, lift_arity, lift_boundary_data,
+                              lift_full_data, probe_grid, sample_boundary_data, sample_full_data)
 from kortsolve.spectral import TangentialMode
 
 REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
@@ -80,6 +80,16 @@ def _assert_rows_match(got, want, x, reach, exact):
             assert np.all(np.abs(g - w) <= 1e-14 * pk), row
 
 
+def _reference_lift_rows(derivative, lam, dim, kind):
+    """Rows of one field's lift at one lambda, given `derivative(axes_tuple)` of that field."""
+    sqrt_lam = np.sqrt(lam)
+    if kind == "S0":
+        weights = ((3, 1.0), (2, sqrt_lam), (1, lam), (0, lam * sqrt_lam))
+    else:
+        weights = ((2, 1.0), (1, sqrt_lam), (0, lam))
+    return [w * derivative(t) for order, w in weights for t in derivative_tuples(order, dim)]
+
+
 def _reference_profile_derivative(profile, axes_tuple, xi, x):
     """Per-tuple reference: differentiate and evaluate the profile for every tuple."""
     factor = 1.0 + 0.0j
@@ -99,7 +109,7 @@ def _reference_lift_profiles(profile_sets, lam, spec, xi, kind):
     profiles = [profile_sets] if kind == "S0" else profile_sets
     rows = []
     for profile in profiles:
-        rows += _lift_rows(lambda t: _reference_profile_derivative(profile, t, xi, x),
+        rows += _reference_lift_rows(lambda t: _reference_profile_derivative(profile, t, xi, x),
                            lam, spec.dim, kind)
     return np.array(rows)
 
@@ -152,7 +162,8 @@ def _reference_full_apply(family, lam, data):
     components = batch.coeffs[:1] if family.kind == "A" else batch.coeffs[1:dim + 1]
     values = _verticals(batch.rates, components, spec.vertical_coords(),
                         LIFT_ORDERS[kind_lift])
-    corr_hat = np.array(_lift_vertical(values, lam, batch.xi, dim, kind_lift))
+    corr_hat = np.array([r for v in values for r in _reference_lift_rows(
+        lambda t, v=v: _tangential_derivative(v, t, batch.xi), lam, dim, kind_lift)])
     corr = tangential_fft(corr_hat.reshape((len(corr_hat),) + spec.shape),
                           tuple(a + 1 for a in t_axes), inverse=True)
     k_t = _wavenumber_mesh(spec)[:dim - 1]
@@ -170,7 +181,7 @@ def _reference_full_apply(family, lam, data):
             return tangential_fft(factor * v_hat[axes_tuple.count(dim - 1)], t_axes,
                                   inverse=True)
 
-        return _lift_rows(derivative, lam, dim, kind_lift)
+        return _reference_lift_rows(derivative, lam, dim, kind_lift)
 
     if family.kind == "A":
         rows = lift(rho_ws, "even")
@@ -194,10 +205,20 @@ def _reference_lift_boundary_data(data, lam):
     return LiftedTuple(out, spec, spec.dim * lift_arity("T", spec.dim))
 
 
-class _ReferenceReducedFamily(ReducedSolveFamily):
+class _PerMember:
+    """Draw-form adapter: `apply_one` and `input_lift_one` run member by member."""
+
+    def apply(self, lams, datas):
+        return [self.apply_one(lam, data) for lam, data in zip(lams, datas)]
+
+    def input_lift(self, lams, datas):
+        return [self.input_lift_one(lam, data) for lam, data in zip(lams, datas)]
+
+
+class _ReferenceReducedFamily(_PerMember, ReducedSolveFamily):
     """The reduced family with one `solve_mode` and one per-tuple lift per mode."""
 
-    def apply(self, lam, data):
+    def apply_one(self, lam, data):
         g, hs = data
         spec = g.spec
         ks = spec.tangential_wavenumbers()
@@ -215,15 +236,15 @@ class _ReferenceReducedFamily(ReducedSolveFamily):
         n_fields = 1 if lift == "S0" else spec.dim
         return LiftedTuple(out, spec, n_fields * lift_arity(lift, spec.dim))
 
-    def input_lift(self, lam, data):
+    def input_lift_one(self, lam, data):
         return _reference_lift_boundary_data(data, lam)
 
 
-class _ReferenceIdentity(IdentityFamily):
-    def apply(self, lam, data):
+class _ReferenceIdentity(_PerMember, IdentityFamily):
+    def apply_one(self, lam, data):
         return _reference_lift_boundary_data(data, lam)
 
-    def input_lift(self, lam, data):
+    def input_lift_one(self, lam, data):
         return _reference_lift_boundary_data(data, lam)
 
 
@@ -243,14 +264,59 @@ def _assert_reduced_matches_reference(params, lam, data, exact):
     x = spec.vertical_coords()
     ks = spec.tangential_wavenumbers()
     for kind in ("A2", "B2"):
-        got = ReducedSolveFamily(params, kind).apply(lam, data)
-        want = _ReferenceReducedFamily(params, kind).apply(lam, data)
+        got = ReducedSolveFamily(params, kind).apply([lam], [data])[0]
+        want = _ReferenceReducedFamily(params, kind).apply_one(lam, data)
         assert list(got.modes) == list(want.modes)
         for index, w in want.modes.items():
             mode = TangentialMode(xi=np.array([ks[i] for i in index]), lam=lam, dim=spec.dim)
             reach = DECAY_SUPPORT / min(t.real for t in solve_mode(
                 params, mode, BoundaryTrace(0.0, np.zeros(spec.dim - 1))).u[0].rates)
             _assert_rows_match(got.modes[index], w, x, [reach] * len(w), [exact] * len(w))
+
+
+def _sequential_probe(family, config, spec, sampler=sample_boundary_data):
+    """(all_ratios, redraws) of the probe drawing, lifting and applying one member at a time."""
+    lo, hi = config.decades
+    n_dec = round(math.log10(hi / lo))
+    ratios, redraws = [], 0
+    for k, seed in enumerate(np.random.SeedSequence(config.rng_seed).spawn(n_dec)):
+        d_lo = lo * 10.0**k
+        sigma = math.sqrt(d_lo * math.sqrt(10.0))
+        dspec = GridSpec(dim=spec.dim, box_half_length=spec.box_half_length / sigma,
+                         n_tangential=spec.n_tangential,
+                         vertical_cutoff=spec.vertical_cutoff / sigma,
+                         n_vertical=spec.n_vertical)
+        rng = np.random.default_rng(seed)
+        for _ in range(config.draws_per_decade):
+            ys, xs = [], []
+            while len(ys) < config.m:
+                mag = d_lo * 10.0 ** rng.uniform(0.0, 1.0)
+                arg = rng.choice(config.lambda_args)
+                lam = mag * complex(math.cos(arg), math.sin(arg))
+                data = sampler(rng, dspec, config.modes_per_field, rate_scale=sigma)
+                x = family.input_lift([lam], [data])[0]
+                if x.norm(config.q) == 0.0:
+                    redraws += 1
+                    continue
+                ys.append(family.apply([lam], [data])[0])
+                xs.append(x)
+            signs = rng.integers(0, 2, size=(config.trials, config.m)) * 2.0 - 1.0
+            ratios.append(_ratio_from_tuples(ys, xs, signs, config.q))
+    return ratios, redraws
+
+
+def _zeroing_sampler(zero_calls):
+    """sample_boundary_data, with all coefficients zero on the calls numbered in zero_calls."""
+    calls = iter(range(10**6))
+
+    def sampler(rng, spec, modes_per_field, rate_scale=1.0):
+        g, hs = sample_boundary_data(rng, spec, modes_per_field, rate_scale)
+        if next(calls) not in zero_calls:
+            return g, hs
+        zero = [ModeField(f.index, f.rates, 0.0 * f.coeffs, spec) for f in (g, *hs)]
+        return zero[0], tuple(zero[1:])
+
+    return sampler
 
 
 class TestLifts:
@@ -275,10 +341,11 @@ class TestLifts:
             if kind == "S0":
                 f = fields[0]
                 values = _verticals(f.rates, f.coeffs[None], x, LIFT_ORDERS["S0"])
-                rows = _lift_vertical(values, lam, _frequencies(spec, active), dim, "S0")
-                got = dict(zip(f.indices(), np.stack(rows, axis=1)))
+                rows = _lift_vertical(values, _lift_weights([lam], [len(active)], "S0"),
+                                      _frequencies(spec, active), dim)
+                got = dict(zip(f.indices(), rows))
             else:
-                got = lift_boundary_data((fields[0], tuple(fields[1:])), lam).modes
+                got = lift_boundary_data([lam], [(fields[0], tuple(fields[1:]))])[0].modes
                 want = _reference_lift_boundary_data((fields[0], tuple(fields[1:])), lam)
                 assert list(got) == list(want.modes)
             arity = lift_arity(kind, dim)
@@ -308,7 +375,7 @@ class TestLifts:
         assert len(_profiles(g)[a]) == 4 and len(_profiles(g)[b]) == 2
         arity = lift_arity("T", dim)
         for lam in (1.0 + 0.5j, 30.0 * np.exp(1.2j)):
-            got = lift_boundary_data((g, hs), lam)
+            got = lift_boundary_data([lam], [(g, hs)])[0]
             want = _reference_lift_boundary_data((g, hs), lam)
             assert list(got.modes) == list(want.modes)
             assert got.n_comp == want.n_comp
@@ -353,8 +420,8 @@ class TestLifts:
         assert [b.rates.shape[1] for b in batches] == [3, 3]
         assert np.all(batches[1].rates == batches[1].rates[0, 0])
         for kind in ("A2", "B2"):
-            got = ReducedSolveFamily(params, kind).apply(1.0, data).modes
-            want = _ReferenceReducedFamily(params, kind).apply(1.0, data).modes
+            got = ReducedSolveFamily(params, kind).apply([1.0], [data])[0].modes
+            want = _ReferenceReducedFamily(params, kind).apply_one(1.0, data).modes
             for index, b in zip((ordinary, merged), batches):
                 reach = DECAY_SUPPORT / b.rates.real.min()
                 _assert_rows_match(got[index], want[index], x, [reach] * len(got[index]),
@@ -370,7 +437,7 @@ class TestLifts:
             data = sample_full_data(rng, spec, modes_per_field=3)
             d, f, g = data
             assert f[-1].coeffs.shape[-1] == 2 and not np.any(f[-1].coeffs[..., 0])
-            got = lift_full_data(data, lam)
+            got = lift_full_data([lam], [data])[0]
             want = _reference_lift_full_data(data, lam)
             assert list(got.modes) == list(want)
             for index, v in want.items():
@@ -379,6 +446,36 @@ class TestLifts:
                     + [_reach(g, index)] * lift_arity("T", dim)
                 exact = [True] * (2 * dim) + [False] + [True] * lift_arity("T", dim)
                 _assert_rows_match(got.modes[index], v, x, reach, exact)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_draw_lifts_equal_member_lifts_bit_for_bit(self, params, rng, dim):
+        # a draw of members at different lambdas, with different term counts
+        # (a mode drawn four times carries 8 terms, so the draw pads the
+        # others) and a member whose h fields are empty: each member's tuple
+        # equals the tuple of a draw of that member alone, bit for bit
+        spec = probe_grid(dim=dim, n_tangential=8, n_vertical=48)
+        zero = _zero_field(spec)
+        stacked = (_random_field(rng, spec, [(1,) * (dim - 1)], [(0,) * 8]),
+                   tuple(_random_field(rng, spec, [(2,) * (dim - 1)], [(0, 0)])
+                         for _ in range(dim - 1)))
+        datas = [sample_boundary_data(rng, spec, 4), stacked,
+                 (sample_boundary_data(rng, spec, 3)[0], (zero,) * (dim - 1)),
+                 sample_boundary_data(rng, spec, 2)]
+        lams = [1.3 + 0.4j, 0.05 * np.exp(1.2j), 20.0, 2.0 * np.exp(-1.2j)]
+        full = [sample_full_data(rng, spec, 3) for _ in lams]
+        draws = [(lift_boundary_data, datas), (lift_full_data, full)]
+        for kind in ("A2", "B2"):
+            family = ReducedSolveFamily(params, kind)
+            draws += [(family.apply, datas), (lambda_log_derivative(family).apply, datas)]
+        for lift, data in draws:
+            together = lift(lams, data)
+            assert len(together) == len(lams)
+            for lam, d, got in zip(lams, data, together):
+                want = lift([lam], [d])[0]
+                assert list(got.modes) == list(want.modes)
+                assert got.n_comp == want.n_comp
+                for index, v in want.modes.items():
+                    assert got.modes[index].tobytes() == v.tobytes()
 
     def test_scalar_rounded_product(self, rng):
         # the derivative coefficients -c t round as numpy's scalar product
@@ -413,11 +510,11 @@ class TestLifts:
         monkeypatch.setattr(kortsolve.rbound, "solve_mode", counted_solve)
         spec = probe_grid(dim=dim, n_tangential=16, n_vertical=64)
         data = sample_boundary_data(rng, spec, 4)
-        lift_boundary_data(data, 1.0 + 0.5j)
-        lift_full_data(sample_full_data(rng, spec, 4), 1.0 + 0.5j)
+        lift_boundary_data([1.0 + 0.5j], [data])
+        lift_full_data([1.0 + 0.5j], [sample_full_data(rng, spec, 4)])
         for kind in ("A2", "B2"):
             solves.clear()
-            active = ReducedSolveFamily(params, kind).apply(1.0 + 0.5j, data).modes
+            active = ReducedSolveFamily(params, kind).apply([1.0 + 0.5j], [data])[0].modes
             assert len(solves) == len(active)
         assert counts == {"__init__": 0, "evaluate": 0, "differentiate": 0}
 
@@ -429,7 +526,7 @@ class TestLifts:
     def test_boundary_lift_shape(self, rng):
         spec = probe_grid(n_tangential=16, n_vertical=64)
         data = sample_boundary_data(rng, spec, 3)
-        lifted = lift_boundary_data(data, 1.0 + 0.5j)
+        lifted = lift_boundary_data([1.0 + 0.5j], [data])[0]
         assert lifted.n_comp == 2 * lift_arity("T", 2)
         for arr in lifted.modes.values():
             assert arr.shape == (14, 64)
@@ -437,7 +534,7 @@ class TestLifts:
     def test_parseval_norm_matches_dense(self, rng):
         spec = probe_grid(n_tangential=16, n_vertical=64)
         data = sample_boundary_data(rng, spec, 3)
-        lifted = lift_boundary_data(data, 2.0 - 0.7j)
+        lifted = lift_boundary_data([2.0 - 0.7j], [data])[0]
         dense = lifted.synthesize()
         vol = spec.cell_volume()
         dense_norm = (np.sum(np.abs(dense) ** 2) * vol) ** 0.5
@@ -446,14 +543,14 @@ class TestLifts:
     def test_non_hilbert_norm_positive(self, rng):
         spec = probe_grid(n_tangential=16, n_vertical=64)
         data = sample_boundary_data(rng, spec, 2)
-        lifted = lift_boundary_data(data, 1.0)
+        lifted = lift_boundary_data([1.0], [data])[0]
         assert lifted.norm(1.5) > 0
         assert lifted.norm(4.0) > 0
 
     def test_tuple_algebra(self, rng):
         spec = probe_grid(n_tangential=16, n_vertical=64)
-        a = lift_boundary_data(sample_boundary_data(rng, spec, 2), 1.0)
-        b = lift_boundary_data(sample_boundary_data(rng, spec, 2), 1.0)
+        a, b = lift_boundary_data([1.0, 1.0], [sample_boundary_data(rng, spec, 2)
+                                               for _ in range(2)])
         c = a + b.scaled(-1.0)
         # inner products are conjugate-symmetric and consistent with norms
         assert a.inner(a).real == pytest.approx(a.norm() ** 2, rel=1e-12)
@@ -482,6 +579,54 @@ class TestFamilies:
             assert got == estimate_rbound(ref, cfg, spec).all_ratios, kind
         got = estimate_rbound(IdentityFamily(), cfg, spec).all_ratios
         assert got == estimate_rbound(_ReferenceIdentity(), cfg, spec).all_ratios
+
+    def test_redraws_keep_the_sequential_stream(self, params):
+        # zero data on calls 1 and 2 (the last member of the first draw),
+        # again on call 3 (the first redraw) and later on single calls: the
+        # redraws are counted and every ratio equals the sequential probe's
+        spec = probe_grid(n_tangential=16, n_vertical=64)
+        cfg = ProbeConfig(m=3, trials=50, rng_seed=4, draws_per_decade=2, decades=(0.1, 10.0),
+                          modes_per_field=2)
+        zero_calls = {1, 2, 3, 8, 11, 14}
+        families = [IdentityFamily(), ReducedSolveFamily(params, "A2"),
+                    lambda_log_derivative(ReducedSolveFamily(params, "B2"))]
+        for family in families:
+            rep = estimate_rbound(family, cfg, spec, sampler=_zeroing_sampler(zero_calls))
+            want, redraws = _sequential_probe(family, cfg, spec, _zeroing_sampler(zero_calls))
+            assert rep.redraws == redraws == len(zero_calls)
+            assert rep.all_ratios == want, family.name
+
+    @pytest.mark.parametrize("kind, passes", [("A2", 1), ("dB2", 2)])
+    def test_one_evaluation_per_lift_pass(self, params, monkeypatch, kind, passes):
+        # a draw makes one evaluate_profiles call for its input lift and one
+        # per base apply pass; the scalar solves are those of the sequential
+        # probe
+        import kortsolve.rbound
+        counts = {"evaluate": 0, "solve": 0}
+
+        def counter(name, original):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(kortsolve.rbound, "evaluate_profiles",
+                            counter("evaluate", kortsolve.rbound.evaluate_profiles))
+        monkeypatch.setattr(kortsolve.rbound, "solve_mode",
+                            counter("solve", kortsolve.rbound.solve_mode))
+        spec = probe_grid(n_tangential=16, n_vertical=64)
+        cfg = ProbeConfig(m=4, trials=50, rng_seed=6, draws_per_decade=2, decades=(0.1, 10.0))
+        family = ReducedSolveFamily(params, kind.lstrip("d"))
+        if kind.startswith("d"):
+            family = lambda_log_derivative(family)
+        assert estimate_rbound(family, cfg, spec).redraws == 0
+        draws = 2 * cfg.draws_per_decade
+        assert counts["evaluate"] == draws * (1 + passes)
+        solves = counts["solve"]
+        counts.update(evaluate=0, solve=0)
+        _sequential_probe(family, cfg, spec)
+        assert counts["evaluate"] == draws * cfg.m * (1 + passes)
+        assert counts["solve"] == solves > 0
 
     def test_benchmark_probe_ratios_match_refs(self, params):
         # the benchmark's probe gate at its config (case I, m = 8, 200
@@ -525,8 +670,7 @@ class TestFamilies:
         fam = ReducedSolveFamily(params, "A2")
         data = sample_boundary_data(rng, spec, 2)
         lam = 1.3 + 0.4j
-        y = fam.apply(lam, data)
-        x = fam.input_lift(lam, data)
+        (y,), (x,) = fam.apply([lam], [data]), fam.input_lift([lam], [data])
         signs = np.sign(np.random.default_rng(1).normal(size=(50, 1)))
         ratio = _ratio_from_tuples([y], [x], signs, 2.0)
         assert ratio == pytest.approx(y.norm() / x.norm(), rel=1e-12)
@@ -587,7 +731,7 @@ class TestFamilies:
         data = sample_full_data(np.random.default_rng(5 + dim), spec, modes_per_field=3)
         family = FullSolveFamily(params, kind)
         for lam in (1.0 + 0.5j, 0.3 * np.exp(1.2j), 20.0):
-            got = family.apply(lam, data).values
+            got = family.apply([lam], [data])[0].values
             want = _reference_full_apply(family, lam, data)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -600,9 +744,10 @@ class TestFamilies:
         zero = _zero_field(spec)
         for lam in (1.0 + 0.5j, 0.3 * np.exp(1.2j), 20.0):
             mode_solves.clear()
-            full = FullSolveFamily(params, kind).apply(lam, (zero, (zero, zero), g)).values
+            full = FullSolveFamily(params, kind).apply([lam], [(zero, (zero, zero), g)])[0].values
             assert len(mode_solves) == spec.n_tangential
-            ref = ReducedSolveFamily(params, kind + "2").apply(lam, (g, (zero,))).synthesize()
+            ref = ReducedSolveFamily(params, kind + "2").apply([lam], [(g, (zero,))])[0]
+            ref = ref.synthesize()
             assert np.max(np.abs(full - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -613,17 +758,17 @@ class TestLogDerivative:
         class Constant:
             name = "const"
 
-            def apply(self, lam, data):
-                return lift_boundary_data(data, 1.0)  # frozen lift: no lam dependence
+            def apply(self, lams, datas):
+                # frozen lift: no lam dependence
+                return lift_boundary_data([1.0] * len(datas), datas)
 
-            def input_lift(self, lam, data):
-                return lift_boundary_data(data, 1.0)
+            def input_lift(self, lams, datas):
+                return lift_boundary_data([1.0] * len(datas), datas)
 
         dfam = lambda_log_derivative(Constant(), rel_step=1e-3)
         rng = np.random.default_rng(0)
         data = sample_boundary_data(rng, spec, 2)
-        y = dfam.apply(2.0, data)
-        x = dfam.input_lift(2.0, data)
+        (y,), (x,) = dfam.apply([2.0], [data]), dfam.input_lift([2.0], [data])
         assert y.norm() <= 1e-10 * x.norm()
 
     def test_scalar_family_lambda(self):
@@ -632,17 +777,17 @@ class TestLogDerivative:
         class Mult:
             name = "lam"
 
-            def apply(self, lam, data):
-                return lift_boundary_data(data, 1.0).scaled(lam)
+            def apply(self, lams, datas):
+                return [x.scaled(lam) for lam, x in zip(lams, self.input_lift(lams, datas))]
 
-            def input_lift(self, lam, data):
-                return lift_boundary_data(data, 1.0)
+            def input_lift(self, lams, datas):
+                return lift_boundary_data([1.0] * len(datas), datas)
 
         rng = np.random.default_rng(0)
         data = sample_boundary_data(rng, spec, 2)
         lam = 0.8 + 0.3j
-        got = lambda_log_derivative(Mult(), 1e-3).apply(lam, data)
-        want = lift_boundary_data(data, 1.0).scaled(lam)
+        got = lambda_log_derivative(Mult(), 1e-3).apply([lam], [data])[0]
+        want = lift_boundary_data([1.0], [data])[0].scaled(lam)
         diff = (got + want.scaled(-1.0)).norm() / want.norm()
         assert diff <= 1e-12  # exact for a linear-in-lambda family
 
@@ -651,10 +796,10 @@ class TestLogDerivative:
         fam = ReducedSolveFamily(params, "B2")
         data = sample_boundary_data(rng, spec, 3)
         lam = 1.0 + 0.2j
-        x = fam.input_lift(lam, data)
+        x = fam.input_lift([lam], [data])[0]
         vals = []
         for h in (2e-3, 1e-3):
-            y = lambda_log_derivative(fam, h).apply(lam, data)
+            y = lambda_log_derivative(fam, h).apply([lam], [data])[0]
             vals.append(y.norm() / x.norm())
         assert abs(vals[1] - vals[0]) / vals[1] <= 0.01
 
