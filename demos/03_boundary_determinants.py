@@ -2,28 +2,22 @@
 
 Unique per-mode solvability hinges on a 2x2 boundary determinant staying away
 from zero, uniformly in (xi, lambda).  This script evaluates the determinant
-two ways (raw matrix vs closed factorization), scans the normalized modulus
-of the case-specific denominators, and follows the m_k symbols into both
-asymptotic regimes.
+two ways, both read from the symbol registry (the raw 2x2 expansion on the
+registry's matrix entries vs the closed factorization), scans the normalized
+modulus of the case-specific denominators, and follows the m_k symbols into
+both asymptotic regimes.
 """
 
 import numpy as np
 
-from kortsolve import (ScanGrid, TangentialMode, asymptotic_check, boundary_matrix,
-                       classify, det_L, det_M, lower_bound_scan, make_named_symbol)
+from kortsolve import ScanGrid, asymptotic_check, classify, lower_bound_scan, make_named_symbol
 
-pI = classify(1, 1, 2)
-mode = TangentialMode(xi=[0.8], lam=1.5 + 0.5j)
-raw = boundary_matrix(pI, mode).det()
-fac = det_L(pI, mode)
-print(f"det L raw vs factored: {raw:.10g} vs {fac:.10g} "
-      f"(rel diff {abs(raw - fac) / abs(fac):.1e})")
-
-pIV = classify(3, 1, 4)
-raw = boundary_matrix(pIV, mode).det()
-fac = det_M(pIV, mode)
-print(f"det M raw vs factored: {raw:.10g} vs {fac:.10g} "
-      f"(rel diff {abs(raw - fac) / abs(fac):.1e})")
+xi, lam = np.array([0.8]), 1.5 + 0.5j
+for matrix, triple in [("L", (1, 1, 2)), ("M", (3, 1, 4))]:
+    det = make_named_symbol(classify(*triple), "det" + matrix)
+    raw, fac = det.eval(xi, lam), det.alt_eval(xi, lam)
+    print(f"det {matrix} raw vs factored: {raw:.10g} vs {fac:.10g} "
+          f"(rel diff {abs(raw - fac) / abs(fac):.1e})")
 
 print()
 print("normalized infima over a 24x24x5 log grid (all must be > 0):")

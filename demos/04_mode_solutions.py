@@ -48,5 +48,5 @@ s1 = solve_mode(p, mode, t1)
 s2 = solve_mode(p, mode, t2)
 s3 = solve_mode(p, mode, BoundaryTrace(a * t1.g_hat + b * t2.g_hat,
                                        a * t1.h_hat + b * t2.h_hat))
-combo = a * s1.coeffs.beta[-1] + b * s2.coeffs.beta[-1]
-print(f"  beta_N: {s3.coeffs.beta[-1]:.12g} vs {combo:.12g}")
+combo = a * s1.batch.beta[0, -1] + b * s2.batch.beta[0, -1]
+print(f"  beta_N: {s3.batch.beta[0, -1]:.12g} vs {combo:.12g}")

@@ -15,9 +15,8 @@ the solution-operator families.
 
 from .errors import (BranchCutError, CaseMismatchError, ConfigurationError,
                      ConsistencyError, DomainError, GridError)
-from .lopatinski import (BoundaryMatrix, LowerBoundReport, boundary_matrix, det_L,
-                         det_M, lower_bound_scan, scan_stability)
-from .modes import (BoundaryTrace, ModeBatch, ModeCoefficients, ModeSolution, ResidualReport,
+from .lopatinski import LowerBoundReport, lower_bound_scan, scan_stability
+from .modes import (BoundaryTrace, ModeBatch, ModeSolution, ResidualReport,
                     assembled_formula_check, batch_residuals, boundary_residuals, pde_residual,
                     solve_mode, solve_modes)
 from .oracle import (BvpConfig, BvpSolution, compare_with_closed_form,
@@ -32,15 +31,15 @@ from .symbols import (SymbolSpec, asymptotic_check, case1_product_constant,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryMatrix", "BoundaryTrace", "BranchCutError", "BvpConfig", "BvpSolution",
+    "BoundaryTrace", "BranchCutError", "BvpConfig", "BvpSolution",
     "Case", "CaseMismatchError", "ConfigurationError", "ConsistencyError",
     "Degeneracy", "DomainError", "FluidParams", "GridError", "LowerBoundReport",
-    "ModeBatch", "ModeCoefficients", "ModeSolution", "ResidualReport", "RootData", "ScanGrid",
+    "ModeBatch", "ModeSolution", "ResidualReport", "RootData", "ScanGrid",
     "SymbolSpec", "TangentialMode", "VerticalProfile", "assembled_formula_check",
-    "asymptotic_check", "batch_residuals", "boundary_matrix", "boundary_residuals",
+    "asymptotic_check", "batch_residuals", "boundary_residuals",
     "case1_product_constant", "char_poly", "classify", "compare_with_closed_form",
     "compute_roots", "confluent_m", "confluent_m0", "confluent_mj",
-    "convergence_study", "det_L", "det_M", "lower_bound_scan", "make_named_symbol",
+    "convergence_study", "lower_bound_scan", "make_named_symbol",
     "pde_residual", "principal_sqrt", "root_lower_bound_scan", "scan_stability",
     "solve_mode", "solve_mode_bvp", "solve_modes", "verify_symbol_class",
 ]

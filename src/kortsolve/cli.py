@@ -153,13 +153,12 @@ def cmd_roots(args):
     return 0
 
 
-def _grid_from_args(args, include_zero_xi=False):
+def _grid_from_args(args):
     return ScanGrid.logspace(
         dim=args.dim,
         xi_range=(args.xi_min, args.xi_max), n_xi=args.n_xi,
         lam_sqrt_range=(args.lam_sqrt_min, args.lam_sqrt_max), n_lam=args.n_lam,
         arg_limit=args.arg_limit, n_arg=args.n_arg,
-        include_zero_xi=include_zero_xi,
     )
 
 

@@ -838,21 +838,6 @@ class PolyGauss:
         return PolyGauss((q.deriv() - shift * q).coef, self.width, self.center)
 
 
-class CosWave:
-    """cos(k x + phase); derivatives cycle through the phase."""
-
-    def __init__(self, k, phase=0.0, amplitude=1.0):
-        self.k = float(k)
-        self.phase = float(phase)
-        self.amplitude = float(amplitude)
-
-    def __call__(self, x):
-        return self.amplitude * np.cos(self.k * np.asarray(x, dtype=float) + self.phase)
-
-    def derivative(self):
-        return CosWave(self.k, self.phase + math.pi / 2.0, self.amplitude * self.k)
-
-
 class SepField:
     """Sum of separable terms prod_axis factor(x_axis); exact derivatives."""
 

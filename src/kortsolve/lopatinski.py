@@ -1,11 +1,14 @@
-"""Boundary determinants and normalized lower-bound scans.
+"""Normalized lower-bound scans of the boundary symbols.
 
 The per-mode boundary systems are 2x2: the matrix L couples (beta_N, gamma_N)
 in the distinct-root cases, and M is its analogue in the double-root case IV.
-Their determinants never vanish for lambda in the closed right half-plane
-minus the origin; the scans below estimate the normalized infima
+Their entries, determinants and the multipliers built on them are written
+once, in the `symbols` registry (`make_named_symbol(params, "detL")` and
+`"detM"` give each determinant's raw expansion and factored form).  The
+determinants never vanish for lambda in the closed right half-plane minus
+the origin; the scans below estimate the normalized infima
 
-    inf |det| / (|lambda|^(1/2) + |xi|)^power
+    inf |symbol| / (|lambda|^(1/2) + |xi|)^power
 
 over log grids as a numerical shadow of that nonvanishing.
 """
@@ -16,73 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseMismatchError, ConsistencyError
-from .spectral import Case, FluidParams, ScanGrid, TangentialMode, compute_roots
+from .errors import ConsistencyError
+from .spectral import FluidParams, ScanGrid
 from .symbols import SYMBOL_ORDERS, stable_symbol_values
-
-# Homogeneity degree of each determinant under (xi, lambda) -> (r xi, r^2 lambda).
-DET_L_DEGREE = 5
-DET_M_DEGREE = 4
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """The 2x2 boundary system: entries and case tag."""
-
-    entries: np.ndarray
-    case: Case
-
-    def det(self) -> complex:
-        a = self.entries
-        return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-
-
-def boundary_matrix(params: FluidParams, mode: TangentialMode) -> BoundaryMatrix:
-    """Assemble the raw boundary matrix for the mode's case (I/II or IV)."""
-    roots = compute_roots(params, mode)
-    t1, t2, om = roots.t1, roots.t2, roots.omega
-    xi_sq = mode.xi_sq
-    if params.case in (Case.I, Case.II):
-        entries = np.array([
-            [t1 * t1 - xi_sq, t2 * t2 - xi_sq],
-            [-t2 * (t1 * om - xi_sq), -t1 * (t2 * om - xi_sq)],
-        ])
-    elif params.case is Case.IV:
-        mu, nu = params.mu, params.nu
-        entries = np.array([
-            [-2.0 * mu * (t2 - om) * (t2 + om), -2.0 * (nu - mu) * t2],
-            [(t2 - om) * (2.0 * mu * om * (t2 + om) + (nu - mu) * xi_sq), (nu - mu) * xi_sq],
-        ])
-    else:
-        raise CaseMismatchError(f"no 2x2 boundary matrix in case {params.case}")
-    return BoundaryMatrix(entries=entries, case=params.case)
-
-
-def det_L(params: FluidParams, mode: TangentialMode) -> complex:
-    """det L = (t2-t1){t1 t2 om (t2+t1) - |xi|^2 (t2^2+t1 t2+t1^2-|xi|^2)}.
-
-    Defined (and nonzero) in cases I and II.
-    """
-    if params.case not in (Case.I, Case.II):
-        raise CaseMismatchError(f"det L requires case I or II, got {params.case}")
-    roots = compute_roots(params, mode)
-    t1, t2, om = roots.t1, roots.t2, roots.omega
-    xi_sq = mode.xi_sq
-    return complex((t2 - t1) * (t1 * t2 * om * (t2 + t1)
-                                - xi_sq * (t2 * t2 + t1 * t2 + t1 * t1 - xi_sq)))
-
-
-def det_M(params: FluidParams, mode: TangentialMode) -> complex:
-    """det M = (nu - mu)(t2 - omega) q(xi, lambda), case IV only."""
-    if params.case is not Case.IV:
-        raise CaseMismatchError(f"det M requires case IV, got {params.case}")
-    roots = compute_roots(params, mode)
-    t2, om = roots.t2, roots.omega
-    xi_sq = mode.xi_sq
-    mu, nu = params.mu, params.nu
-    q = 2.0 * ((2.0 * mu * (t2 + om) * om + (nu - mu) * xi_sq) * t2
-               - mu * (t2 + om) * xi_sq)
-    return complex((nu - mu) * (t2 - om) * q)
 
 
 @dataclass

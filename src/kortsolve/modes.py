@@ -22,7 +22,10 @@ array passes; `pde_residual` runs it on a ModeSolution's batch.
 Two independent evaluation routes exist for every case: the coefficient path
 implemented here (numerically stabilized against the large-|xi| cancellations)
 and the assembled multiplier-times-kernel formulas checked by
-`assembled_formula_check`.
+`assembled_formula_check`.  The assembled route reads its multipliers (the
+cofactors, m_k, n_k, p_k, q, M11, M12, d3 and d5) as the raw forms of the
+`symbols` registry, the same forms the class checks verify, so a defect in
+a registry form shows as a discrepancy between the routes.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .errors import ConsistencyError, DomainError
 from .profiles import VerticalProfile, confluent_m0, confluent_mj
 from .spectral import (Case, FluidParams, TangentialMode, _detL_over_dt, _stable_tw_minus_xisq,
                        compute_roots, root_arrays)
+from .symbols import make_named_symbol
 
 
 @dataclass(frozen=True)
@@ -54,18 +58,6 @@ class BoundaryTrace:
 
     def scale(self) -> float:
         return max(abs(self.g_hat), float(np.max(np.abs(self.h_hat))) if self.h_hat.size else 0.0)
-
-
-@dataclass(frozen=True)
-class ModeCoefficients:
-    """Raw ansatz coefficients (alpha_J, beta_J, gamma_J, sigma, tau)."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    sigma: complex
-    tau: complex
-    case: Case
 
 
 # Each case formula below is written once and runs on either scalars or
@@ -294,10 +286,11 @@ class ModeBatch:
 
 @dataclass(frozen=True)
 class ModeSolution:
-    """One solved mode as its batch of one; `rho`, `u`, `phi` and `coeffs` are views.
+    """One solved mode as its batch of one; `rho`, `u` and `phi` are views.
 
-    The views are VerticalProfiles on the term slots of the batch's case and
-    the raw ansatz coefficients, built from `batch` on access.
+    The views are VerticalProfiles on the term slots of the batch's case,
+    built from `batch` on access; the raw ansatz coefficients are the
+    batch's own (`batch.beta[0]` and so on).
     """
 
     batch: ModeBatch
@@ -324,13 +317,6 @@ class ModeSolution:
     @property
     def phi(self) -> VerticalProfile:
         return self._profile(len(self.batch.coeffs) - 1)
-
-    @property
-    def coeffs(self) -> ModeCoefficients:
-        b = self.batch
-        return ModeCoefficients(alpha=b.alpha[0], beta=b.beta[0], gamma=b.gamma[0],
-                                sigma=complex(b.sigma[0]), tau=complex(b.tau[0]),
-                                case=b.params.case)
 
 
 def _batch(params, lam, xi, h, rates, beta, gamma, sigma, tau) -> ModeBatch:
@@ -559,26 +545,28 @@ def boundary_residuals(params: FluidParams, mode: TangentialMode, solution: Mode
 # ---------------------------------------------------------------------------
 
 
+def _raw_symbols(params, mode, *names):
+    """The raw registry forms of the named symbols at one mode, as complex scalars."""
+    return [complex(make_named_symbol(params, name).eval(mode.xi, mode.lam)) for name in names]
+
+
 def _assembled_case_1_2(params, mode, trace, x):
     roots = compute_roots(params, mode)
     t1, t2, om = roots.t1, roots.t2, roots.omega
     lam = mode.lam
     xi = mode.xi
-    xi_sq = mode.xi_sq
     s1, s2 = params.s1, params.s2
     g = trace.g_hat
     h = trace.h_hat
-    ixh = 1j * complex(np.dot(xi, h))
 
-    L11 = -t1 * (t2 * om - xi_sq)
-    L21 = t2 * (t1 * om - xi_sq)
+    L11, L21, m1, m2, n1, n2, p1, p2 = _raw_symbols(
+        params, mode, "L11", "L21", "m1", "m2", "n1", "n2", "p1", "p2")
     L_k1 = {1: L11, 2: L21}
     t_k = {1: t1, 2: t2}
     s_k = {1: s1, 2: s2}
-    m_k = {k: t_k[k] * (t_k[k] + om) * _raw_detL(t1, t2, om, xi_sq) / (lam * (t2 - t1))
-           for k in (1, 2)}
-    p_k = {1: (t1 + om) / (t2 + om), 2: (t2 + om) / (t1 + om)}
-    n_k = {1: (t2 + om) * L11 / lam, 2: (t1 + om) * L21 / lam}
+    m_k = {1: m1, 2: m2}
+    p_k = {1: p1, 2: p2}
+    n_k = {1: n1, 2: n2}
 
     e_t1 = np.exp(-t1 * x)
     e_om = np.exp(-om * x)
@@ -613,10 +601,6 @@ def _assembled_case_1_2(params, mode, trace, x):
     return rho, u
 
 
-def _raw_detL(t1, t2, om, xi_sq):
-    return t2 * (t2 * t2 - xi_sq) * (t1 * om - xi_sq) - t1 * (t1 * t1 - xi_sq) * (t2 * om - xi_sq)
-
-
 def _assembled_case_3(params, mode, trace, x):
     roots = compute_roots(params, mode)
     om = roots.omega
@@ -626,7 +610,7 @@ def _assembled_case_3(params, mode, trace, x):
     ts = np.sqrt(complex(mode.xi_sq + inv_nu * lam))
     g = trace.g_hat
     h = trace.h_hat
-    d3 = ts * om + inv_nu * lam
+    d3, = _raw_symbols(params, mode, "d3")
 
     e_om = np.exp(-om * x)
     mker = confluent_m0(om, ts, x)  # (e^{-t* x} - e^{-om x})/(t* - om)
@@ -662,10 +646,7 @@ def _assembled_case_4(params, mode, trace, x):
     g = trace.g_hat
     h = trace.h_hat
 
-    q = 2.0 * ((2.0 * mu * (t2 + om) * om + (nu - mu) * xi_sq) * t2
-               - mu * (t2 + om) * xi_sq)
-    M11 = (nu - mu) * xi_sq
-    M12 = 2.0 * (nu - mu) * t2
+    q, M11, M12 = _raw_symbols(params, mode, "q", "M11", "M12")
     # Ratios with the (t2 - om) factor cancelled in closed form.
     M21_r = -(2.0 * mu * (t2 + om) * om + (nu - mu) * xi_sq)
     M22_r = -2.0 * mu * (t2 + om)
@@ -713,7 +694,7 @@ def _assembled_case_5(params, mode, trace, x):
     im = params.inv_mu
     g = trace.g_hat
     h = trace.h_hat
-    d5 = om * om + im * lam
+    d5, = _raw_symbols(params, mode, "d5")
 
     e_om = np.exp(-om * x)
     xe_om = x * e_om

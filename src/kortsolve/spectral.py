@@ -293,7 +293,8 @@ class ScanGrid:
     """Log-spaced product grid over tangential frequencies and resolvent values.
 
     The grid is the Cartesian product of |xi| magnitudes, unit directions,
-    |lambda| magnitudes and arg(lambda) values.
+    |lambda| magnitudes and arg(lambda) values.  Every entry must be finite,
+    and every lambda must lie in the open right half-plane, |arg| < pi/2.
     """
 
     xi_magnitudes: np.ndarray
@@ -310,20 +311,23 @@ class ScanGrid:
         if self.xi_magnitudes.size == 0 or self.lambda_magnitudes.size == 0 \
                 or self.lambda_args.size == 0 or self.directions.size == 0:
             raise GridError("scan grid axes must be non-empty")
+        for name in ("xi_magnitudes", "directions", "lambda_magnitudes", "lambda_args"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise GridError(f"scan grid {name} must be finite")
         if np.any(self.xi_magnitudes < 0) or np.any(self.lambda_magnitudes <= 0):
             raise GridError("grid magnitudes must be positive (xi may include 0)")
+        if np.any(np.abs(self.lambda_args) >= math.pi / 2):
+            raise GridError("scan grid lambda_args must satisfy |arg lambda| < pi/2")
 
     @classmethod
     def logspace(cls, dim=2, xi_range=(1e-3, 1e3), n_xi=24, lam_sqrt_range=(1e-3, 1e3),
-                 n_lam=24, arg_limit=math.pi / 2 - 0.05, n_arg=5, include_zero_xi=False):
+                 n_lam=24, arg_limit=math.pi / 2 - 0.05, n_arg=5):
         """Build the default scan: |xi| and |lambda|^(1/2) log-spaced, args symmetric.
 
         The scan stays strictly inside the right half-plane; by default the
         boundary |arg lambda| = pi/2 is approached up to 0.05 rad.
         """
         xi_mags = np.geomspace(xi_range[0], xi_range[1], n_xi)
-        if include_zero_xi:
-            xi_mags = np.concatenate([[0.0], xi_mags])
         lam_mags = np.geomspace(lam_sqrt_range[0], lam_sqrt_range[1], n_lam) ** 2
         args = np.linspace(-arg_limit, arg_limit, n_arg)
         dirs = np.zeros((1, dim - 1))

@@ -38,11 +38,6 @@ __all__ = [
 # -- raw and rewritten forms of the named symbols ---------------------------
 
 
-def _detL_raw(params, xi_sq, lam):
-    t1, t2, om = root_arrays(params, xi_sq, lam)
-    return t2 * (t2 * t2 - xi_sq) * (t1 * om - xi_sq) - t1 * (t1 * t1 - xi_sq) * (t2 * om - xi_sq)
-
-
 def _detL_factored(params, xi_sq, lam):
     t1, t2, om = root_arrays(params, xi_sq, lam)
     return (t2 - t1) * (t1 * t2 * om * (t2 + t1) - xi_sq * (t2 * t2 + t1 * t2 + t1 * t1 - xi_sq))
@@ -59,6 +54,13 @@ def _cofactor_L(params, xi_sq, lam, which):
     if which == "L22":
         return t1 * t1 - xi_sq
     raise KeyError(which)
+
+
+def _detL_raw(params, xi_sq, lam):
+    """det L = L11 L22 - L12 L21, the definitional 2x2 expansion on the cofactors."""
+    L11, L12, L21, L22 = (_cofactor_L(params, xi_sq, lam, which)
+                          for which in ("L11", "L12", "L21", "L22"))
+    return L11 * L22 - L12 * L21
 
 
 def _m_raw(params, xi_sq, lam, k):
@@ -145,13 +147,10 @@ def _M_entry(params, xi_sq, lam, which):
 
 
 def _detM_raw(params, xi_sq, lam):
-    t1, t2, om = root_arrays(params, xi_sq, lam)
-    mu, nu = params.mu, params.nu
-    a11 = -2.0 * mu * (t2 - om) * (t2 + om)
-    a12 = -2.0 * (nu - mu) * t2
-    a21 = (t2 - om) * (2.0 * mu * om * (t2 + om) + (nu - mu) * xi_sq)
-    a22 = (nu - mu) * xi_sq
-    return a11 * a22 - a12 * a21
+    """det M = M11 M22 - M12 M21, the definitional 2x2 expansion on the entries."""
+    M11, M12, M21, M22 = (_M_entry(params, xi_sq, lam, which)
+                          for which in ("M11", "M12", "M21", "M22"))
+    return M11 * M22 - M12 * M21
 
 
 def _detM_factored(params, xi_sq, lam):

@@ -133,6 +133,14 @@ class TestScans:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "potential zero" in err
 
+    @pytest.mark.parametrize("flag", [["--xi-min", "nan"], ["--arg-limit", "3.0"]])
+    def test_invalid_grid_is_one_error_line(self, flag, capsys):
+        code, out, err = run(["lopatinski-scan", "--mu", "1", "--nu", "1", "--kappa", "2",
+                              "--name", "m1", *flag], capsys)
+        assert code == TOLERANCE_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_symbol_check_runs(self, tmp_path, capsys):
         code, _, _ = run(["symbol-check", "--mu", "3", "--nu", "1", "--kappa", "1",
                           "--name", "n1", "--n-xi", "6", "--n-lam", "6", "--n-arg", "3",

@@ -1,84 +1,80 @@
 import math
 
+import numpy as np
 import pytest
 
-from kortsolve import (CaseMismatchError, ScanGrid, TangentialMode, boundary_matrix,
-                       classify, det_L, det_M, lower_bound_scan, scan_stability)
+from kortsolve import (CaseMismatchError, ScanGrid, classify, lower_bound_scan,
+                       make_named_symbol, scan_stability)
 
 from tests.conftest import CASE_PARAMS, random_mode_values
+
+
+def _forms(p, name, points):
+    """The raw expansion and the factored form of a registry determinant over (xi, lam) pairs."""
+    sym = make_named_symbol(p, name)
+    xi = np.array([xi for xi, _ in points])
+    lam = np.array([lam for _, lam in points])
+    return sym.eval(xi, lam), sym.alt_eval(xi, lam)
 
 
 class TestDetL:
     def test_value_and_oracle(self, params_by_case):
         p = params_by_case["I"]
-        mode = TangentialMode(xi=[0.0], lam=1.0)
-        val = det_L(p, mode)
+        (raw,), (val,) = _forms(p, "detL", [([0.0], 1.0)])
         assert val == pytest.approx(1j * math.sqrt(0.5), rel=1e-12)
-        assert val == pytest.approx(boundary_matrix(p, mode).det(), rel=1e-12)
+        assert val == pytest.approx(raw, rel=1e-12)
 
     def test_degree_five_scaling(self, params_by_case):
         p = params_by_case["II"]
-        a = det_L(p, TangentialMode(xi=[0.8], lam=1.3 + 0.4j))
-        b = det_L(p, TangentialMode(xi=[2.4], lam=(1.3 + 0.4j) * 9.0))
+        _, (a, b) = _forms(p, "detL", [([0.8], 1.3 + 0.4j), ([2.4], (1.3 + 0.4j) * 9.0)])
         assert b == pytest.approx(243.0 * a, rel=1e-12)
 
     def test_factored_vs_raw_bulk(self, rng):
         for case in ("I", "II"):
             p = classify(*CASE_PARAMS[case])
-            worst = 0.0
-            for xi, lam in random_mode_values(rng, 2500, xi_range=(0.2, 5.0),
-                                              lam_range=(0.04, 25.0)):
-                mode = TangentialMode(xi=xi, lam=lam)
-                raw = boundary_matrix(p, mode).det()
-                fac = det_L(p, mode)
-                worst = max(worst, abs(raw - fac) / abs(fac))
+            raw, fac = _forms(p, "detL", random_mode_values(rng, 2500, xi_range=(0.2, 5.0),
+                                                             lam_range=(0.04, 25.0)))
+            worst = np.max(np.abs(raw - fac) / np.abs(fac))
             assert worst <= 1e-12, case
 
     def test_nonzero_on_scan(self, params_by_case):
         p = params_by_case["I"]
         xi_sq, xi, lam = ScanGrid.logspace(n_xi=16, n_lam=16).flat_points()
-        for x, l in zip(xi[:100], lam[:100]):
-            assert det_L(p, TangentialMode(xi=[x], lam=l)) != 0
+        _, fac = _forms(p, "detL", [([x], l) for x, l in zip(xi[:100], lam[:100])])
+        assert np.all(fac != 0)
 
     def test_wrong_case_rejected(self, params_by_case):
         with pytest.raises(CaseMismatchError):
-            det_L(params_by_case["IV"], TangentialMode(xi=[1.0], lam=1.0))
+            make_named_symbol(params_by_case["IV"], "detL")
 
 
 class TestDetM:
     def test_value_against_raw_determinant(self, params_by_case):
         p = params_by_case["IV"]  # (3, 1, 4)
-        mode = TangentialMode(xi=[0.0], lam=1.0)
-        raw = boundary_matrix(p, mode).det()
-        fac = det_M(p, mode)
+        (raw,), (fac,) = _forms(p, "detM", [([0.0], 1.0)])
         assert fac == pytest.approx(raw, rel=1e-12)
         # frozen regression value from the raw 2x2 determinant
         assert fac == pytest.approx(-1.6329931618554532, rel=1e-12)
 
     def test_factorization_bulk(self, params_by_case, rng):
         p = params_by_case["IV"]
-        worst = 0.0
-        for xi, lam in random_mode_values(rng, 2500, xi_range=(0.2, 5.0),
-                                          lam_range=(0.04, 25.0)):
-            mode = TangentialMode(xi=xi, lam=lam)
-            raw = boundary_matrix(p, mode).det()
-            fac = det_M(p, mode)
-            worst = max(worst, abs(raw - fac) / abs(fac))
-        assert worst <= 1e-12
+        raw, fac = _forms(p, "detM", random_mode_values(rng, 2500, xi_range=(0.2, 5.0),
+                                                         lam_range=(0.04, 25.0)))
+        assert np.max(np.abs(raw - fac) / np.abs(fac)) <= 1e-12
 
     def test_scaling_degree_confirmed_by_sweep(self, params_by_case):
         # measure the homogeneity degree before asserting it
         p = params_by_case["IV"]
-        base = det_M(p, TangentialMode(xi=[0.7], lam=1.2 + 0.5j))
         r = 10.0
-        scaled = det_M(p, TangentialMode(xi=[0.7 * r], lam=(1.2 + 0.5j) * r * r))
+        _, (base, scaled) = _forms(p, "detM", [([0.7], 1.2 + 0.5j),
+                                               ([0.7 * r], (1.2 + 0.5j) * r * r)])
         degree = math.log10(abs(scaled / base))
         assert degree == pytest.approx(4.0, abs=1e-9)
         assert scaled == pytest.approx(r**4 * base, rel=1e-12)
 
     def test_wrong_case_rejected(self, params_by_case):
         with pytest.raises(CaseMismatchError):
-            det_M(params_by_case["I"], TangentialMode(xi=[1.0], lam=1.0))
+            make_named_symbol(params_by_case["I"], "detM")
 
 
 class TestLowerBoundScan:

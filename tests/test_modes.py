@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from kortsolve import (BoundaryTrace, Case, ConsistencyError, DomainError, ModeSolution,
                        TangentialMode, VerticalProfile, assembled_formula_check,
-                       boundary_residuals, classify, compute_roots, pde_residual, solve_mode)
+                       boundary_residuals, classify, compute_roots, make_named_symbol,
+                       pde_residual, solve_mode)
+from kortsolve import symbols
 from kortsolve.modes import (DECAY_SUPPORT, _batch, _derivative, batch_residuals,
                              default_sample_points, evaluate_profiles, solve_modes)
 
@@ -37,10 +39,9 @@ class TestSolveMode:
         # beta_N = lambda L11 g / det L for pure-g data
         p, mode, trace, sol = _solve((1, 1, 2), 1.0, 1.0, 1.0, 0.0)
         r = compute_roots(p, mode)
-        from kortsolve import boundary_matrix, det_L
         L11 = -r.t1 * (r.t2 * r.omega - 1.0)
-        expect = mode.lam * L11 / det_L(p, mode)
-        assert sol.coeffs.beta[-1] == pytest.approx(expect, rel=1e-12)
+        expect = mode.lam * L11 / make_named_symbol(p, "detL").alt_eval(mode.xi, mode.lam)
+        assert sol.batch.beta[0, -1] == pytest.approx(expect, rel=1e-12)
         assert sol.rho.derivative_at_zero() == pytest.approx(-1.0, rel=1e-12)
         rep = pde_residual(p, mode, sol)
         assert rep.pde_max <= PDE_TOL
@@ -48,7 +49,7 @@ class TestSolveMode:
     def test_case_five_unit_example(self):
         # omega = 1, beta_N = -1/2, u_N = -x e^{-x} / 2, dN rho(0) = -1
         p, mode, trace, sol = _solve((1, 1, 1), 0.0, 1.0, 1.0, 0.0)
-        assert sol.coeffs.beta[-1] == pytest.approx(-0.5)
+        assert sol.batch.beta[0, -1] == pytest.approx(-0.5)
         x = np.linspace(0, 5, 11)
         np.testing.assert_allclose(sol.u[-1].evaluate(x), -0.5 * x * np.exp(-x),
                                    rtol=0, atol=1e-15)
@@ -106,8 +107,8 @@ class TestSolveMode:
         s2 = solve_mode(p, mode, BoundaryTrace(g2, h2))
         s3 = solve_mode(p, mode, BoundaryTrace(a * g1 + b * g2, a * h1 + b * h2))
         for attr in ("alpha", "beta", "gamma"):
-            lhs = getattr(s3.coeffs, attr)
-            rhs = a * getattr(s1.coeffs, attr) + b * getattr(s2.coeffs, attr)
+            lhs = getattr(s3.batch, attr)[0]
+            rhs = a * getattr(s1.batch, attr)[0] + b * getattr(s2.batch, attr)[0]
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * np.abs(rhs).max())
 
     def test_homogeneity_of_u_coefficients(self, params_by_case):
@@ -121,10 +122,10 @@ class TestSolveMode:
             m2 = TangentialMode(xi=[0.8 * r], lam=(1.5 + 0.5j) * r * r)
             sg1 = solve_mode(p, m1, BoundaryTrace(1.0, [0.0]))
             sg2 = solve_mode(p, m2, BoundaryTrace(1.0, [0.0]))
-            assert sg2.coeffs.beta[-1] == pytest.approx(sg1.coeffs.beta[-1], rel=1e-11)
+            assert sg2.batch.beta[0, -1] == pytest.approx(sg1.batch.beta[0, -1], rel=1e-11)
             sh1 = solve_mode(p, m1, BoundaryTrace(0.0, [1.0]))
             sh2 = solve_mode(p, m2, BoundaryTrace(0.0, [1.0]))
-            assert sh2.coeffs.beta[-1] == pytest.approx(sh1.coeffs.beta[-1], rel=1e-11)
+            assert sh2.batch.beta[0, -1] == pytest.approx(sh1.batch.beta[0, -1], rel=1e-11)
             x = np.linspace(0.0, 4.0, 9)
             np.testing.assert_allclose(sh2.u[-1].evaluate(x / r), sh1.u[-1].evaluate(x),
                                        rtol=1e-11)
@@ -214,6 +215,18 @@ class TestAssembledFormulas:
         with pytest.raises(ConsistencyError):
             assembled_formula_check(p, mode, BoundaryTrace(1.0, [0.5]), fail_above=1e-18)
 
+    @pytest.mark.parametrize("case, name", [("I", "m1"), ("II", "n2"), ("I", "L21"),
+                                            ("III", "d3"), ("IV", "q"), ("IV", "M12"),
+                                            ("V", "d5")])
+    def test_route_applies_registry_forms(self, params_by_case, monkeypatch, case, name):
+        # a defect in one registry raw form must show as a route discrepancy
+        order, cases, raw, alt = symbols._REGISTRY[name]
+        perturbed = (order, cases, lambda *args: raw(*args) * (1.0 + 1e-6), alt)
+        monkeypatch.setitem(symbols._REGISTRY, name, perturbed)
+        mode = TangentialMode(xi=[0.9], lam=1.3 + 0.6j)
+        with pytest.raises(ConsistencyError):
+            assembled_formula_check(params_by_case[case], mode, BoundaryTrace(1.0, [0.5 - 0.25j]))
+
 
 # ---------------------------------------------------------------------------
 # Test-only reference: the per-mode residual on VerticalProfile algebra that
@@ -259,7 +272,7 @@ def _reference_pde_residual(params, mode, solution, x):
     trace_scale = max(abs(c) for c in
                       [*(p.value_at_zero() for p in u), rho.derivative_at_zero(), 1e-300])
     for j in range(mode.dim - 1):
-        target = solution.coeffs.alpha[j]
+        target = solution.batch.alpha[0, j]
         scale = max(u[j].magnitude_scale(), abs(target), trace_scale)
         per_boundary[f"u_{j + 1}(0)-h_{j + 1}"] = abs(u[j].value_at_zero() - target) / scale
     per_boundary["u_N(0)"] = abs(u[-1].value_at_zero()) \

@@ -227,3 +227,19 @@ class TestRootScan:
         with pytest.raises(GridError):
             ScanGrid(xi_magnitudes=[], directions=[[1.0]],
                      lambda_magnitudes=[1.0], lambda_args=[0.0])
+
+    @pytest.mark.parametrize("axes", [
+        {"xi_magnitudes": [1.0, math.nan]},
+        {"xi_magnitudes": [math.inf]},
+        {"directions": [[math.nan]]},
+        {"lambda_magnitudes": [1.0, math.inf]},
+        {"lambda_args": [math.nan]},
+        {"lambda_args": [0.0, math.pi / 2]},
+        {"lambda_args": [-3.0]},
+    ])
+    def test_non_finite_or_outside_half_plane_rejected(self, axes):
+        from kortsolve import GridError
+        grid = dict(xi_magnitudes=[1.0], directions=[[1.0]],
+                    lambda_magnitudes=[1.0], lambda_args=[0.0])
+        with pytest.raises(GridError):
+            ScanGrid(**{**grid, **axes})
