@@ -8,12 +8,14 @@ boundary conditions
 reduce, per mode (xi, lambda), to a small linear system for the coefficients
 of exponential profiles.  The shape of the ansatz depends on how the roots
 t1, t2, omega degenerate (cases I-V), and each case has a fixed term layout.
-`solve_modes` solves M modes at one lambda in one array pass and returns a
-ModeBatch: the rates and profile coefficients of rho, u_1..u_N and the
-divergence phi = i xi . u' + d_N u_N (which satisfies lambda rho + phi = 0),
-with exact vertical derivatives as coefficient transforms.  `solve_mode`
-runs the same case formulas on one mode's scalars and returns its batch of
-one as a ModeSolution, with VerticalProfile views.  `batch_residuals` checks
+`solve_modes` solves M modes, at one lambda or at one lambda per mode, in
+one array pass and returns a ModeBatch: the rates and profile coefficients
+of rho, u_1..u_N and the divergence phi = i xi . u' + d_N u_N (which
+satisfies lambda rho + phi = 0), with exact vertical derivatives as
+coefficient transforms.  Its complex products and quotients round as
+Python's complex scalars do, so a mode gets the same bits in any batch.
+`solve_mode` returns a mode's batch of one as a ModeSolution, with
+VerticalProfile views.  `batch_residuals` checks
 the interior identities and boundary conditions of selected batch modes in
 array passes; `pde_residual` runs it on a ModeSolution's batch.
 `_derivative` and `evaluate_profiles` differentiate and evaluate any
@@ -30,6 +32,7 @@ a registry form shows as a discrepancy between the routes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -61,8 +64,15 @@ class BoundaryTrace:
 
 
 # Each case formula below is written once and runs on either scalars or
-# arrays: on one mode's Python scalars (`solve_mode`, with the roots of
-# `compute_roots`) or on (M,) arrays over a batch of modes (`solve_modes`).
+# arrays: on one mode's Python complex scalars, or on (M,) `_Rounded` arrays
+# over a batch of modes (`solve_modes`), whose products and quotients round
+# as those scalars do.  So every mode of a batch has the bits of its scalar
+# solve, whatever the batch.
+
+
+def _sqrt(z):
+    """Principal square root: cmath's on a scalar, numpy's (the same bits) on arrays."""
+    return np.sqrt(z) if isinstance(z, np.ndarray) else cmath.sqrt(z)
 
 
 def _tangential_part(xi, t, normal):
@@ -96,7 +106,7 @@ def _solve_case_3(params, xi, xi_sq, lam, g, ixh, t1, t2, om):
     """One t coincides with omega; the other root t* = sqrt(|xi|^2 + lam/nu)."""
     inv_nu = 1.0 / params.nu
     im = params.inv_mu
-    ts = np.sqrt(xi_sq + inv_nu * lam)
+    ts = _sqrt(xi_sq + inv_nu * lam)
 
     # (t* - om)(t* om + lam/nu) with t* - om = (1/nu - 1/mu) lam / (t* + om).
     denom = (inv_nu - im) * lam * (ts * om + inv_nu * lam) / (ts + om)
@@ -172,12 +182,12 @@ DECAY_SUPPORT = 46.0
 
 
 def _times(a, b):
-    """a * b on complex arrays, rounded as numpy's scalar complex product.
+    """a * b on complex arrays, rounded as a scalar complex product.
 
     numpy's array kernel for complex products may fuse a multiply with an
-    add, so it rounds differently from a scalar product such as the `-c * t`
-    of `VerticalProfile.differentiate`.  Written out in float arithmetic,
-    (ar br - ai bi) + i (ar bi + ai br), the product rounds like the scalar.
+    add, so it rounds differently from a scalar product, Python's or the
+    `-c * t` of `VerticalProfile.differentiate`.  Written out in float
+    arithmetic, (ar br - ai bi) + i (ar bi + ai br), it rounds like them.
     """
     re = a.real * b.real
     re -= a.imag * b.imag
@@ -186,6 +196,48 @@ def _times(a, b):
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out
+
+
+def _quot(a, b):
+    """a / b on complex arrays, rounded as Python's complex quotient.
+
+    CPython divides by Smith's method: numerator and divisor are scaled by
+    the ratio of the divisor's smaller part to its larger one.  The branch
+    on |Re b| >= |Im b| is taken per element by swapping the parts.
+    """
+    big = np.abs(b.real) >= np.abs(b.imag)
+    p, q = np.where(big, b.real, b.imag), np.where(big, b.imag, b.real)
+    x, y = np.where(big, a.real, a.imag), np.where(big, a.imag, a.real)
+    ratio = q / p
+    denom = p + q * ratio
+    xr = x * ratio
+    out = np.empty(denom.shape, dtype=complex)
+    out.real = (x + y * ratio) / denom
+    out.imag = np.where(big, y - xr, xr - y) / denom
+    return out
+
+
+class _Rounded(np.ndarray):
+    """An array whose complex * and / round as Python's complex scalars do.
+
+    `solve_modes` runs the case formulas on these, so each mode of a batch
+    gets the bits of the same formula on its Python scalars.  Every other
+    operation is numpy's own, and `np.asarray` gives a plain array back.
+    The formulas write no result in place (`out=`), which this type does
+    not support.
+    """
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(a) if isinstance(a, _Rounded) else a for a in inputs]
+        rounded = _ROUNDED.get(ufunc) if method == "__call__" and not kwargs else None
+        if rounded is not None and any(map(np.iscomplexobj, inputs)):
+            out = rounded(*inputs)
+        else:
+            out = getattr(ufunc, method)(*inputs, **kwargs)
+        return out.view(_Rounded) if isinstance(out, np.ndarray) else out
+
+
+_ROUNDED = {np.multiply: _times, np.divide: _quot}
 
 
 def _derivative(coeffs, factor, order):
@@ -222,7 +274,10 @@ def evaluate_profiles(rates, coeffs, x, out=None) -> np.ndarray:
     order of x, and is zero beyond.  Past that point every term is below
     e^{-46} (power 0) or 46 e^{-45} < e^{-41} (power 1) of its own peak,
     |c| at x = 0 or |c| / (e Re t) at x = 1 / Re t.  The (mode, x) pairs in
-    support are found once per call.
+    support are found once per call.  A rate is evaluated only for the modes
+    with a nonzero coefficient on it, and skipped if there are none: the
+    zero-padded slots of a stacked draw would add only zeros, which change
+    no bit of a sum.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
@@ -241,21 +296,30 @@ def evaluate_profiles(rates, coeffs, x, out=None) -> np.ndarray:
     pairs += modes * (out.shape[-1] - x.size)  # their flat index into an (M, W) block
     # each out block flattens to a view, by the strides checked above
     blocks = [(coeffs[i], out[i].reshape(-1)) for i in np.ndindex(coeffs.shape[:-3])]
+    live = np.any(coeffs != 0.0, axis=tuple(range(coeffs.ndim - 3)) + (-1,))  # (M, R)
     for r in range(n_rates):
-        basis = np.exp(-(rates[modes, r] * xs))
+        on = live[modes, r]
+        if on.all():
+            m, xr, at = modes, xs, pairs
+        elif on.any():
+            m, xr, at = modes[on], xs[on], pairs[on]
+        else:
+            continue
+        basis = np.exp(-(rates[m, r] * xr))
         for p in range(n_powers):
             if p:
-                basis = basis * xs
+                basis = basis * xr
             for c, o in blocks:
-                o[pairs] += c[modes, r, p] * basis
+                o[at] += c[m, r, p] * basis
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class ModeBatch:
-    """Solutions of M tangential modes at one lambda, in the case's term layout.
+    """Solutions of M tangential modes, in the case's term layout.
 
-    `rates` (M, R) holds the decay rates: (omega, t1, t2) in cases I/II,
+    `lam` is one complex lambda for every mode or an (M,) array of one per
+    mode.  `rates` (M, R) holds the decay rates: (omega, t1, t2) in cases I/II,
     (omega, t*) in case III, (omega, t2) in case IV and (omega,) in case V.
     `coeffs` (N + 2, M, R, P) holds the profile coefficients of rho,
     u_1..u_N and phi on x^p e^{-rate x}, p < P (P = 2 in cases IV and V,
@@ -264,7 +328,7 @@ class ModeBatch:
     """
 
     params: FluidParams
-    lam: complex
+    lam: complex | np.ndarray
     xi: np.ndarray
     rates: np.ndarray
     coeffs: np.ndarray
@@ -279,7 +343,8 @@ class ModeBatch:
 
     def take(self, modes) -> "ModeBatch":
         """The batch of the selected modes (an index array or a boolean mask)."""
-        per_mode = ("xi", "rates", "alpha", "beta", "gamma", "sigma", "tau")
+        per_mode = ("xi", "rates", "alpha", "beta", "gamma", "sigma", "tau") \
+            + (("lam",) if np.ndim(self.lam) else ())
         return replace(self, coeffs=self.coeffs[:, modes],
                        **{k: getattr(self, k)[modes] for k in per_mode})
 
@@ -335,61 +400,59 @@ def _batch(params, lam, xi, h, rates, beta, gamma, sigma, tau) -> ModeBatch:
     phi = coeffs[dim + 1]
     phi[:, s_slot[0], s_slot[1]] = sigma
     phi[:, t_slot[0], t_slot[1]] = tau
-    coeffs[0] = phi * complex(-1.0 / lam)
+    coeffs[0] = phi * _quot(-1.0, np.reshape(lam, (-1, 1, 1)))
     return ModeBatch(params=params, lam=lam, xi=xi, rates=rates, coeffs=coeffs,
                      alpha=alpha, beta=beta, gamma=gamma, sigma=sigma, tau=tau)
-
-
-def _require_half_plane(lam):
-    if lam.real <= 0.0:
-        raise DomainError(f"the mode solve requires Re lambda > 0, got {lam}")
 
 
 def solve_modes(params: FluidParams, xi, lam, g_hat, h_hat) -> ModeBatch:
     """Solve the reduced boundary value problem for M tangential modes at once.
 
-    xi (M, N-1) are the tangential frequencies, g_hat (M,) and h_hat
-    (M, N-1) the boundary traces.  Requires Re lambda > 0, the half-plane on
-    which the boundary systems are certified nonvanishing; other lambda raise
-    DomainError.  The profiles satisfy the interior equations and the
-    boundary conditions exactly in the profile algebra.
+    xi (M, N-1) are the tangential frequencies, lam one lambda for every
+    mode or an (M,) array of one per mode, g_hat (M,) and h_hat (M, N-1)
+    the boundary traces.  Every xi and lambda must be finite with
+    Re lambda > 0, the half-plane on which the boundary systems are
+    certified nonvanishing; otherwise DomainError names the first bad mode.
+    The case formulas run on `_Rounded` arrays, so each mode gets the bits
+    of the same formulas on its Python complex scalars (with |xi|^2 and
+    xi . h summed in axis order), whatever the batch around it.  The
+    profiles satisfy the interior equations and the boundary conditions
+    exactly in the profile algebra.
     """
-    lam = complex(lam)
-    _require_half_plane(lam)
     xi = np.asarray(xi, dtype=float)
+    lams = np.asarray(lam, dtype=complex)
     g = np.asarray(g_hat, dtype=complex)
     h = np.asarray(h_hat, dtype=complex)
-    if xi.ndim != 2 or g.shape != xi.shape[:1] or h.shape != xi.shape:
-        raise DomainError("need xi (M, N-1), g_hat (M,) and h_hat (M, N-1)")
+    if xi.ndim != 2 or g.shape != xi.shape[:1] or h.shape != xi.shape \
+            or lams.shape not in ((), g.shape):
+        raise DomainError("need xi (M, N-1), lambda scalar or (M,), g_hat (M,) and h_hat (M, N-1)")
+    bad = ~(np.isfinite(xi).all(axis=1) & np.isfinite(lams) & (lams.real > 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise DomainError(f"the mode solve requires finite xi and lambda with Re lambda > 0; "
+                          f"mode {k} has xi = {xi[k]}, lambda = {lams[k] if lams.ndim else lams}")
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
         raise DomainError("boundary trace entries must be finite")
-    xi_sq = np.sum(xi * xi, axis=1)
-    ixh = 1j * np.sum(xi * h, axis=1)
-    rates, *solved = _CASES[params.case][0](params, xi, xi_sq, lam, g, ixh,
+    lam = lams.view(_Rounded) if lams.ndim else complex(lams)
+    xi_r = xi.view(_Rounded)
+    xi_sq = np.sum(xi_r * xi_r, axis=1)
+    ixh = 1j * np.sum(xi_r * h.view(_Rounded), axis=1)
+    rates, *solved = _CASES[params.case][0](params, xi, xi_sq, lam, g.view(_Rounded), ixh,
                                             *root_arrays(params, xi_sq, lam))
-    return _batch(params, lam, xi, h, np.stack(rates, axis=1), *solved)
+    return _batch(params, lams if lams.ndim else lam, xi, h,
+                  *(np.asarray(a) for a in (np.stack(rates, axis=1), *solved)))
 
 
 def solve_mode(params: FluidParams, mode: TangentialMode, trace: BoundaryTrace) -> ModeSolution:
     """Solve the reduced boundary value problem for one tangential mode.
 
-    Requires Re lambda > 0, so sector modes raise DomainError.  The case
-    formulas of `solve_modes` run on this mode's scalars, in Python complex
-    arithmetic, and the result is the view of a batch of one.  numpy's array
-    kernels round complex products differently, so `solve_modes` matches
-    this to rounding, not bit for bit.
+    The mode's batch of one from `solve_modes`, so it requires Re lambda > 0
+    and sector modes raise DomainError.
     """
-    _require_half_plane(mode.lam)
     if trace.h_hat.shape != (mode.dim - 1,):
         raise DomainError(f"h_hat must have length {mode.dim - 1}")
-    roots = compute_roots(params, mode)
-    ixh = 1j * complex(np.dot(mode.xi, trace.h_hat))
-    rates, beta, gamma, sigma, tau = _CASES[params.case][0](
-        params, mode.xi, mode.xi_sq, mode.lam, trace.g_hat, ixh,
-        roots.t1, roots.t2, roots.omega)
-    batch = _batch(params, mode.lam, mode.xi[None], trace.h_hat[None], np.array([rates]),
-                   beta[None], gamma[None], np.array([sigma]), np.array([tau]))
-    return ModeSolution(batch)
+    return ModeSolution(solve_modes(params, mode.xi[None], mode.lam, [trace.g_hat],
+                                    trace.h_hat[None]))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +503,9 @@ def batch_residuals(batch: ModeBatch, x, modes=None, trace=None):
     """
     b = batch if modes is None else batch.take(modes)
     mu, nu, kappa = b.params.mu, b.params.nu, b.params.kappa
-    lam, n = b.lam, b.xi.shape[1] + 1
+    # lambda as a column on (..., M, R, P), per mode or broadcast, so a mode
+    # has the same bits in any batch
+    lam, n = np.reshape(b.lam, (-1, 1, 1)), b.xi.shape[1] + 1
     xi = b.xi.T[:, :, None, None]
     xi_sq = np.sum(b.xi * b.xi, axis=1)[:, None, None]
 
@@ -479,7 +544,7 @@ def batch_residuals(batch: ModeBatch, x, modes=None, trace=None):
     drho = d(rho, 1)
     drho0 = drho[0][..., 0].sum(axis=-1)
     if trace is None:
-        g, h = d(phi, 1)[0][..., 0].sum(axis=-1) / lam, b.alpha[:, :-1]
+        g, h = d(phi, 1)[0][..., 0].sum(axis=-1) / b.lam, b.alpha[:, :-1]
         floor = np.maximum(np.abs(u0).max(axis=0), np.maximum(np.abs(drho0), 1e-300))
         g_floor = 1e-300
     else:

@@ -26,11 +26,16 @@ coefficient arrays in the `ModeBatch` layout, and one engine lifts them:
 every order of every active mode of a draw in one pass.  A family takes a
 draw of m members: `input_lift(lams, datas)` and `apply(lams, datas)` lift
 every member's modes, each at its member's lambda, into one buffer and
-return one lifted tuple per member, in member order.
+return one lifted tuple per member, in member order.  A reduced family
+solves all of a draw's modes in one `modes.solve_modes` call per apply pass.
+Inside `estimate_rbound` each draw's buffers are reused by the next draw;
+tuples from direct calls own their arrays.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import itertools
 import json
 import math
@@ -41,8 +46,9 @@ import numpy as np
 from .errors import DomainError, GridError
 from .fields import (GridField, GridSpec, lattice_modes, tangential_fft,
                      vertical_spectral_derivative, whole_space_reduction)
-from .modes import BoundaryTrace, _derivative, evaluate_profiles, solve_mode
-from .spectral import FluidParams, TangentialMode
+from .modes import _derivative, evaluate_profiles, solve_modes
+from .modes import solve_mode  # noqa: F401  (perfbench/tests looks it up on this module)
+from .spectral import FluidParams
 
 
 def derivative_tuples(order: int, dim: int):
@@ -196,6 +202,45 @@ def _lift_weights(lams, counts, kind: str):
     return [(n - 1 - j, columns[:, j:j + 1]) for j in range(n)]
 
 
+# The draw workspace.  `estimate_rbound` sets one, and the lift buffers of
+# each draw are handed out from it in call order, to be reused by the next
+# draw once the last one's ratio is taken.  Outside the driver a lift's
+# arrays are its own, so a tuple it returns is never overwritten.
+_WORKSPACE = contextvars.ContextVar("kortsolve_rbound_workspace", default=None)
+
+
+class _Workspace:
+    """Grown 1-D complex buffers, handed out in order from `taken` = 0 at each draw."""
+
+    def __init__(self):
+        self.buffers, self.taken = [], 0
+
+    def take(self, shape):
+        size = math.prod(shape)
+        if self.taken == len(self.buffers):
+            self.buffers.append(np.empty(0, dtype=complex))
+        if self.buffers[self.taken].size < size:
+            # a quarter's headroom, so that most later draws fit
+            self.buffers[self.taken] = np.empty(size + size // 4, dtype=complex)
+        self.taken += 1
+        return self.buffers[self.taken - 1][:size].reshape(shape)
+
+
+def _draw_empty(shape):
+    """An uninitialized complex array of a draw, from the workspace if one is set."""
+    workspace = _WORKSPACE.get()
+    return np.empty(shape, dtype=complex) if workspace is None else workspace.take(shape)
+
+
+def _draw_zeros(shape):
+    """A zeroed complex array of a draw, from the workspace if one is set."""
+    if _WORKSPACE.get() is None:
+        return np.zeros(shape, dtype=complex)
+    out = _draw_empty(shape)
+    out.fill(0.0)
+    return out
+
+
 def _lift_vertical(verticals, weights, xi, dim: int, out=None):
     """Lift rows of fields given by their vertical derivatives, in out (M, rows, n_z).
 
@@ -205,7 +250,7 @@ def _lift_vertical(verticals, weights, xi, dim: int, out=None):
     """
     if out is None:
         n_rows = len(verticals) * sum(dim**order for order, _ in weights)
-        out = np.empty((len(xi), n_rows, verticals[0].shape[-1]), dtype=complex)
+        out = _draw_empty((len(xi), n_rows, verticals[0].shape[-1]))
     r = 0
     for vertical in verticals:
         for order, w in weights:
@@ -215,17 +260,19 @@ def _lift_vertical(verticals, weights, xi, dim: int, out=None):
     return out
 
 
-def _verticals(rates, coeffs, x, n_orders):
+def _verticals(rates, coeffs, x, n_orders, zeros=_draw_zeros):
     """d^v/dx^v, v < n_orders, of the profiles coeffs (C, M, R, P) on rates (M, R) at x.
 
-    Returns (C, n_orders, M, len(x)).  Each derivative is a coefficient
-    transform (`modes._derivative`), and all of them are evaluated in one
+    Returns (C, n_orders, M, len(x)) in a complex array from `zeros(shape)`,
+    a draw's by default.  Each derivative is a coefficient transform
+    (`modes._derivative`), and all of them are evaluated in one
     `evaluate_profiles` pass, inside each mode's decay support.
     """
     orders = [coeffs]
     for _ in range(1, n_orders):
         orders.append(_derivative(orders[-1], -rates, 1))
-    return evaluate_profiles(rates, np.stack(orders, axis=1), x)
+    orders = np.stack(orders, axis=1)
+    return evaluate_profiles(rates, orders, x, out=zeros(orders.shape[:-2] + (len(x),)))
 
 
 def _active(lead, rest):
@@ -250,7 +297,7 @@ def _on_draw(members, actives, parts):
     modes are those lists one after the other.  Rows of modes a field does
     not carry are zero.
     """
-    out = np.zeros((len(members[0]), sum(map(len, actives))) + parts[0].shape[1:], dtype=complex)
+    out = _draw_zeros((len(members[0]), sum(map(len, actives))) + parts[0].shape[1:])
     rows, starts = iter(parts), np.cumsum([0] + [len(active) for active in actives]).tolist()
     for fields, active, start in zip(members, actives, starts):
         for o, f in zip(out, fields):
@@ -328,28 +375,25 @@ class ReducedSolveFamily:
         self.name = kind
 
     def apply(self, lams, datas):
-        """One scalar `solve_mode` per active mode of a draw, their batches lifted in one pass.
+        """One `solve_modes` call over every active mode of a draw, lifted in one pass.
 
-        A case's modes share its (rate, power) layout, so the batches of one
-        concatenate as they are.  `solve_modes` rounds differently from the
-        scalar solve, and the central difference of dA2/dB2 amplifies that about 500-fold.
+        Each mode is solved at its member's lambda, with the bits of its
+        scalar `solve_mode`.
         """
         spec = datas[0][0].spec
         members = [(g, *hs) for g, hs in datas]
         actives = [_active(member[:1], member[1:]) for member in members]
+        counts = list(map(len, actives))
         xi = _frequencies(spec, sum(actives, []))
         # values at x_N = 0: each mode's power-0 coefficients, summed
         traces = _on_draw(members, actives,
                           [f.coeffs[:, :, 0].sum(axis=-1) for member in members for f in member])
-        mode_lams = [lam for lam, active in zip(lams, actives) for _ in active]
-        solved = [solve_mode(self.params, TangentialMode(xi=xi[k], lam=lam, dim=spec.dim),
-                             BoundaryTrace(traces[0, k], traces[1:, k])).batch
-                  for k, lam in enumerate(mode_lams)]
-        rates = np.concatenate([b.rates for b in solved])
-        coeffs = np.concatenate([b.coeffs for b in solved], axis=1)
+        batch = solve_modes(self.params, xi, np.repeat(np.array(lams, dtype=complex), counts),
+                            traces[0], traces[1:].T)
         kind, components = ("S0", [0]) if self.kind == "A2" else ("T", range(1, spec.dim + 1))
-        values = _verticals(rates, coeffs[components], spec.vertical_coords(), LIFT_ORDERS[kind])
-        weights = _lift_weights(lams, list(map(len, actives)), kind)
+        values = _verticals(batch.rates, batch.coeffs[components], spec.vertical_coords(),
+                            LIFT_ORDERS[kind])
+        weights = _lift_weights(lams, counts, kind)
         return _lifted(actives, _lift_vertical(values, weights, xi, spec.dim), spec)
 
     def input_lift(self, lams, datas):
@@ -404,7 +448,7 @@ def lift_full_data(lams, datas) -> list:
     xi = _frequencies(spec, sum(actives, []))
     vd, vg = _field_values([(d, g) for d, _, g in datas], actives, 3)
     weights = _lift_weights(lams, list(map(len, actives)), "T")
-    rows = np.empty((len(xi), 2 * dim + 1 + lift_arity("T", dim), spec.n_vertical), dtype=complex)
+    rows = _draw_empty((len(xi), 2 * dim + 1 + lift_arity("T", dim), spec.n_vertical))
     for r, t in enumerate(derivative_tuples(1, dim)):
         rows[:, r] = _tangential_derivative(vd, t, xi)
     np.multiply(weights[1][1], vd[0], out=rows[:, dim])  # lam^(1/2) d
@@ -460,8 +504,9 @@ class FullSolveFamily:
         # (they act along x_N only); then one lift and one inverse FFT
         kind, components = ("S0", [0]) if self.kind == "A" else ("T", range(1, dim + 1))
         n = spec.n_vertical
+        # a member's own array: the workspace holds only what a draw keeps
         verticals = _verticals(batch.rates, batch.coeffs[components], spec.vertical_coords(),
-                               LIFT_ORDERS[kind])
+                               LIFT_ORDERS[kind], functools.partial(np.zeros, dtype=complex))
         for vertical, c in zip(verticals, components):
             whole_space = spectrum[c, ..., :n].reshape(len(batch), n)
             parity = "odd" if c == dim else "even"
@@ -517,7 +562,9 @@ class ProbeConfig:
     m family members and `trials` Rademacher draws per ratio; lambda is
     sampled per decade of |lambda| within `decades` at arguments drawn from
     `lambda_args`.  q is the spatial grid-norm exponent, finite and >= 1 so
-    that it is a norm (2 uses the exact Hilbert-space path).
+    that it is a norm (2 uses the exact Hilbert-space path).  Every entry
+    of `lambda_args` must be finite with |arg| < pi/2: the right half-plane,
+    on which every mode solve is certified.
     """
 
     m: int = 8
@@ -534,6 +581,9 @@ class ProbeConfig:
             raise DomainError("need m, draws_per_decade, modes_per_field >= 1 and trials >= 50")
         if not (self.lambda_args and math.isfinite(self.q) and self.q >= 1.0):
             raise DomainError(f"need a non-empty lambda_args and a finite q >= 1, got q = {self.q}")
+        if not all(abs(arg) < math.pi / 2 for arg in self.lambda_args):
+            raise DomainError(f"lambda_args must be finite with |arg| < pi/2, "
+                              f"got {self.lambda_args}")
 
 
 def probe_grid(dim: int = 2, n_tangential: int = 32, vertical_cutoff: float = 40.0,
@@ -636,10 +686,11 @@ def _ratio_from_tuples(ys, xs, signs, q):
                 xsum = xsum + xs[j].scaled(r[j])
             num[t] = ysum.norm(q) ** 2
             den[t] = xsum.norm(q) ** 2
-    den_mean = float(np.mean(den))
-    if den_mean <= 0.0:
-        raise DomainError("degenerate randomized-sum denominator")
-    return math.sqrt(float(np.mean(num)) / den_mean)
+    num_mean, den_mean = float(np.mean(num)), float(np.mean(den))
+    if not (math.isfinite(num_mean) and math.isfinite(den_mean) and den_mean > 0.0):
+        raise DomainError(f"degenerate randomized-sum means: numerator {num_mean}, "
+                          f"denominator {den_mean}")
+    return math.sqrt(num_mean / den_mean)
 
 
 def _draw_ratio(family, config: ProbeConfig, rng, spec: GridSpec, d_lo, sigma, sampler):
@@ -690,23 +741,29 @@ def estimate_rbound(family, config: ProbeConfig, spec: GridSpec | None = None,
     decade_ratios = {}
     all_ratios = []
     redraws = 0
-    for k in range(n_dec):
-        d_lo = lo * 10.0**k
-        label = f"[{d_lo:g},{d_lo * 10:g})"
-        sigma = math.sqrt(d_lo * math.sqrt(10.0))  # decade-midpoint |lambda|^(1/2)
-        dspec = GridSpec(dim=base.dim,
-                         box_half_length=base.box_half_length / sigma,
-                         n_tangential=base.n_tangential,
-                         vertical_cutoff=base.vertical_cutoff / sigma,
-                         n_vertical=base.n_vertical)
-        rng = np.random.default_rng(decade_seeds[k])
-        best = 0.0
-        for _ in range(config.draws_per_decade):
-            ratio, n = _draw_ratio(family, config, rng, dspec, d_lo, sigma, sampler)
-            redraws += n
-            all_ratios.append(ratio)
-            best = max(best, ratio)
-        decade_ratios[label] = best
+    workspace = _Workspace()
+    token = _WORKSPACE.set(workspace)
+    try:
+        for k in range(n_dec):
+            d_lo = lo * 10.0**k
+            label = f"[{d_lo:g},{d_lo * 10:g})"
+            sigma = math.sqrt(d_lo * math.sqrt(10.0))  # decade-midpoint |lambda|^(1/2)
+            dspec = GridSpec(dim=base.dim,
+                             box_half_length=base.box_half_length / sigma,
+                             n_tangential=base.n_tangential,
+                             vertical_cutoff=base.vertical_cutoff / sigma,
+                             n_vertical=base.n_vertical)
+            rng = np.random.default_rng(decade_seeds[k])
+            best = 0.0
+            for _ in range(config.draws_per_decade):
+                workspace.taken = 0  # the last draw's tuples are spent
+                ratio, n = _draw_ratio(family, config, rng, dspec, d_lo, sigma, sampler)
+                redraws += n
+                all_ratios.append(ratio)
+                best = max(best, ratio)
+            decade_ratios[label] = best
+    finally:
+        _WORKSPACE.reset(token)
     return ProbeReport(family=getattr(family, "name", "family"), q=config.q,
                        m=config.m, trials=config.trials, decade_ratios=decade_ratios,
                        global_max=max(decade_ratios.values()), redraws=redraws,

@@ -170,6 +170,8 @@ class TangentialMode:
         if xi.shape != (self.dim - 1,):
             raise DomainError(f"xi must have length N-1 = {self.dim - 1}, got {xi.shape}")
         lam = self.lam
+        if not (np.all(np.isfinite(xi)) and cmath.isfinite(lam)):
+            raise DomainError(f"xi and lambda must be finite, got xi = {xi}, lambda = {lam}")
         if lam == 0:
             raise DomainError("lambda = 0 is excluded")
         if self.sector_epsilon is None:
@@ -325,8 +327,13 @@ class ScanGrid:
         """Build the default scan: |xi| and |lambda|^(1/2) log-spaced, args symmetric.
 
         The scan stays strictly inside the right half-plane; by default the
-        boundary |arg lambda| = pi/2 is approached up to 0.05 rad.
+        boundary |arg lambda| = pi/2 is approached up to 0.05 rad.  Each range
+        must be finite with 0 < min <= max, else GridError.
         """
+        for name, (lo, hi) in (("xi", xi_range), ("|lambda|^(1/2)", lam_sqrt_range)):
+            if not (0.0 < lo <= hi < math.inf):
+                raise GridError(f"the {name} range must be finite with 0 < min <= max, "
+                                f"got ({lo}, {hi})")
         xi_mags = np.geomspace(xi_range[0], xi_range[1], n_xi)
         lam_mags = np.geomspace(lam_sqrt_range[0], lam_sqrt_range[1], n_lam) ** 2
         args = np.linspace(-arg_limit, arg_limit, n_arg)

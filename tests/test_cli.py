@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -133,13 +134,32 @@ class TestScans:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "potential zero" in err
 
-    @pytest.mark.parametrize("flag", [["--xi-min", "nan"], ["--arg-limit", "3.0"]])
-    def test_invalid_grid_is_one_error_line(self, flag, capsys):
-        code, out, err = run(["lopatinski-scan", "--mu", "1", "--nu", "1", "--kappa", "2",
-                              "--name", "m1", *flag], capsys)
+    @staticmethod
+    def _one_error_line(argv, capsys):
+        # a numpy warning from building the axes would print ahead of the
+        # error line outside pytest, which records warnings instead
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(argv, capsys)
+        assert [str(w.message) for w in caught] == []
         assert code == TOLERANCE_ERROR
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("flag", [["--xi-min", "nan"], ["--arg-limit", "3.0"],
+                                      ["--xi-max", "inf"], ["--xi-min", "0"],
+                                      ["--lam-sqrt-max", "inf"],
+                                      ["--xi-min", "10", "--xi-max", "1"]])
+    def test_invalid_grid_is_one_error_line(self, flag, capsys):
+        self._one_error_line(["lopatinski-scan", "--mu", "1", "--nu", "1", "--kappa", "2",
+                              "--name", "m1", *flag], capsys)
+
+    @pytest.mark.parametrize("flag", [["--lam-sqrt-max", "inf"], ["--lam-sqrt-min", "0"]])
+    def test_invalid_symbol_check_range_is_one_error_line(self, flag, capsys):
+        err = self._one_error_line(["symbol-check", "--mu", "1", "--nu", "1", "--kappa", "2",
+                                    "--name", "m1", *flag], capsys)
+        assert "must be finite with 0 < min <= max" in err
 
     def test_symbol_check_runs(self, tmp_path, capsys):
         code, _, _ = run(["symbol-check", "--mu", "3", "--nu", "1", "--kappa", "1",

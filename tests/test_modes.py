@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 
 import numpy as np
@@ -10,7 +11,7 @@ from kortsolve import (BoundaryTrace, Case, ConsistencyError, DomainError, ModeS
                        boundary_residuals, classify, compute_roots, make_named_symbol,
                        pde_residual, solve_mode)
 from kortsolve import symbols
-from kortsolve.modes import (DECAY_SUPPORT, _batch, _derivative, batch_residuals,
+from kortsolve.modes import (_CASES, DECAY_SUPPORT, _batch, _derivative, batch_residuals,
                              default_sample_points, evaluate_profiles, solve_modes)
 
 from tests.conftest import CASE_PARAMS, random_mode_values, random_trace
@@ -367,6 +368,32 @@ def _batch_inputs(seed, dim, n_modes=16):
     return xi, lam, g, h
 
 
+def _per_mode_inputs(dim, n_modes=40, seed=17):
+    """Modes with a lambda each: |lambda| 1e-2..1e2, |arg| <= 1.4, |xi| <= 20, one xi = 0."""
+    rng = np.random.default_rng([seed, dim])
+    lam = 10.0 ** rng.uniform(-2, 2, n_modes) * np.exp(1j * rng.uniform(-1.4, 1.4, n_modes))
+    xi = rng.uniform(-20.0, 20.0, (n_modes, dim - 1)) * 10.0 ** rng.uniform(-2, 0, (n_modes, 1))
+    xi[0] = 0.0
+    g = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+    h = rng.normal(size=(n_modes, dim - 1)) + 1j * rng.normal(size=(n_modes, dim - 1))
+    return xi, lam, g, h
+
+
+def _scalar_reference(p, xi, lam, g, h):
+    """Test-only reference: the case formula on one mode's Python complex scalars.
+
+    The scalar solve as it was written before the batch took it over:
+    |xi|^2 and xi . h summed in axis order, cmath roots.
+    """
+    xi_sq, xh = 0.0, 0j
+    for x, hj in zip(xi.tolist(), h.tolist()):
+        xi_sq += x * x
+        xh += complex(x) * hj
+    lam = complex(lam)
+    roots = [cmath.sqrt(xi_sq + s * lam) for s in (p.s1, p.s2, p.inv_mu)]
+    return _CASES[p.case][0](p, xi, xi_sq, lam, complex(g), 1j * xh, *roots)
+
+
 class TestModeBatch:
     @pytest.mark.parametrize("triple", BATCH_TRIPLES)
     @pytest.mark.parametrize("dim", [2, 3])
@@ -381,8 +408,8 @@ class TestModeBatch:
             np.testing.assert_array_equal(one.rates[0], batch.rates[k])
             got, want = batch.coeffs[:, k], one.coeffs[:, 0]
             assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
-            # solve_mode runs the same formulas in Python complex arithmetic,
-            # which rounds products differently from numpy's array kernels
+            # solve_mode is the batch of one (bit for bit, see
+            # test_per_mode_lambda_matches_scalar_reference)
             sol = solve_mode(p, TangentialMode(xi=xi[k], lam=lam, dim=dim),
                              BoundaryTrace(g[k], h[k]))
             view = ModeSolution(batch.take([k]))
@@ -407,6 +434,39 @@ class TestModeBatch:
                     ref = prof.differentiate(order) if order else prof
                     scale = max(ref.magnitude_scale(), 1e-300)
                     assert np.max(np.abs(values[c, k] - ref.evaluate(x))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("name", list(CASE_PARAMS))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_per_mode_lambda_matches_scalar_reference(self, name, dim):
+        # every mode of a batch has the bits of the case formula on its own
+        # Python complex scalars, whatever lambda the other modes have
+        p = classify(*CASE_PARAMS[name])
+        xi, lam, g, h = _per_mode_inputs(dim)
+        batch = solve_modes(p, xi, lam, g, h)
+        assert batch.lam.tobytes() == lam.tobytes()
+        for k in range(len(xi)):
+            rates, beta, gamma, sigma, tau = _scalar_reference(p, xi[k], lam[k], g[k], h[k])
+            assert batch.rates[k].tolist() == list(rates), k
+            assert batch.beta[k].tolist() == beta.tolist(), k
+            assert batch.gamma[k].tolist() == gamma.tolist(), k
+            assert (batch.sigma[k], batch.tau[k]) == (sigma, tau), k
+            one = solve_mode(p, TangentialMode(xi=xi[k], lam=lam[k], dim=dim),
+                             BoundaryTrace(g[k], h[k])).batch
+            assert one.coeffs.tobytes() == batch.coeffs[:, k:k + 1].tobytes(), k
+        assert batch.take([3, 1]).lam.tolist() == [lam[3], lam[1]]
+
+    @pytest.mark.parametrize("xi, lam", [([0.5], np.nan), ([np.nan], 1.0),
+                                         ([0.5], complex(1.0, np.inf))])
+    def test_non_finite_mode_rejected(self, xi, lam):
+        p = classify(*CASE_PARAMS["I"])
+        with pytest.raises(DomainError, match="finite"):
+            TangentialMode(xi=xi, lam=lam)
+        with pytest.raises(DomainError, match="finite"):
+            TangentialMode(xi=xi, lam=lam, sector_epsilon=0.5)
+        with pytest.raises(DomainError, match="finite xi and lambda.*mode 2 has"):
+            solve_modes(p, [[1.0], [2.0], xi], [1.0, 1.0 + 1.0j, lam], [1.0] * 3, [[0.5]] * 3)
+        with pytest.raises(DomainError, match="finite"):
+            solve_modes(p, [xi], lam, [1.0], [[0.5]])
 
     def test_sector_lambda_rejected(self):
         # the boundary systems are certified on Re lambda > 0 only
@@ -460,6 +520,27 @@ class TestTruncatedEvaluate:
                 peak = np.abs(want).max(axis=(-2, -1), keepdims=True)
                 assert np.all(np.abs(got - want) <= 1e-15 * peak)
 
+    def test_zero_padded_slots_bit_identical(self):
+        # modes of 1-4 rates padded to 5 with zero coefficients on copies of
+        # their last rate (as a stacked draw is), plus zero slots of single
+        # modes: each mode keeps the bits of its evaluation on its own slots
+        rng = np.random.default_rng(5)
+        own = []
+        for n_rates in (1, 2, 4, 2, 3, 1):
+            rates = rng.uniform(0.5, 2.5, n_rates) + 1j * rng.uniform(-0.5, 0.5, n_rates)
+            coeffs = rng.normal(size=(3, n_rates, 2)) + 1j * rng.normal(size=(3, n_rates, 2))
+            own.append((rates, coeffs))
+        own[2][1][:, 1] = 0.0
+        rates = np.array([np.concatenate([r, np.repeat(r[-1:], 5 - r.size)]) for r, _ in own])
+        coeffs = np.zeros((3, len(own), 5, 2), dtype=complex)
+        for k, (r, c) in enumerate(own):
+            coeffs[:, k, :r.size] = c
+        x = np.linspace(0.0, 30.0, 97)
+        got = evaluate_profiles(rates, coeffs, x)
+        for k, (r, c) in enumerate(own):
+            want = evaluate_profiles(r[None], c[:, None], x)
+            assert got[:, k].tobytes() == want[:, 0].tobytes(), k
+
     def test_negative_x_rejected(self):
         p = classify(*CASE_PARAMS["IV"])
         batch = solve_modes(p, *_batch_inputs(3, 2, n_modes=4)[:1], 1.0, [1.0] * 4, [[0.5]] * 4)
@@ -512,6 +593,25 @@ class TestBatchResiduals:
             ref = _reference_boundary_residuals(mode, one, trace)
             assert list(got) == list(ref)
             assert all(abs(got[key] - ref[key]) <= 1e-14 for key in ref)
+
+    @pytest.mark.parametrize("name", list(CASE_PARAMS))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_per_mode_lambda_matches_per_mode(self, name, dim):
+        # a batch with a lambda per mode checks each mode as its batch of one
+        p = classify(*CASE_PARAMS[name])
+        xi, lam, g, h = _per_mode_inputs(dim, n_modes=12)
+        batch = solve_modes(p, xi, lam, g, h)
+        spot = np.arange(len(xi)) % 3 != 1
+        trace = (g[spot] * 1.001, h[spot] * 0.999)
+        for kwargs in ({}, {"trace": trace}):
+            per_equation, per_boundary = batch_residuals(batch, self.LADDER, spot, **kwargs)
+            for i, k in enumerate(np.flatnonzero(spot)):
+                one = solve_modes(p, xi[k:k + 1], lam[k], g[k:k + 1], h[k:k + 1])
+                one_trace = {"trace": (trace[0][i:i + 1], trace[1][i:i + 1])} if kwargs else {}
+                ref_eq, ref_bd = batch_residuals(one, self.LADDER, **one_trace)
+                for got, ref in ((per_equation, ref_eq), (per_boundary, ref_bd)):
+                    assert list(got) == list(ref)
+                    assert all(got[key][i] == ref[key][0] for key in ref), (k, kwargs.keys())
 
     @pytest.mark.parametrize("name", ["I", "II", "IV", "V"])
     @pytest.mark.parametrize("dim", [2, 3])

@@ -7,7 +7,7 @@ import pytest
 
 from kortsolve.fields import (GridField, GridSpec, _wavenumber_mesh, lattice_modes, tangential_fft,
                               vertical_spectral_derivative, whole_space_reduction)
-from kortsolve.modes import DECAY_SUPPORT, BoundaryTrace, _derivative, solve_mode
+from kortsolve.modes import DECAY_SUPPORT, BoundaryTrace, _derivative, solve_mode, solve_modes
 from kortsolve.profiles import VerticalProfile
 from kortsolve.rbound import (LIFT_ORDERS, FullSolveFamily, IdentityFamily, LiftedTuple,
                               ModeField, ProbeConfig, ReducedSolveFamily, _frequencies,
@@ -490,7 +490,8 @@ class TestLifts:
     def test_no_profile_calculus_per_component(self, params, rng, dim, monkeypatch):
         # structural: the lifts and both reduced families never build,
         # evaluate or differentiate a VerticalProfile (traces are coefficient
-        # sums), and the reduced families solve each active mode once
+        # sums), and the reduced families solve each active mode once, in one
+        # `solve_modes` call per apply
         import kortsolve.rbound
         counts = {"__init__": 0, "evaluate": 0, "differentiate": 0}
         for name in counts:
@@ -503,11 +504,11 @@ class TestLifts:
             monkeypatch.setattr(VerticalProfile, name, counted)
         solves = []
 
-        def counted_solve(*args, **kwargs):
-            solves.append(args)
-            return solve_mode(*args, **kwargs)
+        def counted_solve(params, xi, *args):
+            solves.append(len(xi))
+            return solve_modes(params, xi, *args)
 
-        monkeypatch.setattr(kortsolve.rbound, "solve_mode", counted_solve)
+        monkeypatch.setattr(kortsolve.rbound, "solve_modes", counted_solve)
         spec = probe_grid(dim=dim, n_tangential=16, n_vertical=64)
         data = sample_boundary_data(rng, spec, 4)
         lift_boundary_data([1.0 + 0.5j], [data])
@@ -515,7 +516,7 @@ class TestLifts:
         for kind in ("A2", "B2"):
             solves.clear()
             active = ReducedSolveFamily(params, kind).apply([1.0 + 0.5j], [data])[0].modes
-            assert len(solves) == len(active)
+            assert solves == [len(active)]
         assert counts == {"__init__": 0, "evaluate": 0, "differentiate": 0}
 
     def test_arities(self):
@@ -599,8 +600,7 @@ class TestFamilies:
     @pytest.mark.parametrize("kind, passes", [("A2", 1), ("dB2", 2)])
     def test_one_evaluation_per_lift_pass(self, params, monkeypatch, kind, passes):
         # a draw makes one evaluate_profiles call for its input lift and one
-        # per base apply pass; the scalar solves are those of the sequential
-        # probe
+        # per base apply pass, and one solve_modes call per apply pass
         import kortsolve.rbound
         counts = {"evaluate": 0, "solve": 0}
 
@@ -612,8 +612,8 @@ class TestFamilies:
 
         monkeypatch.setattr(kortsolve.rbound, "evaluate_profiles",
                             counter("evaluate", kortsolve.rbound.evaluate_profiles))
-        monkeypatch.setattr(kortsolve.rbound, "solve_mode",
-                            counter("solve", kortsolve.rbound.solve_mode))
+        monkeypatch.setattr(kortsolve.rbound, "solve_modes",
+                            counter("solve", kortsolve.rbound.solve_modes))
         spec = probe_grid(n_tangential=16, n_vertical=64)
         cfg = ProbeConfig(m=4, trials=50, rng_seed=6, draws_per_decade=2, decades=(0.1, 10.0))
         family = ReducedSolveFamily(params, kind.lstrip("d"))
@@ -622,11 +622,11 @@ class TestFamilies:
         assert estimate_rbound(family, cfg, spec).redraws == 0
         draws = 2 * cfg.draws_per_decade
         assert counts["evaluate"] == draws * (1 + passes)
-        solves = counts["solve"]
+        assert counts["solve"] == draws * passes
         counts.update(evaluate=0, solve=0)
         _sequential_probe(family, cfg, spec)
         assert counts["evaluate"] == draws * cfg.m * (1 + passes)
-        assert counts["solve"] == solves > 0
+        assert counts["solve"] == draws * cfg.m * passes
 
     def test_benchmark_probe_ratios_match_refs(self, params):
         # the benchmark's probe gate at its config (case I, m = 8, 200
@@ -652,7 +652,11 @@ class TestFamilies:
 
     @pytest.mark.parametrize("controls", [{"draws_per_decade": 0}, {"modes_per_field": 0},
                                           {"lambda_args": ()}, {"q": 0.0}, {"q": 0.5},
-                                          {"q": -1.0}, {"q": math.inf}, {"q": math.nan}])
+                                          {"q": -1.0}, {"q": math.inf}, {"q": math.nan},
+                                          {"lambda_args": (math.nan,)},
+                                          {"lambda_args": (0.0, math.inf)},
+                                          {"lambda_args": (2.0,)},
+                                          {"lambda_args": (-math.pi / 2,)}])
     def test_probe_controls_validated(self, controls):
         from kortsolve import DomainError
         with pytest.raises(DomainError):
@@ -662,6 +666,36 @@ class TestFamilies:
         rep = estimate_rbound(IdentityFamily(), ProbeConfig(m=2, trials=50, draws_per_decade=1,
                                                             decades=(0.1, 0.1 * 1e2 * (1 + 1e-12))))
         assert list(rep.decade_ratios) == ["[0.1,1)", "[1,10)"]
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_degenerate_means_rejected(self, rng, scale):
+        # a NaN or infinite mean must not pass for a ratio (max(0.0, nan) is
+        # 0.0), nor a zero denominator
+        from kortsolve import DomainError
+        spec = probe_grid(n_tangential=16, n_vertical=64)
+        x = IdentityFamily().input_lift([1.3 + 0.4j], [sample_boundary_data(rng, spec, 2)])[0]
+        with np.errstate(invalid="ignore"):
+            bad = x.scaled(scale)
+        for ys, xs in (([bad], [x]), ([x], [bad]), ([x], [x.scaled(0.0)])):
+            with pytest.raises(DomainError, match="degenerate"):
+                _ratio_from_tuples(ys, xs, np.ones((50, 1)), 2.0)
+
+    def test_direct_tuples_survive_a_probe(self, params, rng):
+        # the probe reuses its draws' buffers, but a tuple from a direct call
+        # owns its arrays
+        spec = probe_grid(n_tangential=16, n_vertical=64)
+        family = lambda_log_derivative(ReducedSolveFamily(params, "B2"))
+        lams, datas = [1.3 + 0.4j, 0.2 - 0.1j], [sample_boundary_data(rng, spec, 3)
+                                                 for _ in range(2)]
+        tuples = family.apply(lams, datas) + family.input_lift(lams, datas) \
+            + lift_full_data(lams[:1], [sample_full_data(rng, spec, 3)])
+        kept = [{k: v.copy() for k, v in t.modes.items()} for t in tuples]
+        for fam in (family, IdentityFamily()):
+            estimate_rbound(fam, ProbeConfig(m=4, trials=50, draws_per_decade=2,
+                                             decades=(0.1, 10.0)), spec)
+        for t, modes in zip(tuples, kept):
+            assert t.modes.keys() == modes.keys()
+            assert all(np.array_equal(t.modes[k], v) for k, v in modes.items())
 
     def test_m_equals_one_is_norm_ratio(self, params, rng):
         # with a single member the Rademacher sum degenerates to ||Tf|| / ||f||
