@@ -256,6 +256,8 @@ def cmd_solve_field(args):
 
 
 def cmd_oracle_compare(args):
+    if args.rows < 1:
+        raise DomainError(f"--rows must be >= 1, got {args.rows}")
     p = _params_from_args(args)
     xi = [float(v) for v in args.xi.split(",")]
     mode = TangentialMode(xi=xi, lam=_parse_complex(args.lam), dim=len(xi) + 1)

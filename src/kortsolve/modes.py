@@ -275,9 +275,11 @@ def evaluate_profiles(rates, coeffs, x, out=None) -> np.ndarray:
     e^{-46} (power 0) or 46 e^{-45} < e^{-41} (power 1) of its own peak,
     |c| at x = 0 or |c| / (e Re t) at x = 1 / Re t.  The (mode, x) pairs in
     support are found once per call.  A rate is evaluated only for the modes
-    with a nonzero coefficient on it, and skipped if there are none: the
-    zero-padded slots of a stacked draw would add only zeros, which change
-    no bit of a sum.
+    with a nonzero coefficient on it, and skipped if there are none, and a
+    mode with no nonzero coefficient has no support pairs: zero-padded slots
+    and empty rows would add only zeros, which change no bit of a sum.  A
+    slot with a nonzero coefficient must decay (a finite rate with Re > 0),
+    or DomainError names its mode and slot.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
@@ -290,13 +292,19 @@ def evaluate_profiles(rates, coeffs, x, out=None) -> np.ndarray:
         raise DomainError(f"out must be complex of shape {coeffs.shape[:-2]} + (W,), "
                           f"W >= {x.size}, with C-contiguous (M, W) blocks; got {out.shape}")
     n_rates, n_powers = coeffs.shape[-2:]
-    reach = DECAY_SUPPORT / rates.real.min(axis=1, initial=np.inf)
+    live = np.any(coeffs != 0.0, axis=tuple(range(coeffs.ndim - 3)) + (-1,))  # (M, R)
+    no_decay = live & ~(np.isfinite(rates) & (rates.real > 0.0))
+    if no_decay.any():
+        k, r = np.argwhere(no_decay)[0]
+        raise DomainError(f"mode {k}, rate slot {r}: rate {rates[k, r]} does not decay "
+                          f"(need a finite rate with Re > 0)")
+    reach = np.where(live.any(axis=1), DECAY_SUPPORT / rates.real.min(axis=1, initial=np.inf),
+                     -np.inf)
     pairs = np.flatnonzero(x <= reach[:, None])  # (mode, x) pairs in support, flattened
     modes, xs = pairs // x.size, x[pairs % x.size]
     pairs += modes * (out.shape[-1] - x.size)  # their flat index into an (M, W) block
     # each out block flattens to a view, by the strides checked above
     blocks = [(coeffs[i], out[i].reshape(-1)) for i in np.ndindex(coeffs.shape[:-3])]
-    live = np.any(coeffs != 0.0, axis=tuple(range(coeffs.ndim - 3)) + (-1,))  # (M, R)
     for r in range(n_rates):
         on = live[modes, r]
         if on.all():

@@ -22,14 +22,15 @@ mode and vertical ones differentiate the exponential profiles.
 
 Sampled data (`ModeField`), mode solutions and boundary corrections are all
 coefficient arrays in the `ModeBatch` layout, and one engine lifts them:
-`modes._derivative` differentiates, and `modes.evaluate_profiles` evaluates
-every order of every active mode of a draw in one pass.  A family takes a
-draw of m members: `input_lift(lams, datas)` and `apply(lams, datas)` lift
-every member's modes, each at its member's lambda, into one buffer and
-return one lifted tuple per member, in member order.  A reduced family
-solves all of a draw's modes in one `modes.solve_modes` call per apply pass.
-Inside `estimate_rbound` each draw's buffers are reused by the next draw;
-tuples from direct calls own their arrays.
+`modes._derivative` differentiates, and `modes.evaluate_profiles` evaluates.
+A family takes a draw of m members: `input_lift(lams, datas)` and
+`apply(lams, datas)` return one `LiftedTuple` per member, in member order.
+`_draw` lays a draw out once, one row per field and draw mode, and one pass
+evaluates every order of every row straight into that layout; each mode is
+lifted at its member's lambda into one buffer.  A reduced family solves the
+draw's modes in one `modes.solve_modes` call per apply pass; a full family's
+tuples hold every lattice mode.  Inside `estimate_rbound` each draw's
+buffers are reused by the next draw; tuples from direct calls own theirs.
 """
 
 from __future__ import annotations
@@ -290,32 +291,41 @@ def _active(lead, rest):
     return list(union | set().union(*sets[len(lead):]))
 
 
-def _on_draw(members, actives, parts):
-    """(F, M, ...): parts (one per field, in member order) placed at their modes in a draw.
+def _draw(members, n_lead):
+    """The layout of a draw of members, each F ModeFields whose first n_lead lead `_active`.
 
-    Member i has F ModeFields and the active modes actives[i]; the draw's M
-    modes are those lists one after the other.  Rows of modes a field does
-    not carry are zero.
+    Returns (actives, xi, rates, coeffs, traces): the members' `_active`
+    lists, whose concatenation is the draw's M modes, their frequencies xi
+    (M, N-1), and one row per field and draw mode, rates (F, M, R) and
+    coeffs (F, M, R, P).  A field's row at one of its modes carries its
+    rates and coefficients, padded as `_stacked` pads them; a row at a mode
+    the field does not carry has zero coefficients.  traces (F, M) are the
+    rows' values at x_N = 0, each field's power-0 sums over its own rate
+    slots (numpy sums in pairs, so extra zero slots could move a last bit).
     """
-    out = _draw_zeros((len(members[0]), sum(map(len, actives))) + parts[0].shape[1:])
-    rows, starts = iter(parts), np.cumsum([0] + [len(active) for active in actives]).tolist()
-    for fields, active, start in zip(members, actives, starts):
-        for o, f in zip(out, fields):
-            o[[start + active.index(index) for index in f.indices()]] = next(rows)
-    return out
-
-
-def _field_values(members, actives, n_orders):
-    """(F, n_orders, M, n_z): d^v/dx_N^v, v < n_orders, of each member's fields in a draw.
-
-    The fields of all members are evaluated in one `_verticals` pass over
-    their own modes and placed by `_on_draw`.
-    """
+    actives = [_active(member[:n_lead], member[n_lead:]) for member in members]
+    xi = _frequencies(members[0][0].spec, sum(actives, []))
+    starts = np.cumsum([0] + list(map(len, actives))).tolist()
+    at = tuple(np.array([(j, start + active.index(index))
+                         for member, active, start in zip(members, actives, starts)
+                         for j, f in enumerate(member) for index in f.indices()],
+                        dtype=int).reshape(-1, 2).T)  # (field, draw mode) of each field mode
     fields = [f for member in members for f in member]
-    rates, coeffs = _stacked([(f.rates, f.coeffs) for f in fields])
-    values = _verticals(rates, coeffs[None], fields[0].spec.vertical_coords(), n_orders)[0]
-    parts = np.split(values.transpose(1, 0, 2), np.cumsum([len(f.index) for f in fields])[:-1])
-    return _on_draw(members, actives, parts).transpose(0, 2, 1, 3)
+    field_rates, field_coeffs = _stacked([(f.rates, f.coeffs) for f in fields])
+    shape = (len(members[0]), len(xi))
+    rates = np.ones(shape + field_rates.shape[1:], dtype=complex)
+    coeffs = np.zeros(shape + field_coeffs.shape[1:], dtype=complex)
+    traces = np.zeros(shape, dtype=complex)
+    rates[at], coeffs[at] = field_rates, field_coeffs
+    traces[at] = np.concatenate([f.coeffs[:, :, 0].sum(axis=-1) for f in fields])
+    return actives, xi, rates, coeffs, traces
+
+
+def _field_values(rates, coeffs, spec: GridSpec, n_orders):
+    """(F, n_orders, M, n_z): d^v/dx_N^v, v < n_orders, of a draw's rows, in one pass."""
+    flat = coeffs.reshape((1, -1) + coeffs.shape[2:])
+    values = _verticals(rates.reshape(flat.shape[1:3]), flat, spec.vertical_coords(), n_orders)
+    return values.reshape((n_orders,) + rates.shape[:2] + (spec.n_vertical,)).swapaxes(0, 1)
 
 
 def _frequencies(spec: GridSpec, active):
@@ -334,11 +344,9 @@ def _lifted(actives, rows, spec: GridSpec) -> list:
 def lift_boundary_data(lams, datas) -> list:
     """The trace lift (T_lam g, T_lam h_1, ..., T_lam h_{N-1}) of each member of a draw."""
     spec = datas[0][0].spec
-    members = [(g, *hs) for g, hs in datas]
-    actives = [_active(member[:1], member[1:]) for member in members]
-    values = _field_values(members, actives, LIFT_ORDERS["T"])
-    rows = _lift_vertical(values, _lift_weights(lams, list(map(len, actives)), "T"),
-                          _frequencies(spec, sum(actives, [])), spec.dim)
+    actives, xi, rates, coeffs, _ = _draw([(g, *hs) for g, hs in datas], 1)
+    values = _field_values(rates, coeffs, spec, LIFT_ORDERS["T"])
+    rows = _lift_vertical(values, _lift_weights(lams, list(map(len, actives)), "T"), xi, spec.dim)
     return _lifted(actives, rows, spec)
 
 
@@ -381,13 +389,8 @@ class ReducedSolveFamily:
         scalar `solve_mode`.
         """
         spec = datas[0][0].spec
-        members = [(g, *hs) for g, hs in datas]
-        actives = [_active(member[:1], member[1:]) for member in members]
+        actives, xi, _, _, traces = _draw([(g, *hs) for g, hs in datas], 1)
         counts = list(map(len, actives))
-        xi = _frequencies(spec, sum(actives, []))
-        # values at x_N = 0: each mode's power-0 coefficients, summed
-        traces = _on_draw(members, actives,
-                          [f.coeffs[:, :, 0].sum(axis=-1) for member in members for f in member])
         batch = solve_modes(self.params, xi, np.repeat(np.array(lams, dtype=complex), counts),
                             traces[0], traces[1:].T)
         kind, components = ("S0", [0]) if self.kind == "A2" else ("T", range(1, spec.dim + 1))
@@ -398,33 +401,6 @@ class ReducedSolveFamily:
 
     def input_lift(self, lams, datas):
         return lift_boundary_data(lams, datas)
-
-
-class LiftedDense:
-    """Dense lifted tuple (n_comp, *tangential, n_z) for the full-data families."""
-
-    def __init__(self, values, spec: GridSpec):
-        self.values = np.asarray(values, dtype=complex)
-        self.spec = spec
-
-    def scaled(self, c):
-        return LiftedDense(c * self.values, self.spec)
-
-    def __add__(self, other):
-        return LiftedDense(self.values + other.values, self.spec)
-
-    def difference_in_place(self, other, c):
-        np.subtract(self.values, other.values, out=self.values)
-        self.values *= c
-        return self
-
-    def inner(self, other) -> complex:
-        return complex(np.vdot(other.values, self.values) * self.spec.cell_volume())
-
-    def norm(self, q: float = 2.0) -> float:
-        if q == 2.0:
-            return math.sqrt(max(self.inner(self).real, 0.0))
-        return float((np.sum(np.abs(self.values) ** q) * self.spec.cell_volume()) ** (1.0 / q))
 
 
 def sample_full_data(rng, spec: GridSpec, modes_per_field: int = 4, rate_scale: float = 1.0):
@@ -444,17 +420,14 @@ def lift_full_data(lams, datas) -> list:
     """The data lift (grad d, lam^(1/2) d, f, grad^2 g, lam^(1/2) grad g, lam g) of a draw."""
     spec = datas[0][0].spec
     dim = spec.dim
-    actives = [_active((d, g), f) for d, f, g in datas]
-    xi = _frequencies(spec, sum(actives, []))
-    vd, vg = _field_values([(d, g) for d, _, g in datas], actives, 3)
+    actives, xi, rates, coeffs, _ = _draw([(d, g, *f) for d, f, g in datas], 2)
+    values = _field_values(rates[:2], coeffs[:2], spec, 3)  # d and g
+    forces = _field_values(rates[2:], coeffs[2:], spec, 1)[:, 0]  # f, at order 0 only
     weights = _lift_weights(lams, list(map(len, actives)), "T")
     rows = _draw_empty((len(xi), 2 * dim + 1 + lift_arity("T", dim), spec.n_vertical))
-    for r, t in enumerate(derivative_tuples(1, dim)):
-        rows[:, r] = _tangential_derivative(vd, t, xi)
-    np.multiply(weights[1][1], vd[0], out=rows[:, dim])  # lam^(1/2) d
-    forces = _field_values([f for _, f, _ in datas], actives, 1)[:, 0]
-    rows[:, dim + 1:2 * dim + 1] = forces.transpose(1, 0, 2)
-    _lift_vertical([vg], weights, xi, dim, rows[:, 2 * dim + 1:])
+    _lift_vertical(values[:1], [(1, weights[0][1]), (0, weights[1][1])], xi, dim, rows[:, :dim + 1])
+    rows[:, dim + 1:2 * dim + 1] = forces.swapaxes(0, 1)
+    _lift_vertical(values[1:2], weights, xi, dim, rows[:, 2 * dim + 1:])
     return _lifted(actives, rows, spec)
 
 
@@ -477,20 +450,21 @@ class FullSolveFamily:
         return lift_full_data(lams, datas)
 
     def apply(self, lams, datas):
-        return [self._apply(lam, data) for lam, data in zip(lams, datas)]
+        """One evaluation of the draw's data; each member solved on the grid, lifted per mode."""
+        spec = datas[0][0].spec
+        actives, _, rates, coeffs, _ = _draw([(d, g, *f) for d, f, g in datas], 2)
+        values = _field_values(rates, coeffs, spec, 1)[:, 0]
+        starts = np.cumsum([0] + list(map(len, actives))).tolist()
+        return [self._apply(complex(lam), spec, active, values[:, start:start + len(active)])
+                for lam, active, start in zip(lams, actives, starts)]
 
-    def _apply(self, lam, data):
-        d, f, g = data
-        spec = d.spec
-        lam = complex(lam)
+    def _apply(self, lam, spec, active, values):
         dim = spec.dim
-
-        # the data on the grid: one evaluation scattered into the tangential
-        # spectrum, one inverse FFT
-        active = _active((d, g), f)
+        # the data (d, g, f) on the grid: its values (F, M, n_z) at the
+        # member's modes scattered into the tangential spectrum, one inverse FFT
         hat = np.zeros((dim + 2,) + spec.tangential_shape + (spec.n_vertical,), dtype=complex)
         index = np.array(active, dtype=int).reshape(len(active), dim - 1)
-        hat[(slice(None), *index.T)] = _field_values([(d, g, *f)], [active], 1)[:, 0]
+        hat[(slice(None), *index.T)] = values
         d_grid, g_grid, *f_grid = tangential_fft(hat, tuple(range(1, dim)), inverse=True,
                                                  overwrite_x=True)
         spectrum, _, g_hat, h_hat = whole_space_reduction(
@@ -501,7 +475,7 @@ class FullSolveFamily:
         # the solution's vertical derivatives per lattice mode: exact profile
         # derivatives of the correction plus parity derivatives of the
         # whole-space part, in the tangential spectrum the solve leaves it in
-        # (they act along x_N only); then one lift and one inverse FFT
+        # (they act along x_N only); then one lift, kept per mode
         kind, components = ("S0", [0]) if self.kind == "A" else ("T", range(1, dim + 1))
         n = spec.n_vertical
         # a member's own array: the workspace holds only what a draw keeps
@@ -513,12 +487,8 @@ class FullSolveFamily:
             for v, out in enumerate(vertical):
                 out += vertical_spectral_derivative(whole_space, spec, v, parity) if v \
                     else whole_space
-        rows = np.empty((len(components) * lift_arity(kind, dim), len(batch), n), dtype=complex)
-        _lift_vertical(verticals, _lift_weights([lam], [len(batch)], kind), batch.xi, dim,
-                       rows.transpose(1, 0, 2))
-        return LiftedDense(tangential_fft(rows.reshape((len(rows),) + spec.shape),
-                                          tuple(range(1, dim)), inverse=True, overwrite_x=True),
-                           spec)
+        rows = _lift_vertical(verticals, _lift_weights([lam], [len(batch)], kind), batch.xi, dim)
+        return _lifted([list(np.ndindex(spec.tangential_shape))], rows, spec)[0]
 
 
 class LogDerivativeFamily:

@@ -101,6 +101,16 @@ class TestOracleCompare:
         rows = (tmp_path / "cmp.csv").read_text().splitlines()
         assert {row.split(",")[1] for row in rows[1:]} == {"rho", "u_1", "u_2", "u_3"}
 
+    @pytest.mark.parametrize("rows", ["0", "-3"])
+    def test_rows_below_one_is_one_error_line(self, tmp_path, capsys, rows):
+        code, out, err = run(["oracle-compare", "--mu", "1", "--nu", "1", "--kappa", "2",
+                              "--xi", "1", "--lam", "1", "--n", "512", "--rows", rows,
+                              "-o", str(tmp_path / "cmp.csv")], capsys)
+        assert code == TOLERANCE_ERROR
+        assert out == ""
+        assert err == f"error: --rows must be >= 1, got {rows}\n"
+        assert not (tmp_path / "cmp.csv").exists()
+
     def test_parser_reused_after_usage_error(self, tmp_path, capsys):
         argv = ["oracle-compare", "--mu", "1", "--nu", "1", "--kappa", "2", "--xi", "1",
                 "--lam", "1", "--n", "512", "--scheme", "fourth_order_fd", "-o"]

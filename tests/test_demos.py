@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -66,3 +67,38 @@ def test_field_pipeline_demo():
     defect = re.search(r"boundary-condition defect of the assembled field: (\S+)$", proc.stdout,
                        re.M).group(1)
     assert float(defect) <= 1e-12, defect
+
+
+def test_classify_parameter_space_demo():
+    proc = run_demo("01_classify_parameter_space.py")
+    assert proc.returncode == 0, proc.stderr
+    # the five landmark triples land in cases I-V, in order
+    cases = re.findall(r"^ +\d+ +\d+ +\d+ +(\S+) +\S+  ", proc.stdout, re.M)
+    assert cases == ["I", "II", "III", "IV", "V"], proc.stdout
+    assert "(3, 1, 4) via Fraction -> case IV" in proc.stdout
+    assert "(3, 1, 4*(1-1e-9)) in floats -> case II" in proc.stdout
+
+
+def test_characteristic_roots_demo():
+    proc = run_demo("02_characteristic_roots.py")
+    assert proc.returncode == 0, proc.stderr
+    residuals = [float(v) for v in re.findall(r"max \|P\(roots\)\| = (\S+)$", proc.stdout, re.M)]
+    assert len(residuals) == 4 and max(residuals) <= 1e-12, residuals
+    ratios = re.findall(r"t1 ratio = (\S+) \(want (\S+)\)$", proc.stdout, re.M)
+    assert len(ratios) == 2, proc.stdout
+    for got, want in ratios:
+        assert abs(complex(got) - float(want)) <= 1e-10 * float(want), ratios
+    infima = [float(v) for v in re.findall(r"inf = (\S+)  ", proc.stdout)]
+    assert len(infima) == 3 and min(infima) > 0, proc.stdout
+
+
+def test_randomized_boundedness_demo():
+    proc = run_demo("07_randomized_boundedness.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "every ratio = 1 exactly (max deviation 0.0e+00)" in proc.stdout
+    # criterion 10's bound on the A2/B2 spreads and their derivative families'
+    spreads = [float(v) for v in re.findall(r"spread across decades: (\S+)$", proc.stdout, re.M)]
+    derivative = [float(v) for v in re.findall(r"lambda-derivative family: .*, spread (\S+)$",
+                                               proc.stdout, re.M)]
+    assert len(spreads) == len(derivative) == 2, proc.stdout
+    assert all(math.isfinite(s) and s <= 10.0 for s in spreads + derivative), proc.stdout

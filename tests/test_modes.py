@@ -541,6 +541,16 @@ class TestTruncatedEvaluate:
             want = evaluate_profiles(r[None], c[:, None], x)
             assert got[:, k].tobytes() == want[:, 0].tobytes(), k
 
+    @pytest.mark.parametrize("rate", [-1.0, 0.0, 2j, float("nan"), complex(float("inf"), 0.0),
+                                      complex(1.0, float("nan"))])
+    def test_rate_that_does_not_decay_rejected(self, rate):
+        # a nonzero coefficient on a rate that is not finite with Re > 0
+        # is refused, naming its mode and slot, not evaluated as zero
+        rates = np.array([[1.0, 2.0], [1.5 + 0.5j, rate]])
+        coeffs = np.ones((2, 2, 2, 1), dtype=complex)
+        with pytest.raises(DomainError, match="mode 1, rate slot 1"):
+            evaluate_profiles(rates, coeffs, np.linspace(0.0, 5.0, 11))
+
     def test_negative_x_rejected(self):
         p = classify(*CASE_PARAMS["IV"])
         batch = solve_modes(p, *_batch_inputs(3, 2, n_modes=4)[:1], 1.0, [1.0] * 4, [[0.5]] * 4)

@@ -321,45 +321,70 @@ def _zeroing_sampler(zero_calls):
 
 class TestLifts:
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("kind", ["S0", "T"])
+    @pytest.mark.parametrize("kind", ["S0", "T", "full"])
     def test_lift_profiles_bit_identical_to_per_tuple_reference(self, rng, dim, kind):
         # every mode of every field in one pass: powers 0/1/2, a one-term
-        # x^2 profile and a field missing a mode; power-0 profiles are
-        # bit-identical in their decay support, the others agree to rounding
+        # x^2 profile and fields missing modes, on modes the fields share
+        # and (at the last lambda) on modes no two fields share; the
+        # full-data lift's normal force has x e^{-r x} terms only (P = 2).
+        # Power-0 profiles are bit-identical in their decay support, the
+        # others agree to rounding, and a field's rows at a mode it does not
+        # carry are exactly zero
         spec = probe_grid(dim=dim, n_tangential=8, n_vertical=48)
         x = spec.vertical_coords()
         term_powers = [(0, 1, 2, 0), (0, 0), (2,), (1, 0, 2), (0,), (0, 0, 0)]
-        n_fields = 1 if kind == "S0" else dim
+        arity = lift_arity(kind if kind == "S0" else "T", dim)
+        # rows per field: one S0 lift, the T lifts of (g, h), or (d, f, g)
+        field_rows = {"S0": [arity], "T": [arity] * dim,
+                      "full": [dim + 1] + [1] * dim + [arity]}[kind]
         row_kinds = set()
-        for lam in (1.0 + 0.5j, 0.02 * np.exp(-1.2j), 70.0):
+        for lam, shared in ((1.0 + 0.5j, True), (0.02 * np.exp(-1.2j), True), (70.0, False)):
             flat = rng.choice(8 ** (dim - 1), size=len(term_powers), replace=False)
             active = [tuple(int(i) for i in np.unravel_index(j, spec.tangential_shape))
                       for j in flat]
-            fields = [_random_field(rng, spec, active[i:], [term_powers[(k + i) % 6]
-                                                            for k in range(i, len(active))])
-                      for i in range(n_fields)]
+            fields = []
+            for i in range(len(field_rows)):
+                modes = active[i:] if shared else active[i::len(field_rows)]
+                powers = [term_powers[(k + i) % 6] for k in range(len(modes))]
+                if kind == "full" and i == dim:  # the normal force
+                    powers = [(1,) * len(p) for p in powers]
+                fields.append(_random_field(rng, spec, modes, powers))
             if kind == "S0":
                 f = fields[0]
                 values = _verticals(f.rates, f.coeffs[None], x, LIFT_ORDERS["S0"])
                 rows = _lift_vertical(values, _lift_weights([lam], [len(active)], "S0"),
                                       _frequencies(spec, active), dim)
                 got = dict(zip(f.indices(), rows))
-            else:
+            elif kind == "T":
                 got = lift_boundary_data([lam], [(fields[0], tuple(fields[1:]))])[0].modes
                 want = _reference_lift_boundary_data((fields[0], tuple(fields[1:])), lam)
                 assert list(got) == list(want.modes)
-            arity = lift_arity(kind, dim)
+            else:
+                data = (fields[0], tuple(fields[1:-1]), fields[-1])
+                got = lift_full_data([lam], [data])[0].modes
+                reference = _reference_lift_full_data(data, lam)
+                assert list(got) == list(reference)
             ks = spec.tangential_wavenumbers()
             for index in active:
                 xi = np.array([ks[i] for i in index])
                 profiles = [_profiles(f).get(index, VerticalProfile.zero()) for f in fields]
-                want = _reference_lift_profiles(profiles[0] if kind == "S0" else profiles,
-                                                lam, spec, xi, kind)
-                reach = [_reach(f, index) for f in fields for _ in range(arity)]
-                exact = [not np.any(p.powers) for p in profiles for _ in range(arity)]
+                if kind == "full":
+                    want = reference[index]
+                else:
+                    want = _reference_lift_profiles(profiles[0] if kind == "S0" else profiles,
+                                                    lam, spec, xi, kind)
+                reach = [_reach(f, index) for f, n in zip(fields, field_rows) for _ in range(n)]
+                exact = [not np.any(p.powers) for p, n in zip(profiles, field_rows)
+                         for _ in range(n)]
                 _assert_rows_match(got[index], want, x, reach, exact)
                 row_kinds.update(exact)
-        assert row_kinds == {True, False}
+                start = 0
+                for f, n in zip(fields, field_rows):
+                    if index not in f.indices():
+                        assert not np.any(got[index][start:start + n])
+                        row_kinds.add("absent")
+                    start += n
+        assert row_kinds == ({True, False} if kind == "S0" else {True, False, "absent"})
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_boundary_lift_merged_and_missing_modes(self, rng, dim):
@@ -451,17 +476,19 @@ class TestLifts:
     def test_draw_lifts_equal_member_lifts_bit_for_bit(self, params, rng, dim):
         # a draw of members at different lambdas, with different term counts
         # (a mode drawn four times carries 8 terms, so the draw pads the
-        # others) and a member whose h fields are empty: each member's tuple
-        # equals the tuple of a draw of that member alone, bit for bit
+        # others; numpy would sum a 6-term trace padded to 8 in other pairs)
+        # and a member whose h fields are empty: each member's tuple equals
+        # the tuple of a draw of that member alone, bit for bit
         spec = probe_grid(dim=dim, n_tangential=8, n_vertical=48)
         zero = _zero_field(spec)
-        stacked = (_random_field(rng, spec, [(1,) * (dim - 1)], [(0,) * 8]),
-                   tuple(_random_field(rng, spec, [(2,) * (dim - 1)], [(0, 0)])
-                         for _ in range(dim - 1)))
+        stacked, six = ((_random_field(rng, spec, [(1,) * (dim - 1)], [(0,) * n_terms]),
+                         tuple(_random_field(rng, spec, [(2,) * (dim - 1)], [(0, 0)])
+                               for _ in range(dim - 1)))
+                        for n_terms in (8, 6))
         datas = [sample_boundary_data(rng, spec, 4), stacked,
                  (sample_boundary_data(rng, spec, 3)[0], (zero,) * (dim - 1)),
-                 sample_boundary_data(rng, spec, 2)]
-        lams = [1.3 + 0.4j, 0.05 * np.exp(1.2j), 20.0, 2.0 * np.exp(-1.2j)]
+                 sample_boundary_data(rng, spec, 2), six]
+        lams = [1.3 + 0.4j, 0.05 * np.exp(1.2j), 20.0, 2.0 * np.exp(-1.2j), 0.7 - 0.2j]
         full = [sample_full_data(rng, spec, 3) for _ in lams]
         draws = [(lift_boundary_data, datas), (lift_full_data, full)]
         for kind in ("A2", "B2"):
@@ -765,7 +792,7 @@ class TestFamilies:
         data = sample_full_data(np.random.default_rng(5 + dim), spec, modes_per_field=3)
         family = FullSolveFamily(params, kind)
         for lam in (1.0 + 0.5j, 0.3 * np.exp(1.2j), 20.0):
-            got = family.apply([lam], [data])[0].values
+            got = family.apply([lam], [data])[0].synthesize()
             want = _reference_full_apply(family, lam, data)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -778,11 +805,32 @@ class TestFamilies:
         zero = _zero_field(spec)
         for lam in (1.0 + 0.5j, 0.3 * np.exp(1.2j), 20.0):
             mode_solves.clear()
-            full = FullSolveFamily(params, kind).apply([lam], [(zero, (zero, zero), g)])[0].values
+            full = FullSolveFamily(params, kind).apply([lam], [(zero, (zero, zero), g)])[0]
+            full = full.synthesize()
             assert len(mode_solves) == spec.n_tangential
             ref = ReducedSolveFamily(params, kind + "2").apply([lam], [(g, (zero,))])[0]
             ref = ref.synthesize()
             assert np.max(np.abs(full - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["A", "B"])
+    def test_full_family_gram_through_parseval(self, params, kind, dim):
+        # the output tuples, kept per lattice mode, have the grid's inner
+        # products by discrete Parseval; relative to ||s|| ||o||, since two
+        # members that share few modes have an inner product near rounding
+        spec = probe_grid(dim=dim, n_tangential=16 if dim == 2 else 8,
+                          n_vertical=96 if dim == 2 else 48)
+        rng = np.random.default_rng(20 + dim)
+        lams = [1.0 + 0.5j, 0.3 * np.exp(1.2j), 20.0]
+        ys = FullSolveFamily(params, kind).apply(lams, [sample_full_data(rng, spec, 3)
+                                                        for _ in lams])
+        assert all(list(y.modes) == list(np.ndindex(spec.tangential_shape)) for y in ys)
+        dense = [y.synthesize() for y in ys]
+        for s_tuple, s_dense in zip(ys, dense):
+            for o_tuple, o_dense in zip(ys, dense):
+                want = np.vdot(o_dense, s_dense) * spec.cell_volume()
+                scale = s_tuple.norm() * o_tuple.norm()
+                assert abs(s_tuple.inner(o_tuple) - want) <= 1e-13 * scale
 
 
 class TestLogDerivative:
