@@ -330,37 +330,39 @@ def _add_scan_flags(sub):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="kortsolve",
+        prog="kortsolve", allow_abbrev=False,
         description="Resolvent solvers for the linearized compressible Korteweg model "
                     "on the half-space.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    # no flag prefixes: on classify, --n would silently read as --nu
+    command = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    s = subs.add_parser("classify", help="case I-V classification and the roots s1, s2")
+    s = command("classify", help="case I-V classification and the roots s1, s2")
     _add_params_flags(s)
     s.set_defaults(func=cmd_classify)
 
-    s = subs.add_parser("roots", help="characteristic roots t1, t2, omega for one mode")
+    s = command("roots", help="characteristic roots t1, t2, omega for one mode")
     _add_params_flags(s)
     s.add_argument("--xi", type=float, required=True)
     s.add_argument("--lam", required=True, help="complex, e.g. 1+0.5j")
     s.add_argument("--dim", type=int, default=2)
     s.set_defaults(func=cmd_roots)
 
-    s = subs.add_parser("symbol-check", help="empirical multiplier-class constants")
+    s = command("symbol-check", help="empirical multiplier-class constants")
     _add_params_flags(s)
     _add_scan_flags(s)
     s.add_argument("--name", required=True)
     s.add_argument("--max-order", type=int, default=2)
     s.set_defaults(func=cmd_symbol_check)
 
-    s = subs.add_parser("lopatinski-scan", help="normalized lower-bound scan of a symbol")
+    s = command("lopatinski-scan", help="normalized lower-bound scan of a symbol")
     _add_params_flags(s)
     _add_scan_flags(s)
     s.add_argument("--name", required=True)
     s.add_argument("--power", type=float, default=None)
     s.set_defaults(func=cmd_lopatinski_scan)
 
-    s = subs.add_parser("solve-mode", help="closed-form per-mode solve plus residuals")
+    s = command("solve-mode", help="closed-form per-mode solve plus residuals")
     _add_params_flags(s)
     s.add_argument("--xi", required=True, help="comma-separated tangential frequency")
     s.add_argument("--lam", required=True)
@@ -370,7 +372,7 @@ def build_parser():
     s.add_argument("--tol", type=float, default=1e-8)
     s.set_defaults(func=cmd_solve_mode)
 
-    s = subs.add_parser("solve-field", help="full-data half-space solve on a grid")
+    s = command("solve-field", help="full-data half-space solve on a grid")
     _add_params_flags(s)
     s.add_argument("--lam", required=True)
     s.add_argument("--data", default=None,
@@ -385,7 +387,7 @@ def build_parser():
     s.add_argument("--n-vertical", type=int, default=512)
     s.set_defaults(func=cmd_solve_field)
 
-    s = subs.add_parser("oracle-compare", help="closed form vs finite-difference oracle")
+    s = command("oracle-compare", help="closed form vs finite-difference oracle")
     _add_params_flags(s)
     s.add_argument("--xi", required=True)
     s.add_argument("--lam", required=True)
@@ -399,7 +401,7 @@ def build_parser():
     s.add_argument("--tol", type=float, default=1e-4)
     s.set_defaults(func=cmd_oracle_compare)
 
-    s = subs.add_parser("rbound", help="randomized-boundedness probe")
+    s = command("rbound", help="randomized-boundedness probe")
     _add_params_flags(s)
     s.add_argument("--family", required=True,
                    choices=("A2", "B2", "A", "B", "dA2", "dB2", "dA", "dB"))
@@ -429,7 +431,7 @@ def dispatch(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConsistencyError, DomainError, GridError, ValueError) as exc:
+    except (ConsistencyError, DomainError, GridError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return TOLERANCE_ERROR
 

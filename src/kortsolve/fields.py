@@ -203,9 +203,8 @@ def _require_edge_decay(values, spec: GridSpec, what: str, peak: float, top: flo
 # The values at -kz follow by parity, so the n_z + 1 rows kz >= 0 carry the
 # whole solve.  Arrays below hold those doubled-grid FFT values, not the
 # DCT/DST coefficients, so the whole-space formulas apply unchanged.
-# scipy.fft is imported where the transforms run: with scipy.special it adds
-# about 0.15 s to the package import, which commands that never solve a field
-# should not pay.
+# scipy.fft is imported where the transforms run, by the package rule that
+# `import kortsolve` loads numpy only (README, design notes).
 #
 # Every full-grid pass of a field solve runs on every CPU in the process's
 # affinity mask.  Each is cut into slabs of independent lines, about

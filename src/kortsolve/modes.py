@@ -279,7 +279,8 @@ def evaluate_profiles(rates, coeffs, x, out=None) -> np.ndarray:
     mode with no nonzero coefficient has no support pairs: zero-padded slots
     and empty rows would add only zeros, which change no bit of a sum.  A
     slot with a nonzero coefficient must decay (a finite rate with Re > 0),
-    or DomainError names its mode and slot.
+    or DomainError names its mode and slot.  A zero slot that does not decay
+    is left out of its mode's reach; every other slot, zero or not, counts.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
@@ -293,13 +294,15 @@ def evaluate_profiles(rates, coeffs, x, out=None) -> np.ndarray:
                           f"W >= {x.size}, with C-contiguous (M, W) blocks; got {out.shape}")
     n_rates, n_powers = coeffs.shape[-2:]
     live = np.any(coeffs != 0.0, axis=tuple(range(coeffs.ndim - 3)) + (-1,))  # (M, R)
-    no_decay = live & ~(np.isfinite(rates) & (rates.real > 0.0))
+    decays = np.isfinite(rates) & (rates.real > 0.0)
+    no_decay = live & ~decays
     if no_decay.any():
         k, r = np.argwhere(no_decay)[0]
         raise DomainError(f"mode {k}, rate slot {r}: rate {rates[k, r]} does not decay "
                           f"(need a finite rate with Re > 0)")
-    reach = np.where(live.any(axis=1), DECAY_SUPPORT / rates.real.min(axis=1, initial=np.inf),
-                     -np.inf)
+    # a dead slot that does not decay has no reach; every other slot keeps its own
+    slowest = np.where(decays, rates.real, np.inf).min(axis=1, initial=np.inf)
+    reach = np.where(live.any(axis=1), DECAY_SUPPORT / slowest, -np.inf)
     pairs = np.flatnonzero(x <= reach[:, None])  # (mode, x) pairs in support, flattened
     modes, xs = pairs // x.size, x[pairs % x.size]
     pairs += modes * (out.shape[-1] - x.size)  # their flat index into an (M, W) block

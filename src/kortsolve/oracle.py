@@ -16,6 +16,9 @@ LU with partial pivoting (zgbsv).
 
 Nothing here evaluates an exponential of A or reuses the closed-form roots;
 agreement with `modes.solve_mode` is therefore a genuine cross-check.
+
+scipy is imported where it runs: `scipy.linalg` on the first solve, so that
+importing this module (and with it the package) loads numpy only.
 """
 
 from __future__ import annotations
@@ -25,14 +28,26 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla  # noqa: F401  (perfbench/tracing.py wraps spla.spsolve here)
-from scipy.linalg.lapack import zgbsv
 
 from .errors import ConfigurationError, DomainError
 from .modes import BoundaryTrace, ModeSolution, solve_mode
 from .spectral import FluidParams, TangentialMode, compute_roots
 
 SCHEMES = ("second_order_fd", "fourth_order_fd")
+
+
+def __getattr__(name):
+    # Only `oracle.spla` is served here, imported on first read: the benchmark's
+    # tracer (perfbench/tracing.py, target "kortsolve.oracle:spla") wraps
+    # spla.spsolve, and perfbench/tests/test_perfbench.py:96 reads
+    # kortsolve.oracle.spla, though nothing in the package calls it.  Item 7 of
+    # ROADMAP.md deletes this hook with the tracer target, once perfbench/ may
+    # be edited.
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+        globals()["spla"] = spla
+        return spla
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -193,6 +208,8 @@ def solve_mode_bvp(params: FluidParams, mode: TangentialMode, trace: BoundaryTra
         warnings.warn(
             f"interval length {config.length:.3g} is shorter than 10 decay lengths "
             f"({10.0 / tmin:.3g}); truncation error may dominate", stacklevel=2)
+
+    from scipy.linalg.lapack import zgbsv
 
     ab, rhs, k = _band_system(companion_matrix(params, mode), mode.lam, trace, config)
     _, _, y, info = zgbsv(k, k, ab, rhs[:, None], overwrite_ab=1, overwrite_b=1)

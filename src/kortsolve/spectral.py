@@ -328,8 +328,10 @@ class ScanGrid:
 
         The scan stays strictly inside the right half-plane; by default the
         boundary |arg lambda| = pi/2 is approached up to 0.05 rad.  Each range
-        must be finite with 0 < min <= max, else GridError.
+        must be finite with 0 < min <= max, and dim at least 2, else GridError.
         """
+        if dim < 2:
+            raise GridError(f"scan grid dim must be >= 2 (one tangential direction), got {dim}")
         for name, (lo, hi) in (("xi", xi_range), ("|lambda|^(1/2)", lam_sqrt_range)):
             if not (0.0 < lo <= hi < math.inf):
                 raise GridError(f"the {name} range must be finite with 0 < min <= max, "

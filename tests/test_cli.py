@@ -30,6 +30,70 @@ def test_import_does_not_load_scipy_fft():
     assert out.stdout.strip() == "[]"
 
 
+def _fresh_python(probe):
+    """Run `probe` in a new interpreter on this package; return its last stdout line."""
+    src = str(Path(kortsolve.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    return out.stdout.splitlines()[-1]
+
+
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_import_loads_no_scipy():
+    # the package rule: importing kortsolve loads numpy only
+    probe = f"import sys, kortsolve, kortsolve.cli; print({_LOADED_SCIPY})"
+    assert _fresh_python(probe) == "[]"
+
+
+def test_commands_that_solve_no_field_or_oracle_load_no_scipy():
+    params = ["--mu", "1", "--nu", "1", "--kappa", "2"]
+    scan = ["--name", "m1", "--n-xi", "4", "--n-lam", "4", "--n-arg", "3"]
+    commands = [["classify", *params],
+                ["roots", *params, "--xi", "1", "--lam", "1+0.5j"],
+                ["solve-mode", *params, "--xi", "1", "--lam", "1", "--g", "1", "--h", "0.5"],
+                ["symbol-check", *params, *scan, "--max-order", "1"],
+                ["lopatinski-scan", *params, *scan],
+                ["rbound", *params, "--family", "A2", "--m", "4", "--trials", "60",
+                 "--draws", "1", "--n-tangential", "16", "--n-vertical", "64"],
+                # positive control: the oracle's solve imports scipy.linalg
+                ["oracle-compare", *params, "--xi", "1", "--lam", "1", "--n", "256",
+                 "--rows", "1", "--tol", "1"]]
+    probe = ("import json, sys\n"
+             "from kortsolve.cli import dispatch\n"
+             "loaded = []\n"
+             f"for argv in {commands!r}:\n"
+             "    code = dispatch(argv)\n"
+             f"    loaded.append([argv[0], code, {_LOADED_SCIPY}])\n"
+             "print(json.dumps(loaded))")
+    loaded = json.loads(_fresh_python(probe))
+    assert [(name, code) for name, code, _ in loaded] == [(c[0], 0) for c in commands]
+    assert all(modules == [] for _, _, modules in loaded[:-1]), loaded
+    assert "scipy.linalg" in loaded[-1][2]
+
+
+def test_oracle_spla_is_imported_on_first_read():
+    # oracle.spla exists only for the benchmark's spsolve wrapper, so it is
+    # imported when read, and no other missing name is served
+    probe = ("import json, sys, kortsolve.oracle as oracle\n"
+             "before = ('spla' in vars(oracle), "
+             "any(m.startswith('scipy.sparse') for m in sys.modules))\n"
+             "import scipy.sparse.linalg\n"
+             "same = oracle.spla.spsolve is scipy.sparse.linalg.spsolve\n"
+             "try:\n"
+             "    oracle.no_such_name\n"
+             "    missing = 'served'\n"
+             "except AttributeError as exc:\n"
+             "    missing = str(exc)\n"
+             "print(json.dumps([before, same, 'spla' in vars(oracle), missing]))")
+    before, same, bound, missing = json.loads(_fresh_python(probe))
+    assert before == [False, False]
+    assert same and bound
+    assert missing == "module 'kortsolve.oracle' has no attribute 'no_such_name'"
+
+
 class TestClassify:
     def test_case_three_example(self, capsys):
         code, out, err = run(["classify", "--mu", "2", "--nu", "1", "--kappa", "2"], capsys)
@@ -55,6 +119,28 @@ class TestClassify:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--mu", "1", "--nu", "1", "--kappa", "2", "--n", "3"],
+        ["roots", "--mu", "1", "--n", "1", "--kappa", "2", "--xi", "1", "--lam", "1"]])
+    def test_flag_prefix_is_not_a_flag(self, argv, capsys):
+        # --n is not --nu: a prefix selects no flag
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", [["--config", "{missing}/fluid.cfg"],
+                                       ["--mu", "1", "--nu", "1", "--kappa", "2",
+                                        "-o", "{missing}/x.csv"]])
+    def test_unreadable_or_unwritable_path_is_one_error_line(self, where, tmp_path, capsys):
+        argv = ["classify", *(a.format(missing=tmp_path / "missing") for a in where)]
+        code, out, err = run(argv, capsys)
+        assert code == TOLERANCE_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "No such file or directory" in err
+
+
 class TestSolveMode:
     def test_zero_trace(self, capsys):
         code, out, _ = run(["solve-mode", "--mu", "1", "--nu", "1", "--kappa", "2",
@@ -74,6 +160,15 @@ class TestSolveMode:
                 assert len(row) == 5
         manifest = json.loads((prof.with_name("profiles.json.manifest.json")).read_text())
         assert manifest["subcommand"] == "solve-mode"
+
+
+    def test_unwritable_profile_is_one_error_line(self, tmp_path, capsys):
+        code, out, err = run(["solve-mode", "--mu", "1", "--nu", "1", "--kappa", "2",
+                              "--xi", "1", "--lam", "1", "--emit-profile",
+                              str(tmp_path / "missing" / "p.json")], capsys)
+        assert code == TOLERANCE_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestOracleCompare:
@@ -164,6 +259,13 @@ class TestScans:
     def test_invalid_grid_is_one_error_line(self, flag, capsys):
         self._one_error_line(["lopatinski-scan", "--mu", "1", "--nu", "1", "--kappa", "2",
                               "--name", "m1", *flag], capsys)
+
+    @pytest.mark.parametrize("cmd", ["symbol-check", "lopatinski-scan"])
+    @pytest.mark.parametrize("dim", ["0", "1"])
+    def test_scan_dim_below_two_is_one_error_line(self, cmd, dim, capsys):
+        err = self._one_error_line([cmd, "--mu", "1", "--nu", "1", "--kappa", "2",
+                                    "--name", "m1", "--dim", dim], capsys)
+        assert "dim must be >= 2" in err
 
     @pytest.mark.parametrize("flag", [["--lam-sqrt-max", "inf"], ["--lam-sqrt-min", "0"]])
     def test_invalid_symbol_check_range_is_one_error_line(self, flag, capsys):

@@ -551,6 +551,18 @@ class TestTruncatedEvaluate:
         with pytest.raises(DomainError, match="mode 1, rate slot 1"):
             evaluate_profiles(rates, coeffs, np.linspace(0.0, 5.0, 11))
 
+    @pytest.mark.parametrize("rate", [-1.0, 0.0, float("nan"), complex(float("inf"), 0.0),
+                                      complex(1.0, float("nan"))])
+    def test_dead_slot_that_does_not_decay_is_skipped(self, rate):
+        # a zero-coefficient slot on a rate that does not decay takes no part
+        # in its mode's reach: the live term keeps its one-slot bits, which
+        # end at that term's own reach, 46 / 1.5 < 60
+        x = np.linspace(0.0, 60.0, 121)
+        want = evaluate_profiles(np.array([[1.5 + 0.5j]]), np.array([[[1.0]]]), x)
+        got = evaluate_profiles(np.array([[1.5 + 0.5j, rate]]), np.array([[[1.0], [0.0]]]), x)
+        assert np.any(want != 0.0)
+        assert got.tobytes() == want.tobytes()
+
     def test_negative_x_rejected(self):
         p = classify(*CASE_PARAMS["IV"])
         batch = solve_modes(p, *_batch_inputs(3, 2, n_modes=4)[:1], 1.0, [1.0] * 4, [[0.5]] * 4)

@@ -228,6 +228,12 @@ class TestRootScan:
             ScanGrid(xi_magnitudes=[], directions=[[1.0]],
                      lambda_magnitudes=[1.0], lambda_args=[0.0])
 
+    @pytest.mark.parametrize("dim", [1, 0, -2])
+    def test_logspace_needs_a_tangential_direction(self, dim):
+        from kortsolve import GridError
+        with pytest.raises(GridError, match="dim must be >= 2"):
+            ScanGrid.logspace(dim=dim)
+
     @pytest.mark.parametrize("axes", [
         {"xi_magnitudes": [1.0, math.nan]},
         {"xi_magnitudes": [math.inf]},
