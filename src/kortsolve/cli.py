@@ -263,7 +263,7 @@ def cmd_oracle_compare(args):
     mode = TangentialMode(xi=xi, lam=_parse_complex(args.lam), dim=len(xi) + 1)
     h = [_parse_complex(v) for v in args.h.split(",")] if args.h else [0.0] * (mode.dim - 1)
     trace = BoundaryTrace(_parse_complex(args.g), h)
-    length = args.length if args.length else BvpConfig.for_mode(p, mode, n=args.n).length
+    length = args.length if args.length is not None else BvpConfig.for_mode(p, mode, n=args.n).length
     config = BvpConfig(length=length, n=args.n, scheme=args.scheme)
     err, numeric = compare_with_closed_form(p, mode, trace, config)
 

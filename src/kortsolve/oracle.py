@@ -9,10 +9,11 @@ u_N' = phi - i xi . u' to lower the order in u_N and the interior equations
 to close u_j'' and phi'''.  The system y' = A y with constant A is then
 discretized on [0, L] by a two-point box scheme (second order) or its
 Obrechkoff correction (fourth order), with the physical boundary conditions
-at x = 0 and homogeneous Dirichlet conditions at x = L.  Ordered x = 0 rows,
-box rows, x = L rows, the system is banded with 3N+2 sub- and
-superdiagonals; it is assembled in LAPACK band storage and solved by banded
-LU with partial pivoting (zgbsv).
+at x = 0 and homogeneous Dirichlet conditions at x = L.  The box rows are a
+constant-coefficient recursion; it is solved through its discrete dichotomy:
+QZ splits it into decaying and growing directions, one 2(N+1) system fixes
+their amplitudes from the boundary rows, and each set is marched away from
+the end where it is fixed.
 
 Nothing here evaluates an exponential of A or reuses the closed-form roots;
 agreement with `modes.solve_mode` is therefore a genuine cross-check.
@@ -64,8 +65,8 @@ class BvpConfig:
     scheme: str = "second_order_fd"
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ConfigurationError("interval length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ConfigurationError("interval length must be positive and finite")
         if self.n < 4:
             raise ConfigurationError("need at least 4 nodes")
         if self.n < 64:
@@ -142,62 +143,74 @@ def _u_columns(N: int) -> list:
     return [*range(0, 2 * N - 2, 2), 2 * N - 2]
 
 
-def _band_system(A: np.ndarray, lam: complex, trace: BoundaryTrace, config: BvpConfig):
-    """The box-scheme system of the per-mode BVP in LAPACK band storage.
+def _box_solve(A: np.ndarray, lam: complex, trace: BoundaryTrace, config: BvpConfig):
+    """Nodal values y, shape (n, 2N+2), of the box scheme for y' = A y on [0, L].
 
-    Returns (ab, rhs, k): the matrix has k = 3N+2 sub- and superdiagonals and
-    entry (r, c) is stored at ab[2k + r - c, c]; rows 0..k-1 of ab are
-    workspace for the factorization.  The unknowns are node-major (node i
-    holds y at x_i), and the rows come in the order x = 0 boundary rows
-    u_j(0) = h_j, u_N(0) = 0, phi'(0) = lam*g; then row block i < n-1,
-    `left` on node i and `right` on node i+1; then u_j(L) = u_N(L) =
-    phi(L) = 0.  That order keeps every row within k of the diagonal.
+    Every box row reads right y_{i+1} = -left y_i.  The QZ split of the pencil
+    (-left, right) gives N+1 decaying directions Zd with a forward step Md and
+    N+1 growing directions Zg with a backward step Mg, so that
+    y_i = Zd Md^i a + Zg Mg^(n-1-i) b.  The N+1 boundary rows at each end fix
+    (a, b) through one 2(N+1) square system.  The amplitudes are then marched
+    by doubling, the growing ones from x = L, so no direction is marched the
+    way it grows and `right` is never inverted.
     """
+    from scipy.linalg import block_diag, ordqz
+
     dim, n = A.shape[0], config.n
-    N = dim // 2 - 1
-    k = 3 * N + 2
+    N, k = dim // 2 - 1, dim // 2
     h = config.length / (n - 1)
     eye = np.eye(dim, dtype=complex)
-    if config.scheme == "second_order_fd":
-        right = eye / h - A / 2.0
-        left = -(eye / h + A / 2.0)
-    else:
+    right, left = eye / h - A / 2.0, -(eye / h + A / 2.0)
+    if config.scheme == "fourth_order_fd":
         # Corrected trapezoid (Euler-Maclaurin): y_{i+1} - y_i =
         # (h/2) A (y_i + y_{i+1}) - (h^2/12) A^2 (y_{i+1} - y_i) + O(h^5).
-        A2 = A @ A
-        right = eye / h - A / 2.0 + (h / 12.0) * A2
-        left = -(eye / h + A / 2.0 + (h / 12.0) * A2)
-
-    size = dim * n
-    ab = np.zeros((3 * k + 1, size), dtype=complex, order="F")
-    # Block row i starts at row N+1 + i*dim, so block entry (a, b) lies on
-    # band row 2k + N+1 + a - b (left) or 2k - (N+1) + a - b (right), in
-    # every dim-th column from b (left) or dim + b (right).
-    span = (n - 1) * dim
-    for b in range(dim):
-        top = 2 * k + N + 1 - b
-        ab[top:top + dim, b:b + span:dim] = left[:, b, None]
-        top -= dim
-        ab[top:top + dim, dim + b:dim + b + span:dim] = right[:, b, None]
-    # boundary rows: u_1..u_N, then phi' (2N) at x = 0 or phi (2N-1) at x = L
-    u_cols = _u_columns(N)
-    for row0, col0, last in ((0, 0, 2 * N), (size - (N + 1), size - dim, 2 * N - 1)):
-        for r, c in enumerate([*u_cols, last]):
-            ab[2 * k + row0 + r - col0 - c, col0 + c] = 1.0
-    rhs = np.zeros(size, dtype=complex)
-    rhs[:N - 1] = trace.h_hat
-    rhs[N] = lam * trace.g_hat
-    return ab, rhs, k
+        A2 = (h / 12.0) * (A @ A)
+        right, left = right + A2, left - A2
+    decays = lambda a, b: abs(a) < (1 - 1e-8) * abs(b)
+    split = []
+    try:
+        # |mu| = |alpha/beta| is compared without a division, so an infinite
+        # eigenvalue grows; one within 1e-8 of the unit circle is on neither side.
+        for sort in (decays, lambda a, b: decays(b, a)):
+            AA, BB, alpha, beta, _, Z = ordqz(-left, right, sort=sort, output="complex")
+            if np.count_nonzero(sort(alpha, beta)) != k:
+                raise ValueError(f"the box pencil does not split into {k} decaying "
+                                 f"and {k} growing directions")
+            AA, BB = AA[:k, :k], BB[:k, :k]
+            # BB c_{i+1} = AA c_i: solved forward for decaying c, backward for growing
+            split.append((Z[:, :k], np.linalg.solve(AA, BB) if split else np.linalg.solve(BB, AA)))
+        (Zd, Md), (Zg, Mg) = split
+        Pd, Pg = np.linalg.matrix_power(np.stack([Md, Mg]), n - 1)
+        # x = 0: u_j = h_j, u_N = 0, phi' = lam*g;  x = L: u_j = u_N = phi = 0
+        at0, atL = [*_u_columns(N), 2 * N], [*_u_columns(N), 2 * N - 1]
+        rhs = np.zeros(2 * k, dtype=complex)
+        rhs[:N - 1] = trace.h_hat
+        rhs[N] = lam * trace.g_hat
+        amp = np.linalg.solve(np.block([[Zd[at0], Zg[at0] @ Pg], [Zd[atL] @ Pd, Zg[atL]]]), rhs)
+        # Row i of V holds (Md^i a, Mg^i b); each pass doubles the rows.
+        V, step = amp[None], block_diag(Md, Mg).T
+        while len(V) < n:
+            V = np.concatenate([V, V[:n - len(V)] @ step])
+            step = step @ step
+        y = V[:, :k] @ Zd.T + V[::-1, k:] @ Zg.T
+        if not np.all(np.isfinite(y)):
+            raise ValueError("non-finite solution")
+    except ValueError as exc:  # also numpy's LinAlgError, and ordqz on non-finite input
+        raise ConfigurationError(
+            f"singular discrete system (n={n}, L={config.length}): {exc}") from exc
+    return y
 
 
 def solve_mode_bvp(params: FluidParams, mode: TangentialMode, trace: BoundaryTrace,
                    config: BvpConfig) -> BvpSolution:
-    """Finite-difference solve of the per-mode BVP on [0, L], one banded LU (zgbsv).
+    """Finite-difference solve of the per-mode BVP on [0, L] through its discrete dichotomy.
 
     Boundary rows: u_j(0) = h_j, u_N(0) = 0, phi'(0) = lambda*g (which encodes
-    d_N rho(0) = -g through rho = -phi/lambda), and u_J(L) = phi(L) = 0.
-    A singular factorization or a non-finite solution raises
-    ConfigurationError naming n and L.
+    d_N rho(0) = -g through rho = -phi/lambda), and u_J(L) = phi(L) = 0.  The
+    box scheme is split into its decaying and growing directions by QZ
+    (`_box_solve`).  A pencil that does not split into N+1 + N+1 directions,
+    a singular system or a non-finite solution raises ConfigurationError
+    naming n and L.
     """
     N, n = mode.dim, config.n
     if trace.h_hat.shape != (N - 1,):
@@ -209,15 +222,7 @@ def solve_mode_bvp(params: FluidParams, mode: TangentialMode, trace: BoundaryTra
             f"interval length {config.length:.3g} is shorter than 10 decay lengths "
             f"({10.0 / tmin:.3g}); truncation error may dominate", stacklevel=2)
 
-    from scipy.linalg.lapack import zgbsv
-
-    ab, rhs, k = _band_system(companion_matrix(params, mode), mode.lam, trace, config)
-    _, _, y, info = zgbsv(k, k, ab, rhs[:, None], overwrite_ab=1, overwrite_b=1)
-    if info != 0 or not np.all(np.isfinite(y)):
-        raise ConfigurationError(
-            f"singular discrete system (n={n}, L={config.length}): LAPACK zgbsv info={info}")
-    y = y.reshape(n, 2 * N + 2)
-
+    y = _box_solve(companion_matrix(params, mode), mode.lam, trace, config)
     x = np.linspace(0.0, config.length, n)
     u = np.ascontiguousarray(y[:, _u_columns(N)].T)
     phi = y[:, 2 * N - 1]

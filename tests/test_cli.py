@@ -206,6 +206,16 @@ class TestOracleCompare:
         assert err == f"error: --rows must be >= 1, got {rows}\n"
         assert not (tmp_path / "cmp.csv").exists()
 
+    def test_zero_length_is_one_error_line(self, tmp_path, capsys):
+        # --length 0 is rejected, not replaced by the automatic length
+        code, out, err = run(["oracle-compare", "--mu", "1", "--nu", "1", "--kappa", "2",
+                              "--xi", "1", "--lam", "1", "--n", "512", "--length", "0",
+                              "-o", str(tmp_path / "cmp.csv")], capsys)
+        assert code == TOLERANCE_ERROR
+        assert out == ""
+        assert err == "error: interval length must be positive and finite\n"
+        assert not (tmp_path / "cmp.csv").exists()
+
     def test_parser_reused_after_usage_error(self, tmp_path, capsys):
         argv = ["oracle-compare", "--mu", "1", "--nu", "1", "--kappa", "2", "--xi", "1",
                 "--lam", "1", "--n", "512", "--scheme", "fourth_order_fd", "-o"]

@@ -4,33 +4,35 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from kortsolve import (BoundaryTrace, BvpConfig, ConfigurationError, TangentialMode,
-                       compare_with_closed_form, convergence_study, solve_mode_bvp)
+                       compare_with_closed_form, compute_roots, convergence_study,
+                       solve_mode_bvp)
 from kortsolve import oracle
-from kortsolve.oracle import _band_system, companion_matrix
+from kortsolve.oracle import _box_solve, companion_matrix
 
 
 def _mode_and_trace():
     return TangentialMode(xi=[1.0], lam=1.0), BoundaryTrace(1.0, [0.0])
 
 
+def _reference_blocks(A, config):
+    """Test-only reference: the (left, right) blocks of one box row."""
+    h = config.length / (config.n - 1)
+    eye = np.eye(A.shape[0], dtype=complex)
+    if config.scheme == "second_order_fd":
+        return -(eye / h + A / 2.0), eye / h - A / 2.0
+    A2 = A @ A
+    return -(eye / h + A / 2.0 + (h / 12.0) * A2), eye / h - A / 2.0 + (h / 12.0) * A2
+
+
 def _reference_discrete_system(A, lam, trace, config):
     """Test-only reference: the system assembled block by block as a sparse matrix.
 
-    Rows are the n-1 block rows, then the x = 0 rows, then the x = L rows.
-    `_band_system` must hold this matrix and right-hand side entry for entry
-    once the x = 0 rows are moved to the top.
+    Rows are the n-1 block rows, then the x = 0 rows, then the x = L rows;
+    the unknowns are node-major (node i holds y at x_i).
     """
     dim, n = A.shape[0], config.n
     N = dim // 2 - 1
-    h = config.length / (n - 1)
-    eye = np.eye(dim, dtype=complex)
-    if config.scheme == "second_order_fd":
-        right = eye / h - A / 2.0
-        left = -(eye / h + A / 2.0)
-    else:
-        A2 = A @ A
-        right = eye / h - A / 2.0 + (h / 12.0) * A2
-        left = -(eye / h + A / 2.0 + (h / 12.0) * A2)
+    left, right = _reference_blocks(A, config)
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(dim * n, dtype=complex)
@@ -72,16 +74,6 @@ def _reference_discrete_system(A, lam, trace, config):
     return sp.csc_matrix((vals, (rows, cols)), shape=(dim * n, dim * n)), rhs
 
 
-def _band_to_dense(ab, k):
-    """Unpack LAPACK band storage with k sub- and superdiagonals."""
-    size = ab.shape[1]
-    dense = np.zeros((size, size), dtype=ab.dtype)
-    for d in range(-k, k + 1):  # entry (r, r + d) is stored at ab[2k - d, r + d]
-        r = np.arange(max(0, -d), min(size, size - d))
-        dense[r, r + d] = ab[2 * k - d, r + d]
-    return dense
-
-
 def _reference_case(params_by_case, name, dim, scheme):
     p = params_by_case[name]
     mode = TangentialMode(xi=[0.7, -0.3][:dim - 1], lam=1.2 + 0.4j, dim=dim)
@@ -102,18 +94,20 @@ def _on_case_grid(test):
 class TestAssembly:
     @_on_case_grid
     def test_matches_block_loop_reference(self, params_by_case, name, dim, scheme):
+        # The solve satisfies every block row and boundary row of the reference.
+        # Over 40 decay lengths the growing directions stay below rounding of
+        # the peak, so a 3-decay-length box checks them too.
         p, mode, trace, config = _reference_case(params_by_case, name, dim, scheme)
         A = companion_matrix(p, mode)
-        ab, rhs, k = _band_system(A, mode.lam, trace, config)
-        ref, ref_rhs = _reference_discrete_system(A, mode.lam, trace, config)
-        N, size = dim, ref.shape[0]
-        assert k == 3 * N + 2
-        assert ab.shape == (3 * k + 1, size) and ab.flags.f_contiguous
-        assert not np.any(ab[:k])  # LAPACK workspace rows start zeroed
-        far = size - (2 * N + 2)
-        order = np.r_[far:far + N + 1, :far, far + N + 1:size]
-        np.testing.assert_array_equal(_band_to_dense(ab, k), ref.toarray()[order])
-        np.testing.assert_array_equal(rhs, ref_rhs[order])
+        for length in (config.length, config.length * 3.0 / 40.0):
+            config = BvpConfig(length=length, n=config.n, scheme=scheme)
+            y = _box_solve(A, mode.lam, trace, config)
+            assert y.shape == (config.n, 2 * dim + 2)
+            ref, ref_rhs = _reference_discrete_system(A, mode.lam, trace, config)
+            residual = np.abs(ref @ y.ravel() - ref_rhs)
+            scale = np.max(np.abs(y)) * sum(np.linalg.norm(b, np.inf)
+                                            for b in _reference_blocks(A, config))
+            assert np.max(residual) <= 1e-12 * scale
 
 
 class TestBandSolve:
@@ -136,6 +130,32 @@ class TestBandSolve:
         A[1, 0] = np.nan
         monkeypatch.setattr(oracle, "companion_matrix", lambda params, mode: A)
         with pytest.raises(ConfigurationError, match=r"n=256, L="):
+            solve_mode_bvp(p, mode, trace, cfg)
+
+    def test_singular_right_block(self, params_by_case):
+        # h * omega = 2 makes the second-order right block I/h - A/2 singular:
+        # the pencil has an infinite eigenvalue, which must sort as growing
+        p = params_by_case["I"]
+        mode = TangentialMode(xi=[0.7], lam=1.3)
+        trace = BoundaryTrace(0.8 - 0.6j, [0.5 + 0.25j])
+        n = 256
+        config = BvpConfig(length=2.0 * (n - 1) / compute_roots(p, mode).omega.real, n=n)
+        A = companion_matrix(p, mode)
+        assert np.linalg.cond(_reference_blocks(A, config)[1]) > 1e14
+        ref, ref_rhs = _reference_discrete_system(A, mode.lam, trace, config)
+        want = spla.spsolve(ref, ref_rhs).reshape(n, 6)
+        got = _box_solve(A, mode.lam, trace, config)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_no_dichotomy_raises(self, params_by_case, monkeypatch):
+        # an eigenvalue pair on the imaginary axis neither decays nor grows
+        p = params_by_case["I"]
+        mode, trace = _mode_and_trace()
+        cfg = BvpConfig.for_mode(p, mode, n=256)
+        S = np.random.default_rng(7).normal(size=(6, 6, 2)) @ [1.0, 1j]
+        A = S @ np.diag([-1.0, -2.0, 1.0, 2.0, 0.5j, -0.5j]) @ np.linalg.inv(S)
+        monkeypatch.setattr(oracle, "companion_matrix", lambda params, mode: A)
+        with pytest.raises(ConfigurationError, match=r"n=256, L=.*does not split"):
             solve_mode_bvp(p, mode, trace, cfg)
 
 
@@ -213,8 +233,9 @@ class TestBvpSolve:
             BvpConfig(length=10.0, n=16)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            BvpConfig(length=-1.0, n=256)
+        for length in (-1.0, 0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigurationError, match="positive and finite"):
+                BvpConfig(length=length, n=256)
         with pytest.raises(ConfigurationError):
             BvpConfig(length=1.0, n=256, scheme="spectral")
 
