@@ -41,6 +41,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -66,6 +68,17 @@ class GridSpec:
     n_vertical: int = 256
 
     def __post_init__(self):
+        # numpy scalars pass; they are stored as int and float, which JSON takes
+        for name in ("dim", "n_tangential", "n_vertical"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise GridError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        for name in ("box_half_length", "vertical_cutoff"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):  # NaN fails too
+                raise GridError(f"{name} must be finite and positive, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.dim < 2:
             raise GridError("dim must be >= 2")
         n = self.n_tangential
@@ -73,8 +86,6 @@ class GridSpec:
             raise GridError("n_tangential must be a power of two, >= 8")
         if self.n_vertical < 8:
             raise GridError("n_vertical must be >= 8")
-        if self.vertical_cutoff <= 0 or self.box_half_length <= 0:
-            raise GridError("grid lengths must be positive")
 
     @property
     def tangential_shape(self):
@@ -814,7 +825,7 @@ def solve_resolvent(params: FluidParams, d: GridField, f, g, lam,
 
 
 # ---------------------------------------------------------------------------
-# Separable analytic fields for manufactured-solution tests
+# Separable analytic fields (rank-T CP tensors): manufactured solutions, N >= 2
 # ---------------------------------------------------------------------------
 
 
@@ -824,6 +835,8 @@ class PolyGauss:
     def __init__(self, coeffs, width=1.0, center=0.0):
         self.poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
         self.width = float(width)
+        if not 0.0 < self.width < math.inf:  # NaN fails too
+            raise DomainError(f"PolyGauss width must be finite and positive, got {width!r}")
         self.center = float(center)
 
     def __call__(self, x):
@@ -838,7 +851,7 @@ class PolyGauss:
 
 
 class SepField:
-    """Sum of separable terms prod_axis factor(x_axis); exact derivatives."""
+    """Sum of T terms a * prod_axis factor(x_axis), a rank-T CP tensor; exact derivatives."""
 
     def __init__(self, terms):
         self.terms = list(terms)  # list of (coeff, [factor per axis])
@@ -866,17 +879,21 @@ class SepField:
         return out
 
     def sample(self, axis_coords):
+        """The terms summed on the grid of `axis_coords`, as one matrix product.
+
+        Each axis's T factors form an (n_axis, T) matrix.  The row-wise
+        Kronecker (Khatri-Rao) product of the coefficients and every axis but
+        the last, times the last axis's matrix, is the only full-grid array.
+        """
         shape = tuple(len(c) for c in axis_coords)
-        out = np.zeros(shape, dtype=complex)
-        for a, fs in self.terms:
-            term = np.ones(shape, dtype=complex) * a
-            for i, f in enumerate(fs):
-                vals = f(axis_coords[i])
-                sl = [None] * len(shape)
-                sl[i] = slice(None)
-                term = term * vals[tuple(sl)]
-            out += term
-        return out
+        if not self.terms:
+            return np.zeros(shape, dtype=complex)
+        mats = [np.stack([fs[i](x) for _, fs in self.terms], axis=1)
+                for i, x in enumerate(axis_coords)]
+        lead = np.array([[a for a, _ in self.terms]], dtype=complex)
+        for m in mats[:-1]:
+            lead = (lead[:, None, :] * m[None, :, :]).reshape(-1, len(self.terms))
+        return (lead @ mats[-1].T).reshape(shape)
 
     def sample_trace(self, axis_coords):
         """Sample at x_N = 0 over the tangential axes only."""
@@ -889,42 +906,46 @@ def manufactured_solution(params: FluidParams, spec: GridSpec, lam,
                           rough_width=None):
     """A smooth manufactured half-space solution honoring u = 0 on the boundary.
 
-    Constructed so every datum extends across x_N = 0 without a jump: the
-    normal force component has zero trace (its odd extension stays
-    continuous) and the remaining extensions kink only in higher
-    derivatives.  The density is p(x_N) G(x') + r(x_N) G''(x') with
+    Built for any N = spec.dim >= 2.  Every datum extends across x_N = 0
+    without a jump: the normal force component has zero trace (its odd
+    extension stays continuous) and the remaining extensions kink only in
+    higher derivatives.  The density is p(x_N) G(x') + r(x_N) lap' G(x'),
+    with G a product of Gaussian bumps and lap' the tangential Laplacian,
     p'(0) = c1, p'''(0) = 0, r'(0) = 0 and r'''(0) = -c1, which makes
     d_N(lap rho) vanish on the interface (killing the capillary term in the
     normal-force trace) while keeping the boundary datum g = -d_N rho(.,0)
-    = -c1 G(x') nonzero.  All tangential factors are Gaussian bumps so the
-    box-edge decay validation applies.
+    = -c1 G(x') nonzero.  u_j = bump_j(x') (x_N^2 + 0.35 x_N^3) e^{-x_N^2}
+    for j < N and u_N = bump_N(x') x_N e^{-x_N^2}.  All tangential factors
+    are Gaussian bumps so the box-edge decay validation applies.
 
     Returns dict with SepField objects (rho, u, d, f) plus sampled GridFields
     and the g trace.  `rough_width`, if set, narrows the tangential bump of
     u_1 so that tangential resolution dominates the recovery error.
     """
     N = spec.dim
-    if N != 2:
-        raise ConfigurationError("the manufactured family is built for N = 2")
     mu, nu, kappa = params.mu, params.nu, params.kappa
     lam = complex(lam)
     ell = spec.box_half_length
 
+    def bump(width, center):
+        # one factor per tangential axis, centred at +-center*ell in turn
+        return [PolyGauss([1.0], width=width, center=(-1) ** j * center * ell)
+                for j in range(N - 1)]
+
     c1 = g_amplitude
-    g_bump = PolyGauss([1.0], width=0.13 * ell, center=0.1 * ell)
+    g_bump = bump(0.13 * ell, 0.1)
     p_rho = PolyGauss([rho_amplitude, c1, 0.0, c1], width=1.0)
     r_rho = PolyGauss([0.0, 0.0, 0.0, -c1 / 6.0], width=1.0)
-    rho = SepField.product([g_bump, p_rho]) \
-        + SepField.product([g_bump, r_rho]).d(0).d(0)
+    rho = SepField.product(g_bump + [p_rho]) \
+        + SepField.product(g_bump + [r_rho]).laplacian(N - 1)
 
     w1 = rough_width if rough_width is not None else bump_width
-    u1 = SepField.product([PolyGauss([1.0], width=w1, center=-0.2 * ell),
-                           PolyGauss([0.0, 0.0, 1.0, 0.35], width=1.0)])
-    uN = SepField.product([PolyGauss([1.0], width=bump_width, center=0.15 * ell),
-                           PolyGauss([0.0, 1.0], width=1.0)])
-    u = [u1, uN]
+    u = [SepField.product(bump(w1 if j == 0 else bump_width, -0.2 + 0.25 * j)
+                          + [PolyGauss([0.0, 0.0, 1.0, 0.35], width=1.0)])
+         for j in range(N - 1)]
+    u.append(SepField.product(bump(bump_width, 0.15) + [PolyGauss([0.0, 1.0], width=1.0)]))
 
-    div_u = u[0].d(0) + u[1].d(1)
+    div_u = sum((u[i].d(i) for i in range(1, N)), u[0].d(0))
     d = rho.scaled(lam) + div_u
     f = []
     for i in range(N):
@@ -934,14 +955,13 @@ def manufactured_solution(params: FluidParams, spec: GridSpec, lam,
             + rho.laplacian(N).d(i).scaled(-kappa)
         f.append(f_i)
 
-    coords = [spec.tangential_coords(), spec.vertical_coords()]
-    tang = [spec.tangential_coords()]
+    coords = [spec.tangential_coords()] * (N - 1) + [spec.vertical_coords()]
     fields = {
         "rho": GridField(rho.sample(coords), spec, "density"),
         "u": [GridField(u[i].sample(coords), spec, "velocity_component") for i in range(N)],
         "d": GridField(d.sample(coords), spec, "datum"),
         "f": [GridField(f[i].sample(coords), spec, "datum") for i in range(N)],
-        "g_trace": -rho.d(1).sample_trace(tang),
+        "g_trace": -rho.d(N - 1).sample_trace(coords[:-1]),
         "sep": {"rho": rho, "u": u, "d": d, "f": f},
     }
     return fields

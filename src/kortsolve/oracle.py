@@ -25,6 +25,7 @@ importing this module (and with it the package) loads numpy only.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -67,6 +68,8 @@ class BvpConfig:
     def __post_init__(self):
         if not 0 < self.length < math.inf:
             raise ConfigurationError("interval length must be positive and finite")
+        if not isinstance(self.n, numbers.Integral):  # numpy integers pass
+            raise ConfigurationError(f"the node count n must be an integer, got {self.n!r}")
         if self.n < 4:
             raise ConfigurationError("need at least 4 nodes")
         if self.n < 64:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from kortsolve import fields
-from kortsolve import (BoundaryTrace, ConfigurationError, GridError, ModeSolution,
+from kortsolve import (BoundaryTrace, ConfigurationError, DomainError, GridError, ModeSolution,
                        TangentialMode, classify, pde_residual, solve_mode)
-from kortsolve.fields import (GridField, GridSpec, grid_norm, lattice_modes, load_field,
-                              manufactured_solution, save_field, solve_resolvent,
+from kortsolve.fields import (GridField, GridSpec, PolyGauss, SepField, grid_norm,
+                              lattice_modes, load_field, manufactured_solution,
+                              save_field, solve_resolvent,
                               vertical_spectral_derivative, whole_space_reduction,
                               whole_space_solve)
 from kortsolve.modes import evaluate_profiles
@@ -223,6 +224,93 @@ class TestGridSpec:
         assert len(kz) == spec.n_vertical + 1
         assert kz[0] == 0.0
         assert kz[-1] == pytest.approx(np.pi / spec.vertical_spacing)
+
+    @pytest.mark.parametrize("name, value", [("vertical_cutoff", np.nan), ("box_half_length", np.inf),
+                                             ("vertical_cutoff", 0.0), ("box_half_length", 1j),
+                                             ("n_vertical", 100.5), ("dim", 2.5),
+                                             ("n_tangential", 64.0)])
+    def test_bad_numbers_rejected(self, name, value):
+        with pytest.raises(GridError, match=rf"^{name} must be "):
+            GridSpec(**{name: value})
+
+    def test_numpy_scalars_stored_as_python_numbers(self, tmp_path):
+        spec = GridSpec(dim=np.int64(3), n_tangential=np.int32(16), n_vertical=np.int64(32),
+                        box_half_length=np.float32(3.0), vertical_cutoff=8)
+        assert [type(n) for n in (spec.dim, spec.n_tangential, spec.n_vertical)] == [int] * 3
+        assert [type(x) for x in (spec.box_half_length, spec.vertical_cutoff)] == [float] * 2
+        save_field(str(tmp_path / "f"), GridField(np.zeros(spec.shape), spec))  # JSON header
+        assert load_field(str(tmp_path / "f")).spec == spec
+
+
+def _per_term_sample(field, axis_coords):
+    """SepField.sample as it ran before the matrix product: one full-grid pass per term."""
+    shape = tuple(len(c) for c in axis_coords)
+    out = np.zeros(shape, dtype=complex)
+    for a, fs in field.terms:
+        term = np.ones(shape, dtype=complex) * a
+        for i, f in enumerate(fs):
+            vals = f(axis_coords[i])
+            sl = [None] * len(shape)
+            sl[i] = slice(None)
+            term = term * vals[tuple(sl)]
+        out += term
+    return out
+
+
+class TestSepField:
+    COORDS = [np.linspace(-2.0, 2.0, 24), np.linspace(-1.5, 2.5, 20), np.linspace(0.0, 4.0, 18)]
+
+    @staticmethod
+    def _random_field(n_axes, n_terms=7, seed=0):
+        rng = np.random.default_rng(seed)
+        return SepField([(complex(*rng.normal(size=2)),
+                          [PolyGauss(rng.normal(size=3), width=rng.uniform(0.5, 1.5),
+                                     center=rng.uniform(-0.5, 0.5)) for _ in range(n_axes)])
+                         for _ in range(n_terms)])
+
+    @pytest.mark.parametrize("n_axes", [1, 2, 3])
+    def test_sample_matches_per_term_loop(self, n_axes):
+        field = self._random_field(n_axes, seed=n_axes)
+        coords = self.COORDS[:n_axes]
+        got, want = field.sample(coords), _per_term_sample(field, coords)
+        assert got.shape == want.shape == tuple(len(c) for c in coords)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_manufactured_fields_match_per_term_loop(self, params, dim):
+        spec = GridSpec(dim=dim, box_half_length=3.0, n_tangential=16,
+                        vertical_cutoff=8.0, n_vertical=32)
+        sep = manufactured_solution(params, spec, 1.0 + 0.5j)["sep"]
+        coords = [spec.tangential_coords()] * (dim - 1) + [spec.vertical_coords()]
+        for field in [sep["rho"], sep["d"]] + sep["u"] + sep["f"]:
+            want = _per_term_sample(field, coords)
+            assert np.max(np.abs(field.sample(coords) - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_axes", [2, 3])
+    def test_sample_trace_is_the_x_n_zero_row(self, n_axes):
+        field = self._random_field(n_axes, seed=10 + n_axes)
+        tangential = self.COORDS[:n_axes - 1]
+        want = _per_term_sample(field, tangential + [np.array([0.0])])[..., 0]
+        got = field.sample_trace(tangential)
+        assert got.shape == tuple(len(c) for c in tangential)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_no_terms_sample_zeros(self):
+        empty = SepField([])
+        for n_axes in (1, 2, 3):
+            values = empty.sample(self.COORDS[:n_axes])
+            assert values.dtype == complex and not np.any(values)
+            assert values.shape == tuple(len(c) for c in self.COORDS[:n_axes])
+        assert empty.sample_trace(self.COORDS[:2]).shape == (24, 20)
+
+    @pytest.mark.parametrize("width", [0, -0.5, np.nan, np.inf])
+    def test_bad_width_rejected(self, width):
+        with pytest.raises(DomainError, match=r"^PolyGauss width must be finite and positive"):
+            PolyGauss([1.0], width=width)
+
+    def test_zero_bump_width_rejected(self, spec, params):
+        with pytest.raises(DomainError, match=r"width must be finite and positive, got 0$"):
+            manufactured_solution(params, spec, 1.0 + 0.5j, bump_width=0)
 
 
 class TestExtensions:
@@ -659,6 +747,26 @@ class TestSolveResolvent:
             assert rep.boundary_g_residual <= 1e-8
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 1e-6
+
+    def test_manufactured_recovery_and_refinement_3d(self, params):
+        lam = 1.0 + 0.5j
+        errs = []
+        for n_tan in (16, 32, 64):
+            spec = GridSpec(dim=3, box_half_length=3.0, n_tangential=n_tan,
+                            vertical_cutoff=12.0, n_vertical=512)
+            mf = manufactured_solution(params, spec, lam)
+            rho, u, rep = solve_resolvent(params, mf["d"], mf["f"], mf["g_trace"], lam)
+            scale = max(np.max(np.abs(mf["rho"].values)),
+                        max(np.max(np.abs(c.values)) for c in mf["u"]))
+            err = max(np.max(np.abs(rho.values - mf["rho"].values)),
+                      max(np.max(np.abs(u[i].values - mf["u"][i].values))
+                          for i in range(3))) / scale
+            errs.append(err)
+            assert rep.un_trace_ratio <= 1e-10
+            assert rep.boundary_u_max <= 1e-8
+            assert rep.boundary_g_residual <= 1e-8
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] <= 5e-5
 
     def test_assembly_is_the_sum_of_its_parts(self, params):
         # the correction is scattered into the whole-space spectrum: the fields

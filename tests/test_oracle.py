@@ -239,6 +239,11 @@ class TestBvpSolve:
         with pytest.raises(ConfigurationError):
             BvpConfig(length=1.0, n=256, scheme="spectral")
 
+    def test_node_count_must_be_an_integer(self):
+        with pytest.raises(ConfigurationError, match=r"^the node count n must be an integer, got 256\.5$"):
+            BvpConfig(length=20.0, n=256.5)
+        assert BvpConfig(length=20.0, n=np.int64(256)).n == 256
+
 
 class TestConvergence:
     def test_second_order(self, params_by_case):
