@@ -262,7 +262,10 @@ def _run_slabs(task, slabs):
     """[task(s) for s in slabs], on every CPU when there are two slabs or more.
 
     The calling thread and cpu_workers() - 1 helper threads take the next
-    slab as they come free, so the slabs need not cost the same.
+    slab as they come free, so the slabs need not cost the same.  Once the
+    caller has drained the slabs, a helper that has not started is cancelled,
+    not waited for: a task that itself runs slabs (a field solve inside a
+    pool task) may hold the only thread that would start it.
     """
     workers = min(cpu_workers(), len(slabs))
     if workers < 2:
@@ -283,9 +286,11 @@ def _run_slabs(task, slabs):
             pass
         raise
     finally:
-        wait(helpers)
+        # a helper that has not started is cancelled: no slab is left for it
+        wait([h for h in helpers if not h.cancel()])
     for h in helpers:
-        h.result()
+        if not h.cancelled():
+            h.result()
     return results
 
 

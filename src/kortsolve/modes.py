@@ -14,7 +14,8 @@ of rho, u_1..u_N and the divergence phi = i xi . u' + d_N u_N (which
 satisfies lambda rho + phi = 0), with exact vertical derivatives as
 coefficient transforms.  Its complex products and quotients round as
 Python's complex scalars do, so a mode gets the same bits in any batch.
-`solve_mode` returns a mode's batch of one as a ModeSolution, with
+`solve_mode` returns a mode's batch of one as a ModeSolution, which
+evaluates its components through `evaluate_profiles` and keeps
 VerticalProfile views.  `batch_residuals` checks
 the interior identities and boundary conditions of selected batch modes in
 array passes; `pde_residual` runs it on a ModeSolution's batch.
@@ -267,22 +268,34 @@ def evaluate_profiles(rates, coeffs, x, out=None) -> np.ndarray:
     and `out` is returned.  Such a block may be a slab of modes of a larger
     array, as `fields.boundary_correction` passes it: each mode is written
     in its own row only, so modes evaluated in slabs give the bits of one
-    call.  One e^{-rate x} per rate is shared by every leading index and
-    accumulated before the next rate, so a power-0 profile is summed in
-    rate order.
+    call.  x must be one-dimensional and finite, or DomainError says which
+    point is not.
     Mode k is evaluated only on x <= DECAY_SUPPORT / Re t_min(k), in any
     order of x, and is zero beyond.  Past that point every term is below
     e^{-46} (power 0) or 46 e^{-45} < e^{-41} (power 1) of its own peak,
     |c| at x = 0 or |c| / (e Re t) at x = 1 / Re t.  The (mode, x) pairs in
-    support are found once per call.  A rate is evaluated only for the modes
-    with a nonzero coefficient on it, and skipped if there are none, and a
-    mode with no nonzero coefficient has no support pairs: zero-padded slots
-    and empty rows would add only zeros, which change no bit of a sum.  A
-    slot with a nonzero coefficient must decay (a finite rate with Re > 0),
-    or DomainError names its mode and slot.  A zero slot that does not decay
+    support are found once per call; they run mode by mode, so a per-mode
+    column is spread over them by repeating it over the support counts.
+    Each block's in-support entries are gathered once into a pair-space copy,
+    every term is added to it in place, and the copy is written back once;
+    an entry gets the operations of a gather-add-scatter per term, in the
+    same order, and so the same bits.
+    One e^{-rate x} per rate is shared by every leading index, and terms are
+    added rate by rate, power by power, so a power-0 profile is summed in
+    rate order.  A rate is evaluated only for the modes with a nonzero
+    coefficient on it, and skipped if there are none, and a mode with no
+    nonzero coefficient has no support pairs: zero-padded slots and empty
+    rows would add only zeros, which change no bit of a sum.  A slot with a
+    nonzero coefficient must decay (a finite rate with Re > 0), or
+    DomainError names its mode and slot.  A zero slot that does not decay
     is left out of its mode's reach; every other slot, zero or not, counts.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DomainError(f"x must be one-dimensional, got shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DomainError(f"sample point {bad[0]} is {x[bad[0]]}: profiles need finite x")
     if np.any(x < 0):
         raise DomainError("profiles are defined for x >= 0 only")
     if out is None:
@@ -303,25 +316,33 @@ def evaluate_profiles(rates, coeffs, x, out=None) -> np.ndarray:
     # a dead slot that does not decay has no reach; every other slot keeps its own
     slowest = np.where(decays, rates.real, np.inf).min(axis=1, initial=np.inf)
     reach = np.where(live.any(axis=1), DECAY_SUPPORT / slowest, -np.inf)
-    pairs = np.flatnonzero(x <= reach[:, None])  # (mode, x) pairs in support, flattened
-    modes, xs = pairs // x.size, x[pairs % x.size]
-    pairs += modes * (out.shape[-1] - x.size)  # their flat index into an (M, W) block
+    support = x <= reach[:, None]
+    counts = np.count_nonzero(support, axis=1)  # pairs per mode
+    pairs = np.flatnonzero(support)  # (mode, x) pairs in support, flattened, mode by mode
+    xs = x[pairs % x.size]
+    pairs += pairs // x.size * (out.shape[-1] - x.size)  # their flat index into an (M, W) block
     # each out block flattens to a view, by the strides checked above
-    blocks = [(coeffs[i], out[i].reshape(-1)) for i in np.ndindex(coeffs.shape[:-3])]
+    blocks = [out[i].reshape(-1) for i in np.ndindex(coeffs.shape[:-3])]
+    vals = [o[pairs] for o in blocks]  # each block's pairs in support, gathered once
+    c = coeffs.reshape((len(blocks),) + coeffs.shape[-3:])
+    term = np.empty(pairs.size, dtype=complex)
     for r in range(n_rates):
-        on = live[modes, r]
-        if on.all():
-            m, xr, at = modes, xs, pairs
-        elif on.any():
-            m, xr, at = modes[on], xs[on], pairs[on]
-        else:
+        on = np.repeat(live[:, r], counts)
+        if not on.any():
             continue
-        basis = np.exp(-(rates[m, r] * xr))
+        at = slice(None) if on.all() else np.flatnonzero(on)
+        counts_r = np.where(live[:, r], counts, 0)
+        xr = xs[at]
+        basis = np.repeat(rates[:, r], counts_r) * xr
+        np.exp(np.negative(basis, out=basis), out=basis)
+        t = term[:xr.size]
         for p in range(n_powers):
             if p:
-                basis = basis * xr
-            for c, o in blocks:
-                o[at] += c[m, r, p] * basis
+                basis *= xr
+            for v, cb in zip(vals, c[:, :, r, p]):
+                v[at] += np.multiply(np.repeat(cb, counts_r), basis, out=t)
+    for v, o in zip(vals, blocks):
+        o[pairs] = v
     return out
 
 
@@ -364,12 +385,22 @@ class ModeBatch:
 class ModeSolution:
     """One solved mode as its batch of one; `rho`, `u` and `phi` are views.
 
-    The views are VerticalProfiles on the term slots of the batch's case,
-    built from `batch` on access; the raw ansatz coefficients are the
-    batch's own (`batch.beta[0]` and so on).
+    `evaluate(x)` gives every component's values from one `evaluate_profiles`
+    pass on the batch.  The views are VerticalProfiles on the term slots of
+    the batch's case, built from `batch` on access; the raw ansatz
+    coefficients are the batch's own (`batch.beta[0]` and so on).
     """
 
     batch: ModeBatch
+
+    def evaluate(self, x) -> np.ndarray:
+        """rho, u_1..u_N and phi at the points x, as an (N + 2, len(x)) array.
+
+        One `evaluate_profiles` call on the batch: zero beyond the mode's
+        DECAY_SUPPORT reach, and DomainError unless x is a one-dimensional
+        array of finite points >= 0.
+        """
+        return evaluate_profiles(self.batch.rates, self.batch.coeffs, x)[:, 0]
 
     def _profile(self, component: int) -> VerticalProfile:
         """Component 0 (rho), 1..N (u) or N + 1 (phi) on the term slots of its case."""
@@ -811,8 +842,9 @@ def assembled_formula_check(params: FluidParams, mode: TangentialMode, trace: Bo
 
     Evaluates the assembled multiplier-times-kernel representation of the
     solution at the sample points and compares against the coefficient-path
-    profiles from `solve_mode`.  Discrepancies are normalized by the overall
-    solution scale; exceeding `fail_above` raises with the worst component.
+    profiles of `solve_mode`, evaluated by `ModeSolution.evaluate`.
+    Discrepancies are normalized by the overall solution scale; exceeding
+    `fail_above` raises with the worst component.
     """
     if sample_points is None:
         sample_points = default_sample_points(params, mode)
@@ -820,10 +852,10 @@ def assembled_formula_check(params: FluidParams, mode: TangentialMode, trace: Bo
     solution = solve_mode(params, mode, trace)
     rho_a, u_a = _ASSEMBLED[params.case](params, mode, trace, x)
 
-    ref = [solution.rho.evaluate(x)] + [p.evaluate(x) for p in solution.u]
+    ref = solution.evaluate(x)[:-1]
     got = [np.broadcast_to(np.asarray(rho_a, dtype=complex), x.shape)] \
         + [np.broadcast_to(np.asarray(c, dtype=complex), x.shape) for c in u_a]
-    scale = max(max(np.max(np.abs(r)) for r in ref), 1e-300)
+    scale = max(np.max(np.abs(ref)), 1e-300)
     worst = 0.0
     worst_where = ("rho", 0.0)
     names = ["rho"] + [f"u_{J + 1}" for J in range(mode.dim)]

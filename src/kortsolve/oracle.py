@@ -241,14 +241,16 @@ def compare_with_closed_form(params: FluidParams, mode: TangentialMode, trace: B
     """Relative sup-norm disagreement between oracle and closed form.
 
     Returns (error, BvpSolution), the solution carrying the closed-form
-    values it was compared with.  The error is normalized by the largest
-    closed-form magnitude over the nodes, taken across all components.
+    values it was compared with: rho, u_1..u_N and phi at the nodes, from
+    one `ModeSolution.evaluate` pass (zero past the mode's decay support).
+    The error is normalized by the largest closed-form magnitude over the
+    nodes, taken across all components.
     """
     if closed is None:
         closed = solve_mode(params, mode, trace)
     numeric = solve_mode_bvp(params, mode, trace, config)
     x = numeric.x
-    ref = np.array([p.evaluate(x) for p in (closed.rho, *closed.u, closed.phi)])
+    ref = closed.evaluate(x)
     numeric.closed_form = ref
     got = np.vstack([numeric.rho[None, :], numeric.u, numeric.phi[None, :]])
     scale = max(np.max(np.abs(ref)), 1e-300)

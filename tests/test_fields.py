@@ -1,7 +1,10 @@
 import dataclasses
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -608,6 +611,23 @@ class TestWorkPool:
         with pytest.raises(ValueError, match="slab 3"):
             fields._run_slabs(task, fields._slices(20, 20))
         assert running[0] == 0
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_nested_slabs_return(self, workers):
+        # a slab task that runs slabs itself (a field solve inside a pool
+        # task) takes the pool's threads; the inner calls must not wait on
+        # helpers that no thread is left to start.  A fresh interpreter with
+        # a timeout turns a deadlock into a failure instead of a hang.
+        probe = ("import time; from kortsolve import fields; "
+                 f"fields.cpu_workers = lambda: {workers}; "
+                 "slabs = [slice(k, k + 1) for k in range(8)]; "
+                 "inner = lambda s: (time.sleep(0.001), s.start)[1]; "
+                 "outer = lambda s: sum(fields._run_slabs(inner, slabs)) + s.start; "
+                 "print(fields._run_slabs(outer, slabs))")
+        src = str(Path(fields.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == str([28 + k for k in range(8)])
 
     @pytest.mark.parametrize("shape", [(64, 33), (8, 16, 17), (3, 8, 16, 17)])
     def test_transforms_do_not_depend_on_the_slabs(self, monkeypatch, shape):

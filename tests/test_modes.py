@@ -15,6 +15,7 @@ from kortsolve.modes import (_CASES, DECAY_SUPPORT, _batch, _derivative, batch_r
                              default_sample_points, evaluate_profiles, solve_modes)
 
 from tests.conftest import CASE_PARAMS, random_mode_values, random_trace
+from tests.reference_kernels import scatter_evaluate_profiles
 
 PDE_TOL = 1e-10
 BOUNDARY_TOL = 1e-12
@@ -584,6 +585,106 @@ class TestTruncatedEvaluate:
         with pytest.raises(DomainError, match="C-contiguous"):
             evaluate_profiles(batch.rates, batch.coeffs, x,
                               out=np.ones((4, 6, 22), dtype=complex)[..., ::2])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_x_rejected(self, bad):
+        # x <= reach is False at NaN, which would read 0 where the profile is NaN
+        p = classify(*CASE_PARAMS["I"])
+        sol = solve_mode(p, TangentialMode(xi=[0.7], lam=1.0 + 0.5j), BoundaryTrace(1.0, [0.5]))
+        x = np.array([0.0, 1.0, bad, 2.0, bad])
+        with pytest.raises(DomainError, match="sample point 2 is"):
+            evaluate_profiles(sol.batch.rates, sol.batch.coeffs, x)
+        with pytest.raises(DomainError, match="sample point 2 is"):
+            sol.evaluate(x)
+
+    @pytest.mark.parametrize("x", [0.5, [[0.0, 1.0]]])
+    def test_x_must_be_one_dimensional(self, x):
+        p = classify(*CASE_PARAMS["I"])
+        sol = solve_mode(p, TangentialMode(xi=[0.7], lam=1.0 + 0.5j), BoundaryTrace(1.0, [0.5]))
+        with pytest.raises(DomainError, match="one-dimensional"):
+            sol.evaluate(x)
+
+
+def _random_profiles(rng, lead, n_modes, n_powers):
+    """Random (rates, coeffs) in the batch layout, with the slot kinds the engine skips.
+
+    Each mode has 1-4 live rates, padded to 4 with zero slots: copies of its
+    last rate (as a stacked draw pads), or rates that do not decay.  Some
+    coefficients are zero on a live slot, and one mode has none at all.
+    """
+    rates = np.empty((n_modes, 4), dtype=complex)
+    coeffs = np.zeros(lead + (n_modes, 4, n_powers), dtype=complex)
+    for k in range(n_modes):
+        n_live = rng.integers(1, 5)
+        own = 10.0 ** rng.uniform(-1, 1, n_live) * (1.0 + 1j * rng.uniform(-2, 2, n_live))
+        pad = rng.choice([own[-1], -1.0, 0.0, np.nan, 2j])
+        rates[k] = np.concatenate([own, np.full(4 - n_live, pad)])
+        shape = lead + (n_live, n_powers)
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        coeffs[..., k, :n_live, :] = c * (rng.random(c.shape) < 0.8)
+    coeffs[..., rng.integers(n_modes), :, :] = 0.0
+    return rates, coeffs
+
+
+class TestEngineBitPin:
+    """`evaluate_profiles` against the per-(rate, power) scatter kernel it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("lead", [(), (4,), (3, 2)])
+    @pytest.mark.parametrize("n_powers", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scatter_kernel(self, lead, n_powers, seed):
+        rng = np.random.default_rng([seed, n_powers, len(lead)])
+        rates, coeffs = _random_profiles(rng, lead, 13, n_powers)
+        # unsorted points past most modes' reach, so rows have partial support
+        x = rng.permutation(np.concatenate([[0.0], rng.uniform(0.0, 150.0, 200)]))
+        reach = DECAY_SUPPORT / np.nanmin(np.where(rates.real > 0, rates.real, np.nan), axis=1)
+        inside = np.sum(x[None, :] <= reach[:, None], axis=1)
+        assert np.any((inside > 0) & (inside < x.size))
+        got = evaluate_profiles(rates, coeffs, x)
+        want = scatter_evaluate_profiles(rates, coeffs, x)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        # added into a wider out with nonzero contents
+        shape = lead + (13, x.size + 5)
+        base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = evaluate_profiles(rates, coeffs, x, out=base.copy())
+        want = scatter_evaluate_profiles(rates, coeffs, x, out=base.copy())
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        assert got[..., x.size:].tobytes() == base[..., x.size:].tobytes()
+
+    @pytest.mark.parametrize("name", list(CASE_PARAMS))
+    def test_mode_slabs_match_scatter_kernel(self, name):
+        # as `fields.boundary_correction` calls it: slabs of modes of a wider
+        # C-contiguous buffer, rho and u_1..u_N only
+        p = classify(*CASE_PARAMS[name])
+        xi, lam, g, h = _batch_inputs(9, 3, n_modes=24)
+        batch = solve_modes(p, xi, lam, g, h)
+        coeffs = batch.coeffs[:4]
+        x = np.linspace(0.0, 8.0, 65)
+        rng = np.random.default_rng(9)
+        base = rng.normal(size=(4, 24, 70)) + 1j * rng.normal(size=(4, 24, 70))
+        got = base.copy()
+        for modes in (slice(0, 5), slice(5, 6), slice(6, 24)):
+            evaluate_profiles(batch.rates[modes], coeffs[:, modes], x, out=got[:, modes])
+        want = scatter_evaluate_profiles(batch.rates, coeffs, x, out=base.copy())
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+class TestModeSolutionEvaluate:
+    @pytest.mark.parametrize("name", list(CASE_PARAMS))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_views_and_is_zero_past_reach(self, name, dim):
+        p = classify(*CASE_PARAMS[name])
+        xi = np.full(dim - 1, 0.6)
+        sol = solve_mode(p, TangentialMode(xi=xi, lam=0.8 + 0.6j, dim=dim),
+                         BoundaryTrace(0.3 - 0.4j, np.full(dim - 1, 0.5 + 0.2j)))
+        reach = DECAY_SUPPORT / sol.batch.rates.real.min()
+        x = np.linspace(0.0, 1.5 * reach, 301)
+        got = sol.evaluate(x)
+        assert got.shape == (dim + 2, x.size)
+        want = np.array([v.evaluate(x) for v in (sol.rho, *sol.u, sol.phi)])
+        peak = np.abs(want).max()
+        assert np.max(np.abs(got - want)) <= 1e-14 * peak
+        assert np.all(got[:, x > reach] == 0.0) and np.any(got[:, x <= reach] != 0.0)
 
 
 class TestBatchResiduals:
