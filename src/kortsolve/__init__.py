@@ -21,10 +21,10 @@ from .modes import (BoundaryTrace, ModeBatch, ModeSolution, ResidualReport,
                     solve_mode, solve_modes)
 from .oracle import (BvpConfig, BvpSolution, compare_with_closed_form,
                      convergence_study, solve_mode_bvp)
-from .profiles import VerticalProfile, confluent_m, confluent_m0, confluent_mj
+from .profiles import VerticalProfile, confluent_m0, confluent_mj
 from .spectral import (Case, Degeneracy, FluidParams, RootData, ScanGrid,
                        TangentialMode, char_poly, classify, compute_roots,
-                       principal_sqrt, root_lower_bound_scan)
+                       root_lower_bound_scan)
 from .symbols import (SymbolSpec, asymptotic_check, case1_product_constant,
                       make_named_symbol, verify_symbol_class)
 
@@ -38,8 +38,8 @@ __all__ = [
     "SymbolSpec", "TangentialMode", "VerticalProfile", "assembled_formula_check",
     "asymptotic_check", "batch_residuals", "boundary_residuals",
     "case1_product_constant", "char_poly", "classify", "compare_with_closed_form",
-    "compute_roots", "confluent_m", "confluent_m0", "confluent_mj",
+    "compute_roots", "confluent_m0", "confluent_mj",
     "convergence_study", "lower_bound_scan", "make_named_symbol",
-    "pde_residual", "principal_sqrt", "root_lower_bound_scan", "scan_stability",
+    "pde_residual", "root_lower_bound_scan", "scan_stability",
     "solve_mode", "solve_mode_bvp", "solve_modes", "verify_symbol_class",
 ]

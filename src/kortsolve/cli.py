@@ -196,10 +196,11 @@ def cmd_solve_mode(args):
 
     outputs = []
     if args.emit_profile:
-        profiles = {"rho": sol.rho.dump_json(), "phi": sol.phi.dump_json()}
-        for J, prof in enumerate(sol.u, start=1):
-            profiles[f"u_{J}"] = prof.dump_json()
-        _write_json({k: json.loads(v) for k, v in profiles.items()}, args.emit_profile)
+        # rows [re c, im c, m, re t, im t], one per term slot of the component
+        names = ["rho", *(f"u_{J}" for J in range(1, mode.dim + 1)), "phi"]
+        _write_json({name: [[float(c.real), float(c.imag), int(m), float(t.real), float(t.imag)]
+                            for c, m, t in zip(*sol.terms(i))]
+                     for i, name in enumerate(names)}, args.emit_profile)
         outputs.append(args.emit_profile)
     rows = [("residual", "value")]
     rows += [(k, f"{v:.6e}") for k, v in sorted(rep.per_equation.items())]

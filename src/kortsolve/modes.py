@@ -15,8 +15,8 @@ satisfies lambda rho + phi = 0), with exact vertical derivatives as
 coefficient transforms.  Its complex products and quotients round as
 Python's complex scalars do, so a mode gets the same bits in any batch.
 `solve_mode` returns a mode's batch of one as a ModeSolution, which
-evaluates its components through `evaluate_profiles` and keeps
-VerticalProfile views.  `batch_residuals` checks
+evaluates its components through `evaluate_profiles`, lists their terms
+on its case's slots and keeps VerticalProfile views.  `batch_residuals` checks
 the interior identities and boundary conditions of selected batch modes in
 array passes; `pde_residual` runs it on a ModeSolution's batch.
 `_derivative` and `evaluate_profiles` differentiate and evaluate any
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .profiles import VerticalProfile, confluent_m0, confluent_mj
 from .spectral import (Case, FluidParams, TangentialMode, _detL_over_dt, _stable_tw_minus_xisq,
-                       compute_roots, root_arrays)
+                       compute_roots, require_sector_opening, root_arrays)
 from .symbols import make_named_symbol
 
 
@@ -59,9 +59,6 @@ class BoundaryTrace:
         object.__setattr__(self, "h_hat", h)
         if not np.all(np.isfinite(h)) or not math.isfinite(abs(self.g_hat)):
             raise DomainError("boundary trace entries must be finite")
-
-    def scale(self) -> float:
-        return max(abs(self.g_hat), float(np.max(np.abs(self.h_hat))) if self.h_hat.size else 0.0)
 
 
 # Each case formula below is written once and runs on either scalars or
@@ -386,9 +383,11 @@ class ModeSolution:
     """One solved mode as its batch of one; `rho`, `u` and `phi` are views.
 
     `evaluate(x)` gives every component's values from one `evaluate_profiles`
-    pass on the batch.  The views are VerticalProfiles on the term slots of
-    the batch's case, built from `batch` on access; the raw ansatz
-    coefficients are the batch's own (`batch.beta[0]` and so on).
+    pass on the batch, and `terms(component)` a component's (coefficient,
+    power, rate) arrays on the term slots of the batch's case, which
+    `solve-mode --emit-profile` writes.  The views are VerticalProfiles on
+    those terms, built from `batch` on access; the raw ansatz coefficients
+    are the batch's own (`batch.beta[0]` and so on).
     """
 
     batch: ModeBatch
@@ -402,28 +401,32 @@ class ModeSolution:
         """
         return evaluate_profiles(self.batch.rates, self.batch.coeffs, x)[:, 0]
 
-    def _profile(self, component: int) -> VerticalProfile:
-        """Component 0 (rho), 1..N (u) or N + 1 (phi) on the term slots of its case."""
+    def terms(self, component: int):
+        """(coefficients, powers, rates) of component 0 (rho), 1..N (u) or N + 1 (phi).
+
+        One term per (rate, power) slot of the component in `_CASES`, zero
+        coefficients included.
+        """
         _, b_slot, c_slot, s_slot, t_slot = _CASES[self.batch.params.case]
         if 0 < component < len(self.batch.coeffs) - 1:
             slots = [s for s in ((0, 0), b_slot, c_slot) if s is not None]
         else:
             slots = [s_slot, t_slot]
         r, p = (np.array(a) for a in zip(*slots))
-        return VerticalProfile(_raw=(self.batch.coeffs[component, 0, r, p], p,
-                                     self.batch.rates[0, r]))
+        return self.batch.coeffs[component, 0, r, p], p, self.batch.rates[0, r]
 
     @property
     def rho(self) -> VerticalProfile:
-        return self._profile(0)
+        return VerticalProfile(_raw=self.terms(0))
 
     @property
     def u(self) -> tuple:
-        return tuple(self._profile(J) for J in range(1, len(self.batch.coeffs) - 1))
+        return tuple(VerticalProfile(_raw=self.terms(J))
+                     for J in range(1, len(self.batch.coeffs) - 1))
 
     @property
     def phi(self) -> VerticalProfile:
-        return self._profile(len(self.batch.coeffs) - 1)
+        return VerticalProfile(_raw=self.terms(len(self.batch.coeffs) - 1))
 
 
 def _batch(params, lam, xi, h, rates, beta, gamma, sigma, tau) -> ModeBatch:
@@ -488,9 +491,12 @@ def solve_modes(params: FluidParams, xi, lam, g_hat, h_hat) -> ModeBatch:
 def solve_mode(params: FluidParams, mode: TangentialMode, trace: BoundaryTrace) -> ModeSolution:
     """Solve the reduced boundary value problem for one tangential mode.
 
-    The mode's batch of one from `solve_modes`, so it requires Re lambda > 0
-    and sector modes raise DomainError.
+    The mode's batch of one from `solve_modes`, so it requires Re lambda > 0.
+    A sector mode must also open past epsilon_star, the check that
+    `compute_roots` makes (`spectral.require_sector_opening`); DomainError
+    otherwise.
     """
+    require_sector_opening(params, mode)
     if trace.h_hat.shape != (mode.dim - 1,):
         raise DomainError(f"h_hat must have length {mode.dim - 1}")
     return ModeSolution(solve_modes(params, mode.xi[None], mode.lam, [trace.g_hat],

@@ -12,9 +12,6 @@ them stably through the collision.
 
 from __future__ import annotations
 
-import json
-import math
-
 import numpy as np
 
 from .errors import DomainError
@@ -23,16 +20,15 @@ from .errors import DomainError
 # through the phi-series (see `_phi1`); direct subtraction would lose digits.
 CONFLUENT_SWITCH = 1e-3
 
-# Merging tolerance for rates when canonicalizing profiles.
-RATE_MERGE_RTOL = 1e-14
-
 
 class VerticalProfile:
     """Finite sum of terms c * x^m * exp(-t x) on the half-line x >= 0.
 
     Terms are stored as parallel arrays (coefficients, integer powers, decay
     rates).  All rates must have strictly positive real part so the profile
-    decays as x -> infinity.
+    decays as x -> infinity.  It is the one-mode view of a `ModeSolution`
+    component, and its term-by-term algebra is the reference that the
+    batched coefficient transforms are checked against.
     """
 
     __slots__ = ("coeffs", "powers", "rates")
@@ -79,29 +75,6 @@ class VerticalProfile:
     def scaled(self, factor):
         return VerticalProfile(_raw=(self.coeffs * complex(factor), self.powers.copy(), self.rates.copy()))
 
-    def __mul__(self, factor):
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
-    def canonicalized(self):
-        """Merge terms sharing (power, rate) up to a relative rate tolerance.
-
-        Rates within RATE_MERGE_RTOL (relative) of each other are treated as
-        equal; the first representative wins.  Zero coefficients are dropped.
-        """
-        out = []  # list of [coeff, power, rate]
-        for c, m, t in self.terms():
-            for entry in out:
-                if entry[1] != m:
-                    continue
-                if abs(t - entry[2]) <= RATE_MERGE_RTOL * max(abs(t), abs(entry[2])):
-                    entry[0] += c
-                    break
-            else:
-                out.append([c, m, t])
-        return VerticalProfile([(c, m, t) for c, m, t in out if c != 0.0])
-
     # -- calculus ---------------------------------------------------------
 
     def evaluate(self, x):
@@ -133,34 +106,11 @@ class VerticalProfile:
             prof = VerticalProfile(terms)
         return prof
 
-    def value_at_zero(self):
-        return self.evaluate(0.0)
-
-    def derivative_at_zero(self):
-        return self.differentiate(1).evaluate(0.0)
-
     # -- diagnostics ------------------------------------------------------
 
     def magnitude_scale(self):
         """Sum of |coefficients|; crude a-priori bound scale for the profile."""
         return float(np.sum(np.abs(self.coeffs))) if len(self) else 0.0
-
-    def min_decay_rate(self):
-        return float(np.min(self.rates.real)) if len(self) else math.inf
-
-    def dump_json(self):
-        """Debug dump: list of [re c, im c, m, re t, im t]."""
-        rows = [[c.real, c.imag, int(m), t.real, t.imag] for c, m, t in self.terms()]
-        return json.dumps(rows)
-
-    @classmethod
-    def from_json(cls, text):
-        rows = json.loads(text)
-        return cls([(complex(a, b), m, complex(c, d)) for a, b, m, c, d in rows])
-
-    def __repr__(self):
-        parts = ", ".join(f"({c:.6g})*x^{m}*exp(-({t:.6g})x)" for c, m, t in self.terms())
-        return f"VerticalProfile[{parts}]"
 
 
 def _phi1(z):
@@ -201,14 +151,6 @@ def confluent_m0(t1, t2, x):
     if scalar:
         return complex(out[0])
     return out
-
-
-def confluent_m(t2, omega, x):
-    """Kernel (exp(-t2 x) - exp(-omega x)) / (t2 - omega).
-
-    Same divided difference as `confluent_m0` with arguments (omega, t2).
-    """
-    return confluent_m0(omega, t2, x)
 
 
 def confluent_mj(tj, omega, t1, t2, x):

@@ -152,8 +152,10 @@ class TangentialMode:
 
     By default lambda must lie in the open right half-plane.  Setting
     `sector_epsilon` to some eps in (0, pi/2) relaxes this to the sector
-    |arg lambda| < pi - eps; consumers that build the t_j roots additionally
-    require eps > epsilon_star of the parameter set.
+    |arg lambda| < pi - eps.  `compute_roots` and `modes.solve_mode`, which
+    build the t_j roots, additionally require eps > epsilon_star of the
+    parameter set (`require_sector_opening`), and `solve_mode` still
+    requires Re lambda > 0.
     """
 
     xi: np.ndarray
@@ -208,16 +210,8 @@ class RootData:
     degeneracy: Degeneracy
 
 
-def principal_sqrt(z) -> complex:
-    """Principal square root with Re sqrt(z) > 0 off the cut (-inf, 0]."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0:
-        raise BranchCutError(f"radicand {z} lies on the branch cut (-inf, 0]")
-    return cmath.sqrt(z)
-
-
-def compute_roots(params: FluidParams, mode: TangentialMode) -> RootData:
-    """Compute t1, t2, omega with the principal branch and tag the degeneracy.
+def require_sector_opening(params: FluidParams, mode: TangentialMode) -> None:
+    """DomainError naming epsilon_star unless a sector mode opens past it.
 
     In sector mode the t_j roots are only defined for sector openings
     eps > epsilon_star (the argument of s2); this is enforced here rather
@@ -228,11 +222,20 @@ def compute_roots(params: FluidParams, mode: TangentialMode) -> RootData:
             f"sector_epsilon={mode.sector_epsilon} must exceed epsilon_star="
             f"{params.epsilon_star} for the t_j roots"
         )
-    xi_sq = mode.xi_sq
-    lam = mode.lam
-    t1 = principal_sqrt(xi_sq + params.s1 * lam)
-    t2 = principal_sqrt(xi_sq + params.s2 * lam)
-    omega = principal_sqrt(xi_sq + params.inv_mu * lam)
+
+
+def compute_roots(params: FluidParams, mode: TangentialMode) -> RootData:
+    """`root_arrays` at one mode, as Python complex scalars, with the degeneracy tag.
+
+    Sector modes must open past epsilon_star (`require_sector_opening`).  A
+    root with Re <= 0 means its radicand lies on the branch cut (-inf, 0]
+    and raises BranchCutError.
+    """
+    require_sector_opening(params, mode)
+    t1, t2, omega = (complex(t) for t in root_arrays(params, mode.xi_sq, mode.lam))
+    if min(t1.real, t2.real, omega.real) <= 0.0:
+        raise BranchCutError(f"a radicand of (t1, t2, omega) = {(t1, t2, omega)} lies on "
+                             f"the branch cut (-inf, 0]")
     degeneracy = {
         Case.I: Degeneracy.DISTINCT,
         Case.II: Degeneracy.DISTINCT,

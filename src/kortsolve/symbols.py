@@ -447,10 +447,6 @@ class AsymptoticReport:
     ratios: np.ndarray          # m_k / limit expression, complex
     regime_parameters: np.ndarray
 
-    @property
-    def max_deviation(self):
-        return float(np.max(np.abs(self.ratios - 1.0)))
-
 
 def asymptotic_check(params: FluidParams, name: str, regime: str,
                      ratio_points=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),

@@ -11,6 +11,8 @@ import pytest
 import kortsolve
 from kortsolve.cli import TOLERANCE_ERROR, dispatch
 
+from tests.conftest import CASE_PARAMS
+
 
 def run(argv, capsys):
     code = dispatch(argv)
@@ -141,6 +143,22 @@ class TestClassify:
         assert "No such file or directory" in err
 
 
+class TestRoots:
+    @pytest.mark.parametrize("case", sorted(CASE_PARAMS))
+    def test_csv_holds_the_roots_as_plain_floats(self, case, capsys):
+        mu, nu, kappa = CASE_PARAMS[case]
+        code, out, _ = run(["roots", "--mu", str(mu), "--nu", str(nu), "--kappa", str(kappa),
+                            "--xi", "0.7", "--lam", "1+0.5j"], capsys)
+        assert code == 0
+        assert "np." not in out
+        r = kortsolve.compute_roots(kortsolve.classify(float(mu), float(nu), float(kappa)),
+                                    kortsolve.TangentialMode(xi=[0.7], lam=1 + 0.5j))
+        rows = {row[0]: row[1:] for row in (line.split(",") for line in out.splitlines())}
+        for name, t in (("t1", r.t1), ("t2", r.t2), ("omega", r.omega)):
+            assert complex(float(rows[name][0]), float(rows[name][1])) == t
+        assert rows["degeneracy"] == [r.degeneracy.value, ""]
+
+
 class TestSolveMode:
     def test_zero_trace(self, capsys):
         code, out, _ = run(["solve-mode", "--mu", "1", "--nu", "1", "--kappa", "2",
@@ -161,6 +179,32 @@ class TestSolveMode:
         manifest = json.loads((prof.with_name("profiles.json.manifest.json")).read_text())
         assert manifest["subcommand"] == "solve-mode"
 
+    @pytest.mark.parametrize("case", sorted(CASE_PARAMS))
+    @pytest.mark.parametrize("xi, h", [("1", "0.5-0.2j"), ("1,0.5", "0.5-0.2j,-0.3+0.1j")])
+    def test_profiles_match_the_view_dump_byte_for_byte(self, tmp_path, capsys, case, xi, h):
+        # reference: the JSON that --emit-profile wrote through each view's
+        # VerticalProfile.dump_json, which the batch's term slots replaced
+        def dump_json(profile):
+            rows = [[c.real, c.imag, int(m), t.real, t.imag] for c, m, t in profile.terms()]
+            return json.dumps(rows)
+
+        mu, nu, kappa = (float(v) for v in CASE_PARAMS[case])
+        prof = tmp_path / "profiles.json"
+        code, _, _ = run(["solve-mode", "--mu", str(mu), "--nu", str(nu), "--kappa", str(kappa),
+                          "--xi", xi, "--lam", "1+0.5j", "--g", "1", "--h", h,
+                          "--emit-profile", str(prof)], capsys)
+        assert code == 0
+        xis = [float(v) for v in xi.split(",")]
+        sol = kortsolve.solve_mode(
+            kortsolve.classify(mu, nu, kappa),
+            kortsolve.TangentialMode(xi=xis, lam=1 + 0.5j, dim=len(xis) + 1),
+            kortsolve.BoundaryTrace(1.0, [complex(v) for v in h.split(",")]))
+        profiles = {"rho": dump_json(sol.rho), "phi": dump_json(sol.phi)}
+        for J, view in enumerate(sol.u, start=1):
+            profiles[f"u_{J}"] = dump_json(view)
+        want = json.dumps({k: json.loads(v) for k, v in profiles.items()},
+                          indent=2, sort_keys=True) + "\n"
+        assert prof.read_text() == want
 
     def test_unwritable_profile_is_one_error_line(self, tmp_path, capsys):
         code, out, err = run(["solve-mode", "--mu", "1", "--nu", "1", "--kappa", "2",

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ class TestSolveMode:
         L11 = -r.t1 * (r.t2 * r.omega - 1.0)
         expect = mode.lam * L11 / make_named_symbol(p, "detL").alt_eval(mode.xi, mode.lam)
         assert sol.batch.beta[0, -1] == pytest.approx(expect, rel=1e-12)
-        assert sol.rho.derivative_at_zero() == pytest.approx(-1.0, rel=1e-12)
+        assert sol.rho.differentiate(1).evaluate(0.0) == pytest.approx(-1.0, rel=1e-12)
         rep = pde_residual(p, mode, sol)
         assert rep.pde_max <= PDE_TOL
 
@@ -55,7 +56,7 @@ class TestSolveMode:
         x = np.linspace(0, 5, 11)
         np.testing.assert_allclose(sol.u[-1].evaluate(x), -0.5 * x * np.exp(-x),
                                    rtol=0, atol=1e-15)
-        assert sol.rho.derivative_at_zero() == pytest.approx(-1.0)
+        assert sol.rho.differentiate(1).evaluate(0.0) == pytest.approx(-1.0)
         # rho = (1/2) e^{-x} - (1/2) x e^{-x} per the closed-form coefficients
         np.testing.assert_allclose(sol.rho.evaluate(x), 0.5 * np.exp(-x) * (1 - x),
                                    rtol=0, atol=1e-15)
@@ -271,15 +272,15 @@ def _reference_pde_residual(params, mode, solution, x):
     per_equation["momentum_N"] = _reference_normalized_residual(terms, x)
 
     per_boundary = {}
-    trace_scale = max(abs(c) for c in
-                      [*(p.value_at_zero() for p in u), rho.derivative_at_zero(), 1e-300])
+    trace_scale = max(abs(c) for c in [*(p.evaluate(0.0) for p in u),
+                                       rho.differentiate(1).evaluate(0.0), 1e-300])
     for j in range(mode.dim - 1):
         target = solution.batch.alpha[0, j]
         scale = max(u[j].magnitude_scale(), abs(target), trace_scale)
-        per_boundary[f"u_{j + 1}(0)-h_{j + 1}"] = abs(u[j].value_at_zero() - target) / scale
-    per_boundary["u_N(0)"] = abs(u[-1].value_at_zero()) \
+        per_boundary[f"u_{j + 1}(0)-h_{j + 1}"] = abs(u[j].evaluate(0.0) - target) / scale
+    per_boundary["u_N(0)"] = abs(u[-1].evaluate(0.0)) \
         / max(u[-1].magnitude_scale(), trace_scale)
-    g_hat = solution.phi.derivative_at_zero() / lam
+    g_hat = solution.phi.differentiate(1).evaluate(0.0) / lam
     drho = rho.differentiate(1)
     scale = max(drho.magnitude_scale(), abs(g_hat), 1e-300)
     per_boundary["dN_rho(0)+g"] = abs(drho.evaluate(0.0) + g_hat) / scale
@@ -289,11 +290,11 @@ def _reference_pde_residual(params, mode, solution, x):
 def _reference_boundary_residuals(mode, solution, trace):
     out = {}
     u = solution.u
-    floor = max(trace.scale(), 1e-300)
+    floor = max(abs(trace.g_hat), *np.abs(trace.h_hat), 1e-300)
     for j in range(mode.dim - 1):
         scale = max(u[j].magnitude_scale(), floor)
-        out[f"u_{j + 1}(0)-h_{j + 1}"] = abs(u[j].value_at_zero() - trace.h_hat[j]) / scale
-    out["u_N(0)"] = abs(u[-1].value_at_zero()) / max(u[-1].magnitude_scale(), floor)
+        out[f"u_{j + 1}(0)-h_{j + 1}"] = abs(u[j].evaluate(0.0) - trace.h_hat[j]) / scale
+    out["u_N(0)"] = abs(u[-1].evaluate(0.0)) / max(u[-1].magnitude_scale(), floor)
     drho = solution.rho.differentiate(1)
     out["dN_rho(0)+g"] = abs(drho.evaluate(0.0) + trace.g_hat) / max(drho.magnitude_scale(), floor)
     return out
@@ -478,6 +479,26 @@ class TestModeBatch:
         for lam in (-0.5 + 1.0j, 2.0j):
             with pytest.raises(DomainError, match="Re lambda > 0"):
                 solve_modes(p, [[1.0]], lam, [1.0], [[0.5]])
+
+    def test_sector_must_open_past_epsilon_star(self):
+        # solve_mode makes compute_roots' check, so no solution is returned
+        # that pde_residual would then refuse
+        p = classify(1, 1, 2)
+        trace = BoundaryTrace(1.0, [0.5 - 0.2j])
+        narrow = TangentialMode(xi=[0.7], lam=1 + 0.5j, sector_epsilon=p.epsilon_star / 2)
+        with pytest.raises(DomainError, match="epsilon_star") as from_roots:
+            compute_roots(p, narrow)
+        with pytest.raises(DomainError, match="epsilon_star") as from_solve:
+            solve_mode(p, narrow, trace)
+        assert str(from_solve.value) == str(from_roots.value)
+        # just past epsilon_star the sector opening changes no bit of the solve
+        wide = TangentialMode(xi=[0.7], lam=1 + 0.5j,
+                              sector_epsilon=math.nextafter(p.epsilon_star, 1.0))
+        got = solve_mode(p, wide, trace)
+        want = solve_mode(p, TangentialMode(xi=[0.7], lam=1 + 0.5j), trace).batch
+        assert got.batch.coeffs.tobytes() == want.coeffs.tobytes()
+        assert got.batch.rates.tobytes() == want.rates.tobytes()
+        assert pde_residual(p, wide, got).pde_max <= PDE_TOL
 
     def test_shape_mismatch_rejected(self):
         p = classify(1, 1, 2)

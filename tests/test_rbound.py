@@ -228,8 +228,8 @@ class _ReferenceReducedFamily(_PerMember, ReducedSolveFamily):
         for index in set(gp) | set().union(*(set(hp) for hp in hps)):
             xi = np.array([ks[i] for i in index])
             mode = TangentialMode(xi=xi, lam=lam, dim=spec.dim)
-            g_hat = gp[index].value_at_zero() if index in gp else 0.0
-            h_hat = np.array([hp[index].value_at_zero() if index in hp else 0.0 for hp in hps])
+            g_hat = gp[index].evaluate(0.0) if index in gp else 0.0
+            h_hat = np.array([hp[index].evaluate(0.0) if index in hp else 0.0 for hp in hps])
             sol = solve_mode(self.params, mode, BoundaryTrace(g_hat, h_hat))
             profiles = sol.rho if lift == "S0" else list(sol.u)
             out[index] = _reference_lift_profiles(profiles, lam, spec, xi, lift)

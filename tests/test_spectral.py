@@ -1,4 +1,6 @@
+import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from kortsolve import (BranchCutError, Case, Degeneracy, DomainError, ScanGrid,
                        TangentialMode, char_poly, classify, compute_roots,
-                       principal_sqrt, root_lower_bound_scan)
+                       root_lower_bound_scan)
 
 
 class TestClassify:
@@ -167,8 +169,34 @@ class TestRoots:
             compute_roots(p_i, TangentialMode(xi=[1.0], lam=1.0, sector_epsilon=0.1))
 
     def test_branch_cut_detection(self):
-        with pytest.raises(BranchCutError):
-            principal_sqrt(-1.0)
+        # a radicand |xi|^2 + s1 lambda on the cut (-inf, 0], which no
+        # classified parameter set and admissible mode reach
+        for s1 in (-1.0, 0.0):
+            p = replace(classify(1, 1, 1), s1=complex(s1))
+            with pytest.raises(BranchCutError, match="branch cut"):
+                compute_roots(p, TangentialMode(xi=[0.0], lam=1.0))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bit_identical_to_scalar_sqrt_reference(self, params_by_case, rng, dim):
+        # the per-radicand cmath.sqrt that compute_roots ran before it became
+        # root_arrays at one mode; sector modes open halfway past epsilon_star
+        from tests.conftest import random_mode_values
+
+        def bits(z):
+            return type(z), z.real.hex(), z.imag.hex()
+
+        for p in params_by_case.values():
+            eps = (p.epsilon_star + math.pi / 2) / 2
+            draws = [(xi, lam, None) for xi, lam in random_mode_values(
+                rng, 150, xi_range=(1e-6, 1e6), lam_range=(1e-6, 1e6), arg_range=(-1.55, 1.55),
+                dim=dim)]
+            draws += [(xi, lam, eps) for xi, lam in random_mode_values(
+                rng, 50, arg_range=(-0.99 * (math.pi - eps), 0.99 * (math.pi - eps)), dim=dim)]
+            for xi, lam, sector in draws:
+                mode = TangentialMode(xi=xi, lam=lam, dim=dim, sector_epsilon=sector)
+                r = compute_roots(p, mode)
+                want = [cmath.sqrt(mode.xi_sq + s * mode.lam) for s in (p.s1, p.s2, p.inv_mu)]
+                assert [bits(t) for t in (r.t1, r.t2, r.omega)] == [bits(t) for t in want]
 
 
 class TestCharPoly:
